@@ -11,15 +11,12 @@ __version__ = "0.1.0"
 
 from .core import (BasisControl, ControlPartition, Dataset, GridControl,
                    HistoryRecord, RunReport, SolverConfig, SplitSpec,
-                   TerminalMode, TimeGrid, combine_controls,
-                   constant_grid_control, eval_control, make_time_grid,
-                   zero_grid_control)
+                   TerminalMode, TimeGrid, constant_grid_control,
+                   make_time_grid, zero_grid_control)
 from .models import (LossScale, ModelKind, ModelSpec, Objective,
-                     SingularityError, loss, objective_gradient, objective_hvp,
-                     objective_value, predict, validation_phi,
-                     validation_phi_grad)
-from .integrate import (DivergenceError, integrate_backward, integrate_forward,
-                        interpolate_state)
+                     SingularityError, objective_gradient, objective_value,
+                     validation_phi, validation_phi_grad)
+from .integrate import DivergenceError, integrate_backward, integrate_forward
 from .adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
                       control_gradient_follower, control_gradient_leader,
                       gradient_check, hamiltonian_follower, hamiltonian_leader)
@@ -33,12 +30,11 @@ __all__ = [
     "HistoryRecord", "LeaderProblem", "LeaderStepResult", "LossScale",
     "ModelKind", "ModelSpec", "NoProgressError", "Objective", "ResidualStats",
     "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
-    "TerminalMode", "TimeGrid", "combine_controls", "constant_grid_control",
-    "control_gradient_follower", "control_gradient_leader", "eval_control",
+    "TerminalMode", "TimeGrid", "constant_grid_control",
+    "control_gradient_follower", "control_gradient_leader",
     "gradient_check", "hamiltonian_follower", "hamiltonian_leader",
-    "integrate_backward", "integrate_forward", "interpolate_state",
-    "leader_step", "loss", "make_time_grid", "objective_gradient",
-    "objective_hvp", "objective_value", "predict", "residual_stats",
-    "solve_follower", "solve_nested", "validation_phi", "validation_phi_grad",
-    "zero_grid_control",
+    "integrate_backward", "integrate_forward", "leader_step",
+    "make_time_grid", "objective_gradient", "objective_value",
+    "residual_stats", "solve_follower", "solve_nested", "validation_phi",
+    "validation_phi_grad", "zero_grid_control",
 ]

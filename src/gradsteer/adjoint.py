@@ -25,10 +25,13 @@ import numpy as np
 from .core import (Array, BasisControl, ControlPartition, ControlSignal, Dataset,
                    GridControl, SolverConfig, TerminalKind, TerminalMode, TimeGrid,
                    Trajectory, CostateTrajectory, eval_control_many,
-                   _frozen_array)
+                   sampled_basis_matrix, _frozen_array)
 from .integrate import integrate_backward, integrate_forward, midpoint_states
 from .models import (Objective, gradient_function, hvp_function, validation_phi,
-                     validation_phi_grad, value_function)
+                     validation_phi_grad)
+
+# central-difference step of gradient_check; the leader's is shrunk with mu
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,7 @@ class FollowerProblem:
 @dataclass(frozen=True)
 class LeaderProblem:
     """Steering-side problem: drive the terminal validation value to z with
-    the follower response held fixed.
-
-    state_weight scales the running cost and exists so tests can switch that
-    term off; production paths leave it at 1.
+    the follower response held fixed. The running cost is |theta|^2 / 2.
     """
 
     objective: Objective
@@ -67,7 +67,6 @@ class LeaderProblem:
     grid: TimeGrid
     theta0: Array
     terminal_mode: TerminalMode = TerminalMode.PENALTY
-    state_weight: float = 1.0
 
     def __post_init__(self):
         if self.mu < 0:
@@ -100,30 +99,11 @@ class ControlGradient:
 # ---------------------------------------------------------------------------
 # control sampling and quadrature
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=64)
-def _cached_basis_matrix(horizon: float, steps: int, n_functions: int,
-                         basis: str, stages: bool) -> Array:
-    grid = TimeGrid(horizon, steps)
-    times = grid.stage_times if stages else grid.nodes
-    x = 2.0 * times / horizon - 1.0
-    out = np.polynomial.legendre.legvander(x, n_functions - 1)
-    out.flags.writeable = False
-    return out
-
-
-def node_basis_matrix(grid: TimeGrid, n_functions: int, basis: str) -> Array:
-    return _cached_basis_matrix(grid.horizon, grid.steps, n_functions, basis,
-                                False)
-
-
 def control_node_values(u: ControlSignal, grid: TimeGrid) -> Array:
     if isinstance(u, GridControl) and u.grid == grid:
         return np.clip(u.values, -u.u_max, u.u_max)
     if isinstance(u, BasisControl) and u.grid == grid:
-        vals = node_basis_matrix(grid, u.n_functions, u.basis) @ u.coefficients
+        vals = sampled_basis_matrix(grid, u.n_functions, False) @ u.coefficients
         return np.clip(vals, -u.u_max, u.u_max)
     return eval_control_many(u, grid.nodes)
 
@@ -136,8 +116,7 @@ def stage_control_values(u: ControlSignal, grid: TimeGrid) -> Array:
         out[1::2] = 0.5 * (u.values[:-1] + u.values[1:])
         return np.clip(out, -u.u_max, u.u_max)
     if isinstance(u, BasisControl) and u.grid == grid:
-        mat = _cached_basis_matrix(grid.horizon, grid.steps, u.n_functions,
-                                   u.basis, True)
+        mat = sampled_basis_matrix(grid, u.n_functions, True)
         return np.clip(mat @ u.coefficients, -u.u_max, u.u_max)
     return eval_control_many(u, grid.stage_times)
 
@@ -228,14 +207,12 @@ def hamiltonian_follower(objective: Objective, theta, p2, u1_value, u2_value,
 
 
 def hamiltonian_leader(objective: Objective, theta, p1, u1_value, u2_value,
-                       partition: ControlPartition,
-                       state_weight: float = 1.0) -> float:
+                       partition: ControlPartition) -> float:
     theta = np.asarray(theta, dtype=float)
     velocity = (-gradient_function(objective)(theta)
                 + np.asarray(u1_value, dtype=float) * partition.leader_mask
                 + np.asarray(u2_value, dtype=float) * partition.follower_mask)
-    return float(velocity @ np.asarray(p1, dtype=float)
-                 + 0.5 * state_weight * (theta @ theta))
+    return float(velocity @ np.asarray(p1, dtype=float) + 0.5 * (theta @ theta))
 
 
 def costate_rate_follower(objective: Objective, theta, p2, alpha: float) -> Array:
@@ -244,11 +221,10 @@ def costate_rate_follower(objective: Objective, theta, p2, alpha: float) -> Arra
     return hvp_function(objective)(theta, np.asarray(p2, dtype=float)) - alpha * theta
 
 
-def costate_rate_leader(objective: Objective, theta, p1,
-                        state_weight: float = 1.0) -> Array:
+def costate_rate_leader(objective: Objective, theta, p1) -> Array:
+    """pdot1 = -dH1/dtheta = Hess(J0) p1 - theta."""
     theta = np.asarray(theta, dtype=float)
-    return (hvp_function(objective)(theta, np.asarray(p1, dtype=float))
-            - state_weight * theta)
+    return hvp_function(objective)(theta, np.asarray(p1, dtype=float)) - theta
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +254,7 @@ def follower_cost(prob: FollowerProblem, traj: Trajectory,
 def _package_gradient(pointwise: Array, like: ControlSignal,
                       grid: TimeGrid) -> ControlGradient:
     if isinstance(like, BasisControl):
-        basis = node_basis_matrix(grid, like.n_functions, like.basis)
+        basis = sampled_basis_matrix(grid, like.n_functions, False)
         coeffs = basis.T @ (trapezoid_weights(grid)[:, None] * pointwise)
         return ControlGradient(pointwise=pointwise, coefficients=coeffs)
     return ControlGradient(pointwise=pointwise)
@@ -321,13 +297,13 @@ def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
 
 
 def leader_backward(prob: LeaderProblem, traj: Trajectory) -> CostateTrajectory:
-    field = make_costate_field(prob.objective, traj, prob.state_weight)
+    field = make_costate_field(prob.objective, traj, 1.0)
     p_T = leader_terminal_costate(prob, traj.terminal_state)
     return integrate_backward(field, p_T, prob.grid, TerminalKind.LEADER_TERMINAL)
 
 
-def leader_running_cost(traj: Trajectory, state_weight: float = 1.0) -> float:
-    running = 0.5 * state_weight * np.sum(traj.states * traj.states, axis=1)
+def leader_running_cost(traj: Trajectory) -> float:
+    running = 0.5 * np.sum(traj.states * traj.states, axis=1)
     return _trapz(running, traj.grid.dt)
 
 
@@ -337,7 +313,7 @@ def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, f
     Penalty mode: J1 + (mu/2)(Phi - z)^2. Fixed-terminal mode: J1 - (Phi - z),
     the Lagrangian whose gradient that mode's costate produces.
     """
-    j1 = leader_running_cost(traj, prob.state_weight)
+    j1 = leader_running_cost(traj)
     phi = leader_phi(prob, traj.terminal_state)
     if prob.terminal_mode is TerminalMode.PAPER_FIXED:
         return j1 - (phi - prob.z), j1, phi
@@ -369,7 +345,7 @@ def update_control(u: ControlSignal, gradient: ControlGradient,
         if gradient.coefficients is None:
             raise ValueError("basis control update needs coefficient gradient")
         coeffs = u.coefficients - step * gradient.coefficients
-        return BasisControl(u.grid, coeffs, u.basis, u.u_max)
+        return BasisControl(u.grid, coeffs, u.u_max)
     values = np.clip(u.values - step * gradient.pointwise, -u.u_max, u.u_max)
     return GridControl(u.grid, values, u.u_max)
 
@@ -391,7 +367,7 @@ def smooth_random_signal(rng: np.random.Generator, grid: TimeGrid, dim: int,
 def gradient_check(objective: Objective, validation: Dataset,
                    partition: ControlPartition, theta0, grid: TimeGrid,
                    config: SolverConfig, seed: int = 0, n_directions: int = 20,
-                   fd_step: float = 1e-5, corruption: float = 0.0) -> List[dict]:
+                   corruption: float = 0.0) -> List[dict]:
     """Compare adjoint gradients against central finite differences of the
     associated functionals, for random smooth base controls and directions.
 
@@ -428,24 +404,21 @@ def gradient_check(objective: Objective, validation: Dataset,
         cand = GridControl(grid, values, config.u_max)
         return leader_merit(lprob, leader_forward(lprob, cand))[0]
 
-    fd_step_leader = fd_step / np.sqrt(1.0 + config.mu)
+    def record(functional: str, i: int, fd, adj: float) -> dict:
+        fd = float(fd)  # the leader merit is a numpy scalar
+        return {"functional": functional, "direction": i, "fd": fd,
+                "adjoint": adj, "rel_error": abs(fd - adj) / max(abs(fd), 1e-12)}
+
+    fd_step_leader = FD_STEP / np.sqrt(1.0 + config.mu)
     records = []
     for i in range(n_directions):
         d = smooth_random_signal(rng, grid, p, 1.0)
         d2 = d * partition.follower_mask
-        fd = (j2_at(u2.values + fd_step * d2) - j2_at(u2.values - fd_step * d2)) \
-            / (2 * fd_step)
-        adj = grid_inner_product(grid, g2, d2)
-        denom = max(abs(fd), 1e-12)
-        records.append({"functional": "follower", "direction": i,
-                        "fd": fd, "adjoint": adj,
-                        "rel_error": abs(fd - adj) / denom})
+        fd = (j2_at(u2.values + FD_STEP * d2) - j2_at(u2.values - FD_STEP * d2)) \
+            / (2 * FD_STEP)
+        records.append(record("follower", i, fd, grid_inner_product(grid, g2, d2)))
         d1 = d * partition.leader_mask
         fd = (merit_at(u1.values + fd_step_leader * d1)
               - merit_at(u1.values - fd_step_leader * d1)) / (2 * fd_step_leader)
-        adj = grid_inner_product(grid, g1, d1)
-        denom = max(abs(fd), 1e-12)
-        records.append({"functional": "leader", "direction": i,
-                        "fd": fd, "adjoint": adj,
-                        "rel_error": abs(fd - adj) / denom})
+        records.append(record("leader", i, fd, grid_inner_product(grid, g1, d1)))
     return records

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .adjoint import (LeaderProblem, control_node_values, gradient_check,
                       leader_forward, make_uncontrolled_field)
-from .core import (BasisControl, ControlPartition, Dataset, GridControl,
+from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
                    SolverConfig, SplitSpec, TerminalMode, TimeGrid,
                    constant_grid_control, make_time_grid)
 from .integrate import DivergenceError, integrate_forward
@@ -122,6 +122,9 @@ _DEFAULTS = {
 _REQUIRED = ("model", "data", "train_indices", "validation_indices",
              "T", "N_t", "theta0", "leader_mask")
 
+# config key of each TimeGrid field; SolverConfig fields share their key names
+_GRID_KEYS = {"horizon": "T", "steps": "N_t"}
+
 
 def _parse_pairs(path: Path) -> Dict[str, Tuple[str, int]]:
     pairs: Dict[str, Tuple[str, int]] = {}
@@ -150,7 +153,7 @@ def parse_config(path) -> RunConfig:
     for key in _REQUIRED:
         if key not in pairs:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    known = set(_REQUIRED) | set(_DEFAULTS) | {"follower_mask"}
+    known = set(_REQUIRED) | set(_DEFAULTS)
     for key, (_, lineno) in pairs.items():
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -164,7 +167,7 @@ def parse_config(path) -> RunConfig:
         lineno = pairs[key][1] if key in pairs else 0
         raise ConfigError(f"{path}:{lineno}: {key}: {msg}")
 
-    def number(key: str, check=None, describe="") -> float:
+    def number(key: str) -> float:
         text, _ = get(key)
         try:
             val = float(text)
@@ -172,19 +175,14 @@ def parse_config(path) -> RunConfig:
             fail(key, f"not a number: {text!r}")
         if not np.isfinite(val):
             fail(key, "must be finite")
-        if check is not None and not check(val):
-            fail(key, describe)
         return val
 
-    def integer(key: str, minimum: int) -> int:
+    def integer(key: str) -> int:
         text, _ = get(key)
         try:
-            val = int(text)
+            return int(text)
         except ValueError:
             fail(key, f"not an integer: {text!r}")
-        if val < minimum:
-            fail(key, f"must be at least {minimum}")
-        return val
 
     def float_list(key: str) -> List[float]:
         text, _ = get(key)
@@ -220,34 +218,24 @@ def parse_config(path) -> RunConfig:
     except ValueError:
         fail("terminal_mode", f"must be one of penalty, paper_fixed; got {mode_name!r}")
 
-    # SolverConfig invariants, re-checked here for line-precise messages
-    alpha = number("alpha", lambda v: v > 0, "must be positive")
-    beta = number("beta", lambda v: v > 0, "must be positive")
-    gamma1 = number("gamma1", lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    gamma2 = number("gamma2", lambda v: 0 <= v <= 1, "must lie in [0, 1]")
-    eps_tol = number("eps_tol", lambda v: v > 0, "must be positive")
-    inner_tol = number("inner_tol", lambda v: v > 0, "must be positive")
-    z = number("z", lambda v: v >= 0, "must be non-negative")
-    mu = number("mu", lambda v: v >= 0, "must be non-negative")
-    u_max = number("u_max", lambda v: v > 0, "must be positive")
-    horizon = number("T", lambda v: v > 0, "must be positive")
-    n_t = integer("N_t", 2)
-    max_outer = integer("max_outer", 1)
-    max_inner = integer("max_inner", 1)
-    solver = SolverConfig(alpha=alpha, beta=beta, gamma1=gamma1, gamma2=gamma2,
-                          eps_tol=eps_tol, inner_tol=inner_tol, z=z, mu=mu,
-                          max_outer=max_outer, max_inner=max_inner, u_max=u_max,
-                          terminal_mode=terminal_mode)
+    # SolverConfig and TimeGrid check their own ranges; a violation is
+    # reported at the line of the key it names
+    try:
+        solver = SolverConfig(
+            **{key: number(key) for key in ("alpha", "beta", "gamma1", "gamma2",
+                                            "eps_tol", "inner_tol", "z", "mu",
+                                            "u_max")},
+            max_outer=integer("max_outer"), max_inner=integer("max_inner"),
+            terminal_mode=terminal_mode)
+        grid = make_time_grid(number("T"), integer("N_t"))
+    except InvalidSetting as exc:
+        fail(_GRID_KEYS.get(exc.name, exc.name), exc.rule)
 
     leader_mask = np.array(float_list("leader_mask"))
     if len(leader_mask) != len(theta0):
         fail("leader_mask", "length must match theta0")
     try:
-        if "follower_mask" in pairs:
-            partition = ControlPartition(leader_mask,
-                                         np.array(float_list("follower_mask")))
-        else:
-            partition = ControlPartition.from_leader(leader_mask)
+        partition = ControlPartition(leader_mask)
     except ValueError as exc:
         fail("leader_mask", str(exc))
 
@@ -273,10 +261,13 @@ def parse_config(path) -> RunConfig:
     elif len(parts) != 1:
         fail("control", f"unexpected trailing text in {control_text!r}")
 
-    u1_init = number("u1_init", lambda v: abs(v) <= u_max,
-                     "initial control exceeds u_max")
-    u2_init = number("u2_init", lambda v: abs(v) <= u_max,
-                     "initial control exceeds u_max")
+    u1_init, u2_init = number("u1_init"), number("u2_init")
+    for key, value in (("u1_init", u1_init), ("u2_init", u2_init)):
+        if abs(value) > solver.u_max:
+            fail(key, "initial control exceeds u_max")
+    seed = integer("seed")
+    if seed < 0:
+        fail("seed", "must be at least 0")
 
     data_text, _ = get("data")
     data_path = Path(data_text)
@@ -285,11 +276,10 @@ def parse_config(path) -> RunConfig:
     out_text, _ = get("out_dir")
 
     return RunConfig(model=model, data_path=data_path, split=split,
-                     loss_scale=loss_scale, solver=solver,
-                     grid=make_time_grid(horizon, n_t), theta0=theta0,
-                     partition=partition, control_kind=parts[0],
+                     loss_scale=loss_scale, solver=solver, grid=grid,
+                     theta0=theta0, partition=partition, control_kind=parts[0],
                      basis_size=basis_size, u1_init=u1_init, u2_init=u2_init,
-                     out_dir=Path(out_text), seed=integer("seed", 0))
+                     out_dir=Path(out_text), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +287,6 @@ def parse_config(path) -> RunConfig:
 
 def _load_problem(cfg: RunConfig):
     data = ingest_csv(cfg.data_path)
-    cfg.split.check_bounds(data)
     objective = Objective(cfg.model, cfg.split.train(data), cfg.loss_scale)
     validation = cfg.split.validation(data)
     return data, objective, validation

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,6 +24,16 @@ def _frozen_array(values, shape_hint: str) -> Array:
         raise ValueError(f"{shape_hint} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+class InvalidSetting(ValueError):
+    """A solver or grid setting outside its allowed range; `name` is the
+    field and `rule` the condition it breaks."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+        self.rule = rule
 
 
 @dataclass(frozen=True)
@@ -94,9 +105,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive and finite")
+            raise InvalidSetting("horizon", "must be positive and finite")
         if self.steps < 2:
-            raise ValueError("need at least 2 steps")
+            raise InvalidSetting("steps", "must be at least 2")
         nodes = np.linspace(0.0, self.horizon, self.steps + 1)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -145,9 +156,6 @@ class GridControl:
         return self.values.shape[1]
 
 
-SUPPORTED_BASES = ("legendre",)
-
-
 @dataclass(frozen=True)
 class BasisControl:
     """Control as a finite basis expansion sum_k a_k * phi_k(t).
@@ -158,7 +166,6 @@ class BasisControl:
 
     grid: TimeGrid
     coefficients: Array
-    basis: str = "legendre"
     u_max: float = 10.0
 
     def __post_init__(self):
@@ -166,8 +173,6 @@ class BasisControl:
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
         object.__setattr__(self, "coefficients", _frozen_array(coeffs, "coefficients"))
-        if self.basis not in SUPPORTED_BASES:
-            raise ValueError(f"unsupported basis {self.basis!r}")
         if self.u_max <= 0:
             raise ValueError("u_max must be positive")
 
@@ -192,11 +197,21 @@ def constant_grid_control(grid: TimeGrid, value, u_max: float = 10.0) -> GridCon
     return GridControl(grid, np.tile(value, (grid.steps + 1, 1)), u_max)
 
 
-def _basis_matrix(control: BasisControl, times: Array) -> Array:
-    # rows: evaluation times, cols: phi_1..phi_K (Legendre on [0, T])
-    x = 2.0 * np.asarray(times) / control.grid.horizon - 1.0
-    k = control.n_functions
-    return np.polynomial.legendre.legvander(x, k - 1)
+def _legendre_matrix(times, horizon: float, n_functions: int) -> Array:
+    """Rows: evaluation times; columns: phi_1..phi_K (Legendre on [0, T])."""
+    x = 2.0 * np.asarray(times) / horizon - 1.0
+    return np.polynomial.legendre.legvander(x, n_functions - 1)
+
+
+@lru_cache(maxsize=64)
+def sampled_basis_matrix(grid: TimeGrid, n_functions: int, stages: bool) -> Array:
+    """_legendre_matrix at the grid's nodes, or at its stage times when
+    `stages` is set; read-only and cached, because basis-control sweeps
+    sample it on every call."""
+    times = grid.stage_times if stages else grid.nodes
+    out = _legendre_matrix(times, grid.horizon, n_functions)
+    out.flags.writeable = False
+    return out
 
 
 def eval_control_many(u: ControlSignal, times: Array) -> Array:
@@ -209,77 +224,54 @@ def eval_control_many(u: ControlSignal, times: Array) -> Array:
         for j in range(u.dimension):
             out[:, j] = np.interp(times, u.grid.nodes, u.values[:, j])
     else:
-        out = _basis_matrix(u, times) @ u.coefficients
+        out = _legendre_matrix(times, u.grid.horizon, u.n_functions) @ u.coefficients
     return np.clip(out, -u.u_max, u.u_max)
-
-
-def eval_control(u: ControlSignal, t: float) -> Array:
-    """Control value at a single time, clamped to [-u_max, u_max]."""
-    return eval_control_many(u, np.array([float(t)]))[0]
 
 
 @dataclass(frozen=True)
 class ControlPartition:
-    """Complementary 0/1 coordinate masks assigning each control coordinate
-    to exactly one of the two agents."""
+    """A 0/1 leader mask over the control coordinates; the follower owns
+    every other coordinate, so its mask is the complement."""
 
     leader_mask: Array
-    follower_mask: Array
+    follower_mask: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lm = np.asarray(self.leader_mask, dtype=float)
-        fm = np.asarray(self.follower_mask, dtype=float)
-        if lm.shape != fm.shape or lm.ndim != 1:
-            raise ValueError("masks must be 1-d and of equal length")
-        if not (np.all(np.isin(lm, (0.0, 1.0))) and np.all(np.isin(fm, (0.0, 1.0)))):
-            raise ValueError("masks must be binary")
-        if np.any(lm * fm != 0.0):
-            raise ValueError("masks overlap")
-        if np.any(lm + fm != 1.0):
-            raise ValueError("masks must cover every coordinate")
+        if lm.ndim != 1:
+            raise ValueError("mask must be 1-d")
+        if not np.all(np.isin(lm, (0.0, 1.0))):
+            raise ValueError("mask must be binary")
+        fm = 1.0 - lm
         lm.flags.writeable = False
         fm.flags.writeable = False
         object.__setattr__(self, "leader_mask", lm)
         object.__setattr__(self, "follower_mask", fm)
-
-    @classmethod
-    def from_leader(cls, leader_mask) -> "ControlPartition":
-        lm = np.asarray(leader_mask, dtype=float)
-        return cls(lm, 1.0 - lm)
 
     @property
     def dimension(self) -> int:
         return self.leader_mask.shape[0]
 
 
-def combine_controls(u1: ControlSignal, u2: ControlSignal,
-                     partition: ControlPartition, t: float) -> Array:
-    """Masked superposition u1(t) on leader coordinates, u2(t) on follower ones."""
-    if u1.dimension != partition.dimension or u2.dimension != partition.dimension:
-        raise ValueError("control dimension does not match the partition")
-    return (eval_control(u1, t) * partition.leader_mask
-            + eval_control(u2, t) * partition.follower_mask)
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a time grid; `derivs` holds the vector field at each node
-    when produced by the integrator (needed for Hermite interpolation)."""
+    """States on a time grid and the vector field at each node, as
+    integrate_forward produces them; the backward sweeps rebuild interval
+    midpoint states from both."""
 
     grid: TimeGrid
     states: Array
-    derivs: Optional[Array] = None
+    derivs: Array
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         if states.shape[0] != self.grid.steps + 1:
             raise ValueError("state count must equal node count")
         object.__setattr__(self, "states", _frozen_array(states, "states"))
-        if self.derivs is not None:
-            derivs = np.asarray(self.derivs, dtype=float)
-            if derivs.shape != states.shape:
-                raise ValueError("derivs shape must match states")
-            object.__setattr__(self, "derivs", _frozen_array(derivs, "derivs"))
+        derivs = np.asarray(self.derivs, dtype=float)
+        if derivs.shape != states.shape:
+            raise ValueError("derivs shape must match states")
+        object.__setattr__(self, "derivs", _frozen_array(derivs, "derivs"))
 
     @property
     def terminal_state(self) -> Array:
@@ -311,6 +303,16 @@ class TerminalMode(Enum):
     PAPER_FIXED = "paper_fixed"
 
 
+# (fields, condition, rule) for every SolverConfig check
+_SOLVER_RULES = (
+    (("alpha", "beta", "eps_tol", "inner_tol", "u_max"), lambda v: v > 0,
+     "must be positive"),
+    (("gamma1", "gamma2"), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    (("z", "mu"), lambda v: v >= 0, "must be non-negative"),
+    (("max_outer", "max_inner"), lambda v: v >= 1, "must be at least 1"),
+)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Weights, step sizes, tolerances and caps for the nested solver.
@@ -333,22 +335,10 @@ class SolverConfig:
     terminal_mode: TerminalMode = TerminalMode.PENALTY
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        for name in ("gamma1", "gamma2"):
-            g = getattr(self, name)
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.eps_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.z < 0:
-            raise ValueError("z must be non-negative")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be at least 1")
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
+        for names, ok, rule in _SOLVER_RULES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise InvalidSetting(name, rule)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Fixed-step classical Runge-Kutta integration of forward state ODEs and
 backward (terminal-value) costate ODEs on a shared uniform grid.
 
-Forward trajectories store the vector field at every node so that interior
-states can be recovered by cubic Hermite interpolation, which is what the
-backward sweeps use at their half-step stage times.
+Forward trajectories store the vector field at every node. The backward
+sweeps need the state at each interval midpoint (their half-step stage
+times); `midpoint_states` rebuilds those from the stored node states and
+field values with the cubic Hermite interpolant.
 """
 
 from __future__ import annotations
@@ -80,45 +81,9 @@ def integrate_backward(field: VectorField, p_T, grid: TimeGrid,
     return CostateTrajectory(grid=grid, costates=costates, terminal_kind=terminal_kind)
 
 
-def interpolate_state(traj: Trajectory, t: float) -> Array:
-    """Cubic Hermite interpolation; at a grid node the stored value is
-    returned unchanged."""
-    if traj.derivs is None:
-        raise ValueError("trajectory lacks stored field values; "
-                         "produce it with integrate_forward")
-    t = float(t)
-    grid = traj.grid
-    if t < -1e-12 or t > grid.horizon + 1e-12:
-        raise ValueError(f"t={t} outside [0, {grid.horizon}]")
-    nodes = grid.nodes
-    n = grid.steps
-    j = int(t / grid.dt)
-    j = min(max(j, 0), n - 1)
-    if t < nodes[j] and j > 0:
-        j -= 1
-    elif t >= nodes[j + 1] and j + 1 < n:
-        j += 1
-    if t == nodes[j]:
-        return traj.states[j].copy()
-    if t == nodes[j + 1]:
-        return traj.states[j + 1].copy()
-    dt = nodes[j + 1] - nodes[j]
-    s = (t - nodes[j]) / dt
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return (h00 * traj.states[j] + (h10 * dt) * traj.derivs[j]
-            + h01 * traj.states[j + 1] + (h11 * dt) * traj.derivs[j + 1])
-
-
 def midpoint_states(traj: Trajectory) -> Array:
-    """All interval-midpoint states at once, by the same Hermite rule as
-    interpolate_state evaluated at s = 1/2."""
-    if traj.derivs is None:
-        raise ValueError("trajectory lacks stored field values")
+    """All interval-midpoint states at once: the cubic Hermite interpolant
+    through each interval's end states and end slopes, at its centre."""
     dt = traj.grid.dt
     st, dv = traj.states, traj.derivs
     return 0.5 * (st[:-1] + st[1:]) + (dt / 8.0) * (dv[:-1] - dv[1:])

@@ -4,8 +4,8 @@ extremum residual meets tolerance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -14,19 +14,9 @@ from .adjoint import (FollowerProblem, LeaderProblem, follower_cost,
                       leader_gradient_arrays, leader_merit, update_control)
 from .core import (ControlPartition, ControlSignal, Dataset, HistoryRecord,
                    RunReport, SolverConfig, TimeGrid, zero_grid_control)
-from .follower import MAX_HALVINGS, FollowerResult, NoProgressError, solve_follower
+from .follower import MAX_HALVINGS, NoProgressError, solve_follower
 from .integrate import DivergenceError
 from .models import ModelSpec, Objective, _predict_batch
-
-
-@dataclass
-class NestedState:
-    """Mutable loop carrier for the nested solve."""
-
-    u1: ControlSignal
-    u2: ControlSignal
-    outer_iteration: int = 0
-    history: List[HistoryRecord] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -39,39 +29,31 @@ class LeaderStepResult:
     merit_after: float          # merit of the accepted step (== merit if none)
     gamma_used: float           # accepted step size, 0 when no step was taken
     stalled: bool
-    updated: bool
 
 
-def leader_step(prob: LeaderProblem, u1: ControlSignal,
-                follower_out: Optional[FollowerResult] = None,
-                gamma1: float = 0.5,
+def leader_step(prob: LeaderProblem, u1: ControlSignal, gamma1: float = 0.5,
                 skip_update_below: Optional[float] = None) -> LeaderStepResult:
-    """One leader sweep pair and backtracked correction.
-
-    The follower response inside `prob.u2` is held fixed (`follower_out` is
-    accepted for interface symmetry and sanity checking). When the residual
-    is already at or below `skip_update_below`, no step is attempted.
+    """One leader sweep pair and backtracked correction, with the follower
+    response `prob.u2` held fixed. When the residual is already at or below
+    `skip_update_below`, no step is attempted.
     """
-    if follower_out is not None and follower_out.u2_star is not prob.u2:
-        raise ValueError("follower result does not match the problem's u2")
     traj = leader_forward(prob, u1)
     costate = leader_backward(prob, traj)
     grad = leader_gradient_arrays(prob, u1, costate)
     gnorm = grad.norm_inf
     merit, j1, phi = leader_merit(prob, traj)
 
-    def outcome(u1_out, merit_after, gamma_used, stalled, updated):
+    def outcome(u1_out, merit_after, gamma_used, stalled):
         return LeaderStepResult(u1=u1_out, grad_norm=gnorm, j1=j1, phi=phi,
                                 merit=merit, merit_after=merit_after,
-                                gamma_used=gamma_used, stalled=stalled,
-                                updated=updated)
+                                gamma_used=gamma_used, stalled=stalled)
 
     if gnorm == 0.0:
-        return outcome(u1, merit, 0.0, False, False)
+        return outcome(u1, merit, 0.0, False)
     if skip_update_below is not None and gnorm <= skip_update_below:
-        return outcome(u1, merit, 0.0, False, False)
+        return outcome(u1, merit, 0.0, False)
     if gamma1 == 0.0:
-        return outcome(u1, merit, 0.0, True, False)
+        return outcome(u1, merit, 0.0, True)
 
     step = gamma1
     for _ in range(MAX_HALVINGS + 1):
@@ -83,9 +65,9 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal,
             continue
         cand_merit, _, _ = leader_merit(prob, cand_traj)
         if cand_merit < merit:
-            return outcome(candidate, cand_merit, step, False, True)
+            return outcome(candidate, cand_merit, step, False)
         step *= 0.5
-    return outcome(u1, merit, 0.0, True, False)
+    return outcome(u1, merit, 0.0, True)
 
 
 def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset,
@@ -99,29 +81,28 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
     """
     theta0 = np.asarray(theta0, dtype=float)
     p = partition.dimension
-    state = NestedState(
-        u1=u1_init if u1_init is not None else zero_grid_control(grid, p, config.u_max),
-        u2=u2_init if u2_init is not None else zero_grid_control(grid, p, config.u_max))
+    u1 = u1_init if u1_init is not None else zero_grid_control(grid, p, config.u_max)
+    u2 = u2_init if u2_init is not None else zero_grid_control(grid, p, config.u_max)
+    history = []
 
     converged = False
-    for outer in range(1, config.max_outer + 1):
+    for _ in range(config.max_outer):
         fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
-                                state.u1, grid, theta0)
+                                u1, grid, theta0)
         try:
-            fres = solve_follower(fprob, state.u2, config.inner_tol,
+            fres = solve_follower(fprob, u2, config.inner_tol,
                                   config.max_inner, config.gamma2)
         except NoProgressError as stall:
             fres = stall.best
-        state.u2 = fres.u2_star
+        u2 = fres.u2_star
 
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
-                              partition, state.u2, grid, theta0,
+                              partition, u2, grid, theta0,
                               config.terminal_mode)
-        lres = leader_step(lprob, state.u1, fres, config.gamma1,
+        lres = leader_step(lprob, u1, config.gamma1,
                            skip_update_below=config.eps_tol)
-        state.u1 = lres.u1
-        state.outer_iteration = outer
-        state.history.append(HistoryRecord(
+        u1 = lres.u1
+        history.append(HistoryRecord(
             j1=lres.j1, j2=fres.J2_value, phi=lres.phi,
             leader_grad_norm=lres.grad_norm,
             follower_grad_norm=fres.grad_norm,
@@ -134,18 +115,16 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
             break
 
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
-                          state.u2, grid, theta0, config.terminal_mode)
-    final_traj = leader_forward(lprob, state.u1)
+                          u2, grid, theta0, config.terminal_mode)
+    final_traj = leader_forward(lprob, u1)
     _, j1, phi = leader_merit(lprob, final_traj)
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
-                            state.u1, grid, theta0)
-    j2 = follower_cost(fprob, final_traj, state.u2)
+                            u1, grid, theta0)
+    j2 = follower_cost(fprob, final_traj, u2)
 
     return RunReport(theta_final=final_traj.terminal_state, J1_value=j1,
-                     J2_value=j2, Phi_value=phi,
-                     outer_iterations=state.outer_iteration,
-                     converged=converged, history=tuple(state.history),
-                     u1=state.u1, u2=state.u2)
+                     J2_value=j2, Phi_value=phi, outer_iterations=len(history),
+                     converged=converged, history=tuple(history), u1=u1, u2=u2)
 
 
 @dataclass(frozen=True)

@@ -80,11 +80,6 @@ class Objective:
             raise ValueError(f"{self.model.kind.value} model takes scalar inputs")
 
 
-def loss(yhat: float, y: float, scale: LossScale = LossScale.HALF) -> float:
-    r = float(yhat) - float(y)
-    return scale.factor * r * r
-
-
 def _mm_check(theta: Array, w: Array):
     d = theta[1] + w
     if np.abs(d).min() <= SINGULARITY_GUARD:
@@ -102,15 +97,6 @@ def _predict_batch(model: ModelSpec, theta: Array, inputs: Array) -> Array:
         return inputs @ theta
     w = inputs[:, 0]
     return theta[0] * np.exp(theta[1] * w)
-
-
-def predict(model: ModelSpec, theta, x) -> float:
-    """Model prediction for one input sample."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(_predict_batch(model, theta, x_arr)[0])
 
 
 def value_function(obj: Objective) -> Callable[[Array], float]:
@@ -189,11 +175,6 @@ def hvp_function(obj: Objective) -> Callable[[Array, Array], Array]:
         return (grad(theta + h * v) - grad(theta - h * v)) / (2.0 * h)
 
     return hvp
-
-
-def objective_hvp(obj: Objective, theta, v) -> Array:
-    return hvp_function(obj)(np.asarray(theta, dtype=float),
-                             np.asarray(v, dtype=float))
 
 
 def validation_phi(model: ModelSpec, theta, validation: Dataset,

@@ -47,7 +47,7 @@ def mm_validation(table_data, split) -> Dataset:
 
 @pytest.fixture(scope="session")
 def partition_10() -> ControlPartition:
-    return ControlPartition.from_leader(np.array([1.0, 0.0]))
+    return ControlPartition(np.array([1.0, 0.0]))
 
 
 def linear_objective(inputs, outputs, scale=LossScale.HALF,

@@ -24,7 +24,7 @@ def small_mm(table_data, split, mm_model):
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
     validation = split.validation(table_data)
     grid = make_time_grid(0.5, 400)
-    partition = ControlPartition.from_leader(np.array([1.0, 0.0]))
+    partition = ControlPartition(np.array([1.0, 0.0]))
     theta0 = np.array([3.9, 0.0178])
     return objective, validation, grid, partition, theta0
 
@@ -167,7 +167,7 @@ class TestControlGradients:
         # zero-data linear model from the origin: costate and control both zero
         obj = linear_objective(np.zeros((1, 2)), [0.0], param_dim=2)
         grid = make_time_grid(1.0, 20)
-        partition = ControlPartition.from_leader(np.array([1.0, 0.0]))
+        partition = ControlPartition(np.array([1.0, 0.0]))
         prob = FollowerProblem(obj, ALPHA, BETA, partition,
                                zero_grid_control(grid, 2), grid, np.zeros(2))
         g = control_gradient_follower(prob, zero_grid_control(grid, 2))
@@ -299,7 +299,7 @@ class TestCheckProtocol:
         rng = np.random.default_rng(5)
         obj = linear_objective(rng.normal(size=(6, 2)), rng.normal(size=6))
         validation = Dataset(rng.normal(size=(4, 2)), rng.normal(size=4))
-        partition = ControlPartition.from_leader(np.array([1.0, 0.0]))
+        partition = ControlPartition(np.array([1.0, 0.0]))
         cfg = SolverConfig(alpha=0.5, beta=0.5, mu=10.0, z=0.0)
         worst = {}
         for n in (160, 640):

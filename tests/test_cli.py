@@ -131,6 +131,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f":{idx + 1}: alpha"):
             parse_config(cfg)
 
+    def test_grid_rule_names_its_key(self, tmp_path):
+        cfg = write_config(tmp_path, N_t="1")
+        idx = cfg.read_text().splitlines().index("N_t = 1")
+        with pytest.raises(ConfigError, match=f":{idx + 1}: N_t: must be at least 2"):
+            parse_config(cfg)
+
     def test_overlapping_split_rejected(self, tmp_path):
         cfg = write_config(tmp_path, train_indices="1,2", validation_indices="2,3")
         with pytest.raises(ConfigError):
@@ -191,6 +197,32 @@ class TestRunFit:
         assert code == EXIT_DIVERGED
 
 
+class TestGoldenFit:
+    # frozen report values of the small config for both control kinds; a
+    # change to the solver's arithmetic or its order of operations moves them
+    GOLDEN = {
+        "grid": ([3.8650930619812565, 0.017322380351600195],
+                 0.0036993129052875304, 5.636879903992926,
+                 0.056368955425075196),
+        "basis 4": ([3.8715699834330137, 0.017406815225720827],
+                    0.003536911020870157, 5.6575105872643725,
+                    0.05657525295717157),
+    }
+
+    @pytest.mark.parametrize("control", sorted(GOLDEN))
+    def test_report_values(self, tmp_path, control):
+        theta, phi, j1, j2 = self.GOLDEN[control]
+        out = tmp_path / "o"
+        assert run_fit(write_config(tmp_path, control=control), out) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["theta"] == pytest.approx(theta, rel=1e-12)
+        assert report["Phi"] == pytest.approx(phi, rel=1e-12)
+        assert report["J1"] == pytest.approx(j1, rel=1e-12)
+        assert report["J2"] == pytest.approx(j2, rel=1e-12)
+        assert report["outer_iterations"] == 3
+        assert report["converged"] is False
+
+
 class TestRunSimulate:
     def test_linear_decay(self, tmp_path):
         csv = tmp_path / "lin.csv"
@@ -236,6 +268,11 @@ class TestRunGradcheck:
         lines = (out / "gradcheck.csv").read_text().splitlines()
         assert lines[0] == "functional,direction,fd,adjoint,rel_error"
         assert len(lines) == 41  # 20 directions x 2 functionals
+        for line in lines[1:]:
+            functional, direction, *numbers = line.split(",")
+            assert functional in ("follower", "leader")
+            int(direction)
+            assert all(np.isfinite(float(cell)) for cell in numbers), line
 
     def test_corruption_fails(self, tmp_path):
         cfg = write_config(tmp_path, N_t="300", mu="100.0")

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
-                       SolverConfig, SplitSpec, combine_controls,
-                       constant_grid_control, eval_control, make_time_grid,
-                       zero_grid_control)
+                       SolverConfig, SplitSpec, constant_grid_control,
+                       make_time_grid, zero_grid_control)
+from gradsteer.adjoint import combined_stage_controls
 from gradsteer.core import eval_control_many
 
 
@@ -39,30 +39,29 @@ class TestControlEvaluation:
     def test_grid_constant(self):
         grid = make_time_grid(2.0, 10)
         u = constant_grid_control(grid, [3.0, -1.0])
-        for t in (0.0, 0.37, 1.99, 2.0):
-            assert np.allclose(eval_control(u, t), [3.0, -1.0])
+        vals = eval_control_many(u, [0.0, 0.37, 1.99, 2.0])
+        assert np.allclose(vals, [3.0, -1.0])
 
     def test_basis_constant_term(self):
         grid = make_time_grid(1.5, 8)
         coeffs = np.zeros((3, 2))
         coeffs[0] = [1.0, 0.0]  # phi_1 is identically one
         u = BasisControl(grid, coeffs)
-        for t in (0.0, 0.6, 1.5):
-            assert np.allclose(eval_control(u, t), [1.0, 0.0])
+        assert np.allclose(eval_control_many(u, [0.0, 0.6, 1.5]), [1.0, 0.0])
 
     def test_grid_midpoint_interpolation(self):
         grid = make_time_grid(1.0, 10)
         values = np.zeros((11, 2))
         values[1] = [1.0, 1.0]
         u = GridControl(grid, values)
-        assert np.allclose(eval_control(u, grid.dt / 2), [0.5, 0.5])
+        assert np.allclose(eval_control_many(u, [grid.dt / 2]), [0.5, 0.5])
 
     def test_out_of_range(self):
         u = zero_grid_control(make_time_grid(1.0, 4), 2)
         with pytest.raises(ValueError):
-            eval_control(u, -0.5)
+            eval_control_many(u, [-0.5])
         with pytest.raises(ValueError):
-            eval_control(u, 1.5)
+            eval_control_many(u, [1.5])
 
     def test_node_count_validated(self):
         grid = make_time_grid(1.0, 4)
@@ -80,7 +79,7 @@ class TestControlEvaluation:
     def test_basis_clamped_everywhere(self, coeffs, frac):
         grid = make_time_grid(1.0, 16)
         u = BasisControl(grid, np.array(coeffs)[:, None], u_max=2.0)
-        val = eval_control(u, frac * grid.horizon)
+        val = eval_control_many(u, [frac * grid.horizon])
         assert np.abs(val).max() <= 2.0
 
     def test_grid_lipschitz_continuity(self):
@@ -89,10 +88,10 @@ class TestControlEvaluation:
         values = rng.uniform(-3, 3, size=(26, 2))
         u = GridControl(grid, values)
         lip = np.abs(np.diff(values, axis=0)).max() / grid.dt
-        for t in rng.uniform(0, 1.0 - 1e-3, size=40):
-            delta = 1e-4
-            jump = np.abs(eval_control(u, t + delta) - eval_control(u, t)).max()
-            assert jump <= lip * delta + 1e-12
+        t = rng.uniform(0, 1.0 - 1e-3, size=40)
+        delta = 1e-4
+        jump = np.abs(eval_control_many(u, t + delta) - eval_control_many(u, t))
+        assert np.all(jump <= lip * delta + 1e-12)
 
     def test_basis_continuity(self):
         grid = make_time_grid(1.0, 16)
@@ -106,31 +105,35 @@ class TestControlEvaluation:
 class TestPartition:
     def test_mask_selection(self):
         grid = make_time_grid(1.0, 4)
-        part = ControlPartition(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        part = ControlPartition(np.array([1.0, 0.0]))
         u1 = constant_grid_control(grid, [3.0, 3.0])
         u2 = constant_grid_control(grid, [5.0, 5.0])
-        assert np.allclose(combine_controls(u1, u2, part, 0.5), [3.0, 5.0])
+        assert np.allclose(combined_stage_controls(u1, u2, part, grid), [3.0, 5.0])
 
     def test_zero_controls(self):
         grid = make_time_grid(1.0, 4)
-        part = ControlPartition.from_leader([1.0, 0.0])
+        part = ControlPartition([1.0, 0.0])
         z = zero_grid_control(grid, 2)
-        assert np.array_equal(combine_controls(z, z, part, 0.25), [0.0, 0.0])
+        assert np.array_equal(combined_stage_controls(z, z, part, grid),
+                              np.zeros((2 * grid.steps + 1, 2)))
 
     def test_overlapping_masks_rejected(self):
+        # a fractional leader mask would share its coordinate with the follower
         with pytest.raises(ValueError):
-            ControlPartition(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+            ControlPartition(np.array([0.5, 0.0]))
 
-    def test_incomplete_masks_rejected(self):
-        with pytest.raises(ValueError):
-            ControlPartition(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    def test_follower_mask_is_complement(self):
+        part = ControlPartition([1.0, 0.0, 1.0])
+        assert np.array_equal(part.follower_mask, [0.0, 1.0, 0.0])
+        assert np.all(part.leader_mask * part.follower_mask == 0.0)
+        assert np.all(part.leader_mask + part.follower_mask == 1.0)
 
     def test_dimension_mismatch(self):
         grid = make_time_grid(1.0, 4)
-        part = ControlPartition.from_leader([1.0, 0.0])
+        part = ControlPartition([1.0, 0.0])
         with pytest.raises(ValueError):
-            combine_controls(zero_grid_control(grid, 3),
-                             zero_grid_control(grid, 3), part, 0.0)
+            combined_stage_controls(zero_grid_control(grid, 3),
+                                    zero_grid_control(grid, 3), part, grid)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=6),
            st.lists(st.floats(-4, 4), min_size=6, max_size=6),
@@ -138,15 +141,15 @@ class TestPartition:
     @settings(max_examples=60, deadline=None)
     def test_completeness(self, mask_bits, a_vals, b_vals):
         p = len(mask_bits)
-        part = ControlPartition.from_leader(np.array(mask_bits, dtype=float))
+        part = ControlPartition(np.array(mask_bits, dtype=float))
         grid = make_time_grid(1.0, 4)
         a = np.array(a_vals[:p])
         b = np.array(b_vals[:p])
-        out = combine_controls(constant_grid_control(grid, a),
-                               constant_grid_control(grid, b), part, 0.5)
+        out = combined_stage_controls(constant_grid_control(grid, a),
+                                      constant_grid_control(grid, b), part, grid)
         for j in range(p):
             expected = a[j] if mask_bits[j] else b[j]
-            assert out[j] == pytest.approx(expected)
+            assert out[:, j] == pytest.approx(expected)
 
 
 class TestDatasetAndSplit:

@@ -14,7 +14,7 @@ from conftest import linear_objective
 def mm_follower_problem(table_data, split, mm_model):
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
     grid = make_time_grid(0.5, 400)
-    partition = ControlPartition.from_leader(np.array([1.0, 0.0]))
+    partition = ControlPartition(np.array([1.0, 0.0]))
     return FollowerProblem(objective, 0.01, 0.1, partition,
                            zero_grid_control(grid, 2), grid,
                            np.array([3.9, 0.0178]))
@@ -24,7 +24,7 @@ def full_follower_problem(alpha=1e-8, beta=0.1, theta0=1.0, T=1.0, n=100):
     """Scalar problem with zero training gradient: dynamics thetadot = u2."""
     obj = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
     grid = make_time_grid(T, n)
-    partition = ControlPartition.from_leader(np.array([0.0]))
+    partition = ControlPartition(np.array([0.0]))
     return FollowerProblem(obj, alpha, beta, partition,
                            zero_grid_control(grid, 1), grid,
                            np.array([float(theta0)]))
@@ -97,7 +97,7 @@ class TestSolveFollower:
         # and no positive step can decrease J2
         obj = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
         grid = make_time_grid(1.0, 50)
-        partition = ControlPartition.from_leader(np.array([0.0]))
+        partition = ControlPartition(np.array([0.0]))
         prob = FollowerProblem(obj, 1.0, 0.01, partition,
                                zero_grid_control(grid, 1, u_max=0.01), grid,
                                np.array([1.0]))

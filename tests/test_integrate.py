@@ -4,8 +4,9 @@ from scipy.linalg import expm
 
 from gradsteer import (LossScale, ModelKind, ModelSpec, Objective, Dataset,
                        DivergenceError, integrate_backward, integrate_forward,
-                       interpolate_state, make_time_grid)
+                       make_time_grid)
 from gradsteer.adjoint import make_costate_field, make_uncontrolled_field
+from gradsteer.integrate import midpoint_states
 from gradsteer.core import TerminalKind, Trajectory
 
 from conftest import linear_objective
@@ -107,32 +108,28 @@ def test_divergence_detected():
 
 class TestInterpolation:
     def test_node_values_bitwise(self):
+        # the costate field reads the stored state itself at every node
+        obj = linear_objective(np.array([[1.0, 0.5]]), [0.3])
         grid = make_time_grid(1.0, 8)
-        traj = integrate_forward(lambda t, y: -y, np.array([2.0]), grid)
+        traj = integrate_forward(make_uncontrolled_field(obj),
+                                 np.array([2.0, -1.0]), grid)
+        field = make_costate_field(obj, traj, 1.0)
         for j, t in enumerate(grid.nodes):
-            assert np.array_equal(interpolate_state(traj, t), traj.states[j])
+            assert np.array_equal(field(t, np.zeros(2)), -traj.states[j])
 
     def test_constant_trajectory(self):
         grid = make_time_grid(1.0, 8)
         traj = integrate_forward(lambda t, y: np.zeros(2),
                                  np.array([3.0, -1.0]), grid)
-        for t in (0.05, 0.33, 0.99):
-            assert np.allclose(interpolate_state(traj, t), [3.0, -1.0])
+        assert np.allclose(midpoint_states(traj), [3.0, -1.0])
 
     def test_midstep_accuracy(self):
         grid = make_time_grid(1.0, 50)
         traj = integrate_forward(lambda t, y: -y, np.array([1.0]), grid)
-        for t in (0.01, 0.335, 0.71, 0.987):
-            assert abs(interpolate_state(traj, t)[0] - np.exp(-t)) < 1e-7
-
-    def test_out_of_range(self):
-        grid = make_time_grid(1.0, 8)
-        traj = integrate_forward(lambda t, y: -y, np.array([1.0]), grid)
-        with pytest.raises(ValueError):
-            interpolate_state(traj, 1.2)
+        mid = midpoint_states(traj)[:, 0]
+        assert np.abs(mid - np.exp(-grid.stage_times[1::2])).max() < 1e-7
 
     def test_requires_derivs(self):
         grid = make_time_grid(1.0, 4)
-        bare = Trajectory(grid, np.zeros((5, 1)))
-        with pytest.raises(ValueError):
-            interpolate_state(bare, 0.5)
+        with pytest.raises(TypeError):
+            Trajectory(grid, np.zeros((5, 1)))

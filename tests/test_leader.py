@@ -21,7 +21,7 @@ def small_setup(table_data, split, mm_model):
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
     validation = split.validation(table_data)
     grid = make_time_grid(0.5, 400)
-    partition = ControlPartition.from_leader(np.array([1.0, 0.0]))
+    partition = ControlPartition(np.array([1.0, 0.0]))
     theta0 = np.array([3.9, 0.0178])
     return objective, validation, grid, partition, theta0
 
@@ -31,17 +31,20 @@ def scalar_lq_problem(k=1.0, alpha=1.0, beta=1.0, T=1.0, n=200, theta0=1.0):
     obj = linear_objective(np.array([[np.sqrt(k)]]), [0.0], param_dim=1)
     validation = Dataset(np.array([[0.0]]), np.array([0.0]))
     grid = make_time_grid(T, n)
-    partition = ControlPartition.from_leader(np.array([0.0]))
+    partition = ControlPartition(np.array([0.0]))
     return obj, validation, grid, partition, np.array([float(theta0)])
 
 
 class TestLeaderStep:
-    def test_zero_gradient_leaves_control(self, small_setup):
-        objective, validation, grid, partition, theta0 = small_setup
-        # state_weight 0 and mu 0 make the costate identically zero
+    def test_zero_gradient_leaves_control(self):
+        # zero-data linear model resting at the origin with mu 0: the running
+        # cost and the terminal costate vanish, so the costate is zero
+        objective = linear_objective(np.zeros((1, 2)), [0.0], param_dim=2)
+        validation = Dataset(np.zeros((1, 2)), np.zeros(1))
+        grid = make_time_grid(1.0, 20)
+        partition = ControlPartition(np.array([1.0, 0.0]))
         prob = LeaderProblem(objective, validation, 0.005, 0.0, partition,
-                             zero_grid_control(grid, 2), grid, theta0,
-                             state_weight=0.0)
+                             zero_grid_control(grid, 2), grid, np.zeros(2))
         u1 = zero_grid_control(grid, 2)
         res = leader_step(prob, u1, gamma1=0.5)
         assert res.grad_norm == 0.0
@@ -53,7 +56,7 @@ class TestLeaderStep:
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                              zero_grid_control(grid, 2), grid, theta0)
         res = leader_step(prob, zero_grid_control(grid, 2), gamma1=0.01)
-        assert res.updated
+        assert res.gamma_used > 0.0
         assert res.merit_after < res.merit
 
     def test_mask_invariance(self, small_setup):
@@ -61,19 +64,8 @@ class TestLeaderStep:
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                              zero_grid_control(grid, 2), grid, theta0)
         res = leader_step(prob, zero_grid_control(grid, 2), gamma1=0.01)
-        assert res.updated
+        assert res.gamma_used > 0.0
         assert np.array_equal(res.u1.values[:, 1], np.zeros(grid.steps + 1))
-
-    def test_follower_result_mismatch_rejected(self, small_setup):
-        objective, validation, grid, partition, theta0 = small_setup
-        fprob = FollowerProblem(objective, 0.01, 0.1, partition,
-                                zero_grid_control(grid, 2), grid, theta0)
-        fres = solve_follower(fprob, zero_grid_control(grid, 2),
-                              inner_tol=1e-4, max_inner=10)
-        prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
-                             zero_grid_control(grid, 2), grid, theta0)
-        with pytest.raises(ValueError):
-            leader_step(prob, zero_grid_control(grid, 2), fres, 0.01)
 
 
 class TestSolveNested:
@@ -163,7 +155,7 @@ class TestSolveNested:
             u2 = fres.u2_star
             lprob = LeaderProblem(objective, validation, config.z, config.mu,
                                   partition, u2, grid, theta0)
-            lres = leader_step(lprob, u1, fres, config.gamma1)
+            lres = leader_step(lprob, u1, config.gamma1)
             assert lres.merit_after <= lres.merit
             u1 = lres.u1
 

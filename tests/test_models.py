@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gradsteer import (Dataset, LossScale, ModelKind, ModelSpec, Objective,
-                       SingularityError, loss, objective_gradient,
-                       objective_hvp, objective_value, predict, validation_phi,
-                       validation_phi_grad)
+                       SingularityError, objective_gradient, objective_value,
+                       validation_phi, validation_phi_grad)
+from gradsteer.models import _predict_batch, hvp_function
 
 from conftest import TABLE_V, TABLE_W, THETA_REPORTED, linear_objective
 
@@ -22,32 +22,36 @@ def finite_diff_gradient(func, theta, step):
 class TestPredict:
     def test_reported_parameters(self, mm_model):
         # 3.9059 * 0.3330 / (0.0178 + 0.3330), frozen from an independent evaluation
-        assert predict(mm_model, THETA_REPORTED, 0.3330) == \
+        assert _predict_batch(mm_model, THETA_REPORTED, np.array([[0.3330]]))[0] == \
             pytest.approx(3.7077100912200684, rel=1e-12)
 
     def test_zero_input(self, mm_model):
-        assert predict(mm_model, [5.0, 0.3], 0.0) == 0.0
+        assert _predict_batch(mm_model, np.array([5.0, 0.3]),
+                              np.array([[0.0]]))[0] == 0.0
 
     def test_singularity(self, mm_model):
         with pytest.raises(SingularityError) as err:
-            predict(mm_model, [1.0, 0.0], 0.0)
+            _predict_batch(mm_model, np.array([1.0, 0.0]), np.array([[0.0]]))
         assert err.value.x == 0.0
         assert np.allclose(err.value.theta, [1.0, 0.0])
 
     def test_near_singular_guard(self, mm_model):
         with pytest.raises(SingularityError):
-            predict(mm_model, [1.0, -0.0052], 0.0052)
+            _predict_batch(mm_model, np.array([1.0, -0.0052]), np.array([[0.0052]]))
 
 
 class TestLoss:
+    # one sample of the identity model: the loss of prediction theta vs target
     def test_zero_residual(self):
-        assert loss(3.0, 3.0) == 0.0
+        assert objective_value(linear_objective([[1.0]], [3.0]), [3.0]) == 0.0
 
     def test_half(self):
-        assert loss(2.0, 0.0, LossScale.HALF) == 2.0
+        obj = linear_objective([[1.0]], [0.0], LossScale.HALF)
+        assert objective_value(obj, [2.0]) == 2.0
 
     def test_one(self):
-        assert loss(2.0, 0.0, LossScale.ONE) == 4.0
+        obj = linear_objective([[1.0]], [0.0], LossScale.ONE)
+        assert objective_value(obj, [2.0]) == 4.0
 
 
 class TestObjectiveValue:
@@ -137,7 +141,7 @@ class TestObjectiveGradient:
 
 class TestHvp:
     def test_zero_vector(self, mm_train_half):
-        out = objective_hvp(mm_train_half, [1.0, 1.0], [0.0, 0.0])
+        out = hvp_function(mm_train_half)(np.array([1.0, 1.0]), np.zeros(2))
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_linear_model_exact(self):
@@ -147,9 +151,10 @@ class TestHvp:
         obj = linear_objective(x, y, param_dim=3)
         hessian = x.T @ x / 7.0  # half scale
         theta = rng.normal(size=3)
+        hvp = hvp_function(obj)
         for _ in range(4):
             v = rng.normal(size=3)
-            assert np.allclose(objective_hvp(obj, theta, v), hessian @ v,
+            assert np.allclose(hvp(theta, v), hessian @ v,
                                rtol=1e-8, atol=1e-10)
 
     def test_mm_against_dense_fd_hessian(self, mm_model):
@@ -163,16 +168,17 @@ class TestHvp:
             dense[:, j] = (objective_gradient(obj, theta + e)
                            - objective_gradient(obj, theta - e)) / (2 * h)
         v = np.array([1.0, 0.0])
-        assert np.allclose(objective_hvp(obj, theta, v), dense @ v, rtol=1e-4)
+        assert np.allclose(hvp_function(obj)(theta, v), dense @ v, rtol=1e-4)
 
     def test_symmetry(self, mm_train_half):
         rng = np.random.default_rng(9)
         theta = np.array([2.5, 0.3])
+        hvp = hvp_function(mm_train_half)
         for _ in range(10):
             a = rng.normal(size=2)
             b = rng.normal(size=2)
-            lhs = objective_hvp(mm_train_half, theta, a) @ b
-            rhs = objective_hvp(mm_train_half, theta, b) @ a
+            lhs = hvp(theta, a) @ b
+            rhs = hvp(theta, b) @ a
             assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-10)
 
 
