@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import (Array, BasisControl, ControlPartition, ControlSignal, Dataset,
-                   GridControl, SolverConfig, TerminalKind, TerminalMode, TimeGrid,
+                   GridControl, SolverConfig, TerminalMode, TimeGrid,
                    Trajectory, CostateTrajectory, eval_control_many,
                    sampled_basis_matrix, _frozen_array)
 from .integrate import integrate_backward, integrate_forward, midpoint_states
@@ -32,6 +32,7 @@ from .models import (Objective, gradient_function, hvp_function, validation_phi,
 
 # central-difference step of gradient_check; the leader's is shrunk with mu
 FD_STEP = 1e-5
+SIGNAL_MODES = 4  # cosine modes of gradient_check's random signals
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,9 @@ def stage_control_values(u: ControlSignal, grid: TimeGrid) -> Array:
 
 def combined_stage_controls(u1: ControlSignal, u2: ControlSignal,
                             partition: ControlPartition, grid: TimeGrid) -> Array:
+    if not u1.dimension == u2.dimension == partition.dimension:
+        raise ValueError(f"control dimensions {u1.dimension} and {u2.dimension} "
+                         f"do not match the partition's {partition.dimension}")
     return (stage_control_values(u1, grid) * partition.leader_mask
             + stage_control_values(u2, grid) * partition.follower_mask)
 
@@ -144,50 +148,28 @@ def _trapz(vals: Array, dt: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vector fields
+# stage-indexed rates: s indexes nodes (even) and interval midpoints (odd)
 
-def _stage_index_factor(grid: TimeGrid) -> float:
-    return 2.0 * grid.steps / grid.horizon
-
-
-def make_forward_field(objective: Objective, stage_u: Array, grid: TimeGrid):
-    """Controlled descent field: thetadot = -grad J0(theta) + u(t)."""
-    grad = gradient_function(objective)
-    f = _stage_index_factor(grid)
-
-    def field(t: float, theta: Array) -> Array:
-        return stage_u[int(round(t * f))] - grad(theta)
-
-    return field
-
-def make_uncontrolled_field(objective: Objective):
-    grad = gradient_function(objective)
-
-    def field(t: float, theta: Array) -> Array:
-        return -grad(theta)
-
-    return field
-
-
-def make_costate_field(objective: Objective, traj: Trajectory, forcing: float):
-    """Costate field pdot = Hess(J0)(theta(t)) p - forcing * theta(t); the
-    forward state at stage times is read from the stored trajectory."""
+def make_costate_rate(objective: Objective, traj: Trajectory, forcing: float):
+    """Costate rate pdot = Hess(J0)(theta_s) p - forcing * theta_s, with
+    theta_s the stored node states and their Hermite midpoints."""
     hvp = hvp_function(objective)
     stage_states = np.empty((2 * traj.grid.steps + 1, traj.states.shape[1]))
     stage_states[0::2] = traj.states
     stage_states[1::2] = midpoint_states(traj)
-    f = _stage_index_factor(traj.grid)
 
-    def field(t: float, p: Array) -> Array:
-        theta = stage_states[int(round(t * f))]
+    def rate(s: int, p: Array) -> Array:
+        theta = stage_states[s]
         return hvp(theta, p) - forcing * theta
 
-    return field
+    return rate
 
 
 def run_forward(objective: Objective, stage_u: Array, theta0: Array,
                 grid: TimeGrid) -> Trajectory:
-    return integrate_forward(make_forward_field(objective, stage_u, grid),
+    """Controlled descent flow thetadot = -grad J0(theta) + stage_u[s]."""
+    grad = gradient_function(objective)
+    return integrate_forward(lambda s, theta: stage_u[s] - grad(theta),
                              theta0, grid)
 
 
@@ -236,10 +218,8 @@ def follower_forward(prob: FollowerProblem, u2: ControlSignal) -> Trajectory:
 
 
 def follower_backward(prob: FollowerProblem, traj: Trajectory) -> CostateTrajectory:
-    field = make_costate_field(prob.objective, traj, prob.alpha)
-    p_dim = traj.states.shape[1]
-    return integrate_backward(field, np.zeros(p_dim), prob.grid,
-                              TerminalKind.FOLLOWER_ZERO)
+    rate = make_costate_rate(prob.objective, traj, prob.alpha)
+    return integrate_backward(rate, np.zeros(traj.states.shape[1]), prob.grid)
 
 
 def follower_cost(prob: FollowerProblem, traj: Trajectory,
@@ -297,9 +277,9 @@ def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
 
 
 def leader_backward(prob: LeaderProblem, traj: Trajectory) -> CostateTrajectory:
-    field = make_costate_field(prob.objective, traj, 1.0)
+    rate = make_costate_rate(prob.objective, traj, 1.0)
     p_T = leader_terminal_costate(prob, traj.terminal_state)
-    return integrate_backward(field, p_T, prob.grid, TerminalKind.LEADER_TERMINAL)
+    return integrate_backward(rate, p_T, prob.grid)
 
 
 def leader_running_cost(traj: Trajectory) -> float:
@@ -354,12 +334,12 @@ def update_control(u: ControlSignal, gradient: ControlGradient,
 # finite-difference certification protocol
 
 def smooth_random_signal(rng: np.random.Generator, grid: TimeGrid, dim: int,
-                         amplitude: float, n_modes: int = 4) -> Array:
+                         amplitude: float) -> Array:
     """Low-frequency cosine mix on grid nodes; used for check directions."""
-    coeffs = rng.normal(size=(n_modes, dim)) * amplitude
+    coeffs = rng.normal(size=(SIGNAL_MODES, dim)) * amplitude
     phase = np.pi * grid.nodes / grid.horizon
     out = np.zeros((grid.steps + 1, dim))
-    for k in range(n_modes):
+    for k in range(SIGNAL_MODES):
         out += coeffs[k] * np.cos(k * phase)[:, None]
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -21,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .adjoint import (LeaderProblem, control_node_values, gradient_check,
-                      leader_forward, make_uncontrolled_field)
+                      leader_forward, run_forward)
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
                    SolverConfig, SplitSpec, TerminalMode, TimeGrid,
                    constant_grid_control, make_time_grid)
-from .integrate import DivergenceError, integrate_forward
+from .integrate import DivergenceError
 from .leader import residual_stats, solve_nested
 from .models import (LossScale, ModelKind, ModelSpec, Objective,
                      SingularityError, _predict_batch)
@@ -110,13 +110,11 @@ class RunConfig:
     seed: int
 
 
+# SolverConfig's own defaults (the parsers take them as they are), CLI keys
 _DEFAULTS = {
-    "loss_scale": "half",
-    "alpha": "0.01", "beta": "0.1", "gamma1": "0.5", "gamma2": "1.0",
-    "eps_tol": "1e-5", "inner_tol": "1e-6", "z": "0.005", "mu": "50.0",
-    "terminal_mode": "penalty", "u_max": "10.0",
-    "control": "grid", "u1_init": "0.0", "u2_init": "0.0",
-    "out_dir": "out", "seed": "0", "max_outer": "2000", "max_inner": "500",
+    **{f.name: f.default for f in fields(SolverConfig)},
+    "loss_scale": "half", "control": "grid", "u1_init": "0.0",
+    "u2_init": "0.0", "out_dir": "out", "seed": "0",
 }
 
 _REQUIRED = ("model", "data", "train_indices", "validation_indices",
@@ -287,6 +285,11 @@ def parse_config(path) -> RunConfig:
 
 def _load_problem(cfg: RunConfig):
     data = ingest_csv(cfg.data_path)
+    for key in ("train_indices", "validation_indices"):
+        for i in getattr(cfg.split, key):
+            if i >= len(data):
+                raise ConfigError(f"{key}: sample {i + 1} is beyond the "
+                                  f"{len(data)} rows of {cfg.data_path}")
     objective = Objective(cfg.model, cfg.split.train(data), cfg.loss_scale)
     validation = cfg.split.validation(data)
     return data, objective, validation
@@ -473,8 +476,8 @@ def run_simulate(config_path, out_dir: Optional[Path] = None) -> int:
     out = Path(out_dir) if out_dir is not None else cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     _, objective, _ = _load_problem(cfg)
-    traj = integrate_forward(make_uncontrolled_field(objective),
-                             cfg.theta0, cfg.grid)
+    no_control = np.zeros((2 * cfg.grid.steps + 1, cfg.partition.dimension))
+    traj = run_forward(objective, no_control, cfg.theta0, cfg.grid)
     _write_trajectory_csv(out / "trajectory.csv", cfg.grid, traj.states)
     endpoint = [float(x) for x in traj.terminal_state]
     print(f"uncontrolled endpoint theta(T) = {endpoint}")

@@ -255,9 +255,9 @@ class ControlPartition:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a time grid and the vector field at each node, as
-    integrate_forward produces them; the backward sweeps rebuild interval
-    midpoint states from both."""
+    """States on a time grid and the rate at each node (its stage 2j), as
+    integrate_forward produces them; the backward sweeps rebuild the
+    interval-midpoint states (odd stages) from both."""
 
     grid: TimeGrid
     states: Array
@@ -278,24 +278,16 @@ class Trajectory:
         return self.states[-1]
 
 
-class TerminalKind(Enum):
-    FOLLOWER_ZERO = "follower_zero"
-    LEADER_TERMINAL = "leader_terminal"
-
-
 @dataclass(frozen=True)
 class CostateTrajectory:
     grid: TimeGrid
     costates: Array
-    terminal_kind: TerminalKind
 
     def __post_init__(self):
         costates = np.asarray(self.costates, dtype=float)
         if costates.shape[0] != self.grid.steps + 1:
             raise ValueError("costate count must equal node count")
         object.__setattr__(self, "costates", _frozen_array(costates, "costates"))
-        if self.terminal_kind is TerminalKind.FOLLOWER_ZERO and np.any(costates[-1] != 0.0):
-            raise ValueError("follower costate must vanish at the final time")
 
 
 class TerminalMode(Enum):

@@ -1,21 +1,25 @@
 """Fixed-step classical Runge-Kutta integration of forward state ODEs and
 backward (terminal-value) costate ODEs on a shared uniform grid.
 
-Forward trajectories store the vector field at every node. The backward
-sweeps need the state at each interval midpoint (their half-step stage
-times); `midpoint_states` rebuilds those from the stored node states and
-field values with the cubic Hermite interpolant.
+A rate is called as `rate(s, y)` with a stage index, not a time: stage 2j is
+node j and stage 2j + 1 the midpoint of interval j. One RK4 loop serves both
+directions: a forward step from node j visits stages 2j, 2j+1, 2j+1, 2j+2, a
+backward step 2j, 2j-1, 2j-1, 2j-2 with the step negated.
+
+Forward trajectories store the rate at every node. The backward sweeps need
+the state at each interval midpoint; `midpoint_states` rebuilds those from
+the stored node states and rates with the cubic Hermite interpolant.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import Array, CostateTrajectory, TerminalKind, TimeGrid, Trajectory
+from .core import Array, CostateTrajectory, TimeGrid, Trajectory
 
-VectorField = Callable[[float, Array], Array]
+Rate = Callable[[int, Array], Array]
 
 
 class DivergenceError(RuntimeError):
@@ -24,61 +28,51 @@ class DivergenceError(RuntimeError):
     def __init__(self, t: float, step: int, what: str = "state"):
         self.t = t
         self.step = step
+        self.what = what
         super().__init__(f"non-finite {what} at t={t:.6g} (step {step})")
 
 
-def integrate_forward(field: VectorField, y0, grid: TimeGrid) -> Trajectory:
-    """RK4 from t=0 to t=T; node j of the result holds the state at t_j."""
+def _rk4(rate: Rate, y0, grid: TimeGrid, direction: int,
+         what: str) -> Tuple[Array, Array]:
+    """Node values from y0 at node 0 (direction 1) or node N (direction -1),
+    and the first-stage rate of each step at the node it starts from."""
     y = np.array(y0, dtype=float)
-    n, dt = grid.steps, grid.dt
-    nodes = grid.nodes
-    states = np.empty((n + 1, y.shape[0]))
-    derivs = np.empty_like(states)
-    states[0] = y
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(n):
-            t = nodes[j]
-            tm = 0.5 * (nodes[j] + nodes[j + 1])
-            k1 = field(t, y)
-            k2 = field(tm, y + half * k1)
-            k3 = field(tm, y + half * k2)
-            k4 = field(nodes[j + 1], y + dt * k3)
-            derivs[j] = k1
-            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(nodes[j + 1], j + 1)
-            states[j + 1] = y
-        derivs[n] = field(nodes[n], y)
+    n = grid.steps
+    h = direction * grid.dt
+    half = 0.5 * h
+    sixth = h / 6.0
+    values = np.empty((n + 1, y.shape[0]))
+    slopes = np.empty_like(values)
+    start = 0 if direction > 0 else n
+    values[start] = y
+    for j in range(start, start + direction * n, direction):
+        s = 2 * j
+        k1 = rate(s, y)
+        k2 = rate(s + direction, y + half * k1)
+        k3 = rate(s + direction, y + half * k2)
+        k4 = rate(s + 2 * direction, y + h * k3)
+        slopes[j] = k1
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(grid.nodes[j + direction], j + direction, what)
+        values[j + direction] = y
+    return values, slopes
+
+
+# overflow shows up as a non-finite value, which _rk4 reports itself
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def integrate_forward(rate: Rate, y0, grid: TimeGrid) -> Trajectory:
+    """RK4 from t=0 to t=T; node j of the result holds the state at t_j."""
+    states, derivs = _rk4(rate, y0, grid, 1, "state")
+    derivs[-1] = rate(2 * grid.steps, states[-1])
     return Trajectory(grid=grid, states=states, derivs=derivs)
 
 
-def integrate_backward(field: VectorField, p_T, grid: TimeGrid,
-                       terminal_kind: TerminalKind = TerminalKind.FOLLOWER_ZERO,
-                       ) -> CostateTrajectory:
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def integrate_backward(rate: Rate, p_T, grid: TimeGrid) -> CostateTrajectory:
     """RK4 from t=T down to t=0; the node at T holds p_T exactly."""
-    p = np.array(p_T, dtype=float)
-    n, dt = grid.steps, grid.dt
-    nodes = grid.nodes
-    costates = np.empty((n + 1, p.shape[0]))
-    costates[n] = p
-    h = -dt
-    half = 0.5 * h
-    sixth = h / 6.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(n, 0, -1):
-            t = nodes[j]
-            tm = 0.5 * (nodes[j - 1] + nodes[j])
-            k1 = field(t, p)
-            k2 = field(tm, p + half * k1)
-            k3 = field(tm, p + half * k2)
-            k4 = field(nodes[j - 1], p + h * k3)
-            p = p + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(p)):
-                raise DivergenceError(nodes[j - 1], j - 1, what="costate")
-            costates[j - 1] = p
-    return CostateTrajectory(grid=grid, costates=costates, terminal_kind=terminal_kind)
+    costates, _ = _rk4(rate, p_T, grid, -1, "costate")
+    return CostateTrajectory(grid=grid, costates=costates)
 
 
 def midpoint_states(traj: Trajectory) -> Array:

@@ -5,6 +5,7 @@ import pytest
 
 from gradsteer import (ControlPartition, Dataset, LossScale, ModelKind,
                        ModelSpec, Objective, SplitSpec)
+from gradsteer.models import gradient_function
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -59,3 +60,9 @@ def linear_objective(inputs, outputs, scale=LossScale.HALF,
     model = ModelSpec(ModelKind.LINEAR, param_dim=dim)
     return Objective(model, Dataset(inputs, np.asarray(outputs, dtype=float)),
                      scale)
+
+
+def uncontrolled_rate(objective: Objective):
+    """Stage-indexed rate of the plain training gradient flow."""
+    grad = gradient_function(objective)
+    return lambda s, theta: -grad(theta)

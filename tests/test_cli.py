@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradsteer import LossScale, SolverConfig
 from gradsteer.cli import (ConfigError, CsvError, EXIT_CONFIG, EXIT_DIVERGED,
                            EXIT_GRADCHECK, EXIT_OK, ingest_csv, main,
                            parse_config, run_fit, run_gradcheck, run_simulate,
@@ -147,6 +148,19 @@ class TestParseConfig:
         text = "# leading comment\n\n" + cfg.read_text() + "\n# trailing\n"
         cfg.write_text(text)
         parse_config(cfg)
+
+    def test_required_keys_only_take_defaults(self, tmp_path):
+        cfg = tmp_path / "minimal.cfg"
+        cfg.write_text(f"model = michaelis_menten\ndata = {DATA_CSV}\n"
+                       "train_indices = 1,3,5,7\nvalidation_indices = 2,4,6\n"
+                       "T = 0.75\nN_t = 400\ntheta0 = 3.9, 0.0178\n"
+                       "leader_mask = 1,0\n", encoding="utf-8")
+        parsed = parse_config(cfg)
+        assert parsed.solver == SolverConfig()
+        assert parsed.loss_scale is LossScale.HALF
+        assert (parsed.control_kind, parsed.u1_init, parsed.u2_init) == \
+            ("grid", 0.0, 0.0)
+        assert (parsed.out_dir, parsed.seed) == (Path("out"), 0)
 
 
 class TestRunFit:
@@ -294,6 +308,14 @@ class TestMain:
 
     def test_missing_config_exit(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
+
+    def test_split_index_beyond_data(self, tmp_path, capsys):
+        # the dataset has 7 rows; the message names the key and the 1-based
+        # index as written
+        cfg = write_config(tmp_path, validation_indices="2,4,9")
+        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "validation_indices: sample 9 " in err
 
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path, N_t="200", T="0.5", max_outer="1")

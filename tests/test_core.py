@@ -129,11 +129,14 @@ class TestPartition:
         assert np.all(part.leader_mask + part.follower_mask == 1.0)
 
     def test_dimension_mismatch(self):
+        # 1-coordinate controls would broadcast against the 2-coordinate masks
         grid = make_time_grid(1.0, 4)
         part = ControlPartition([1.0, 0.0])
-        with pytest.raises(ValueError):
-            combined_stage_controls(zero_grid_control(grid, 3),
-                                    zero_grid_control(grid, 3), part, grid)
+        for d1, d2 in ((3, 3), (1, 1), (2, 1), (1, 2)):
+            with pytest.raises(ValueError, match="dimension"):
+                combined_stage_controls(constant_grid_control(grid, [3.0] * d1),
+                                        constant_grid_control(grid, [5.0] * d2),
+                                        part, grid)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=6),
            st.lists(st.floats(-4, 4), min_size=6, max_size=6),

@@ -7,13 +7,12 @@ from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
                        zero_grid_control)
 from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
                                control_node_values, follower_cost,
-                               leader_forward, leader_merit,
-                               make_uncontrolled_field)
+                               leader_forward, leader_merit)
 from gradsteer.follower import solve_follower
 from gradsteer.integrate import integrate_forward
 from gradsteer.leader import leader_step
 
-from conftest import THETA_REPORTED, linear_objective
+from conftest import THETA_REPORTED, linear_objective, uncontrolled_rate
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +74,7 @@ class TestSolveNested:
                               max_outer=5)
         report = solve_nested(config, objective, validation, partition,
                               theta0, grid)
-        plain = integrate_forward(make_uncontrolled_field(objective),
-                                  theta0, grid)
+        plain = integrate_forward(uncontrolled_rate(objective), theta0, grid)
         assert report.theta_final.tobytes() == plain.terminal_state.tobytes()
         assert not report.converged
         assert report.outer_iterations == 1  # immediate mutual stagnation
