@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import (Array, BasisControl, ControlPartition, ControlSignal, Dataset,
                    GridControl, SolverConfig, TerminalMode, TimeGrid,
-                   Trajectory, CostateTrajectory, eval_control_many,
-                   sampled_basis_matrix, _frozen_array)
+                   Trajectory, CostateTrajectory, sampled_basis_matrix,
+                   _frozen_array)
 from .integrate import integrate_backward, integrate_forward, midpoint_states
 from .models import (Objective, gradient_function, hvp_function, validation_phi,
                      validation_phi_grad)
@@ -100,26 +100,39 @@ class ControlGradient:
 # ---------------------------------------------------------------------------
 # control sampling and quadrature
 
+def _require_own_grid(u: ControlSignal, grid: TimeGrid) -> None:
+    if u.grid != grid:
+        raise ValueError(
+            f"control sampled off its own grid: it has {u.grid.steps} steps "
+            f"over [0, {u.grid.horizon}], the requested grid {grid.steps} "
+            f"steps over [0, {grid.horizon}]")
+
+
 def control_node_values(u: ControlSignal, grid: TimeGrid) -> Array:
-    if isinstance(u, GridControl) and u.grid == grid:
-        return np.clip(u.values, -u.u_max, u.u_max)
-    if isinstance(u, BasisControl) and u.grid == grid:
+    """Control at the grid's nodes, shape (steps + 1, p), clamped to
+    +-u_max. `grid` must be the control's own grid; any other raises
+    ValueError."""
+    _require_own_grid(u, grid)
+    if isinstance(u, BasisControl):
         vals = sampled_basis_matrix(grid, u.n_functions, False) @ u.coefficients
-        return np.clip(vals, -u.u_max, u.u_max)
-    return eval_control_many(u, grid.nodes)
+    else:
+        vals = u.values
+    return np.clip(vals, -u.u_max, u.u_max)
 
 
 def stage_control_values(u: ControlSignal, grid: TimeGrid) -> Array:
-    """Control at nodes and interval midpoints, shape (2*steps + 1, p)."""
-    if isinstance(u, GridControl) and u.grid == grid:
+    """Control at nodes and interval midpoints, shape (2*steps + 1, p),
+    clamped to +-u_max; a grid control's midpoint value is the mean of its
+    two nodes. `grid` must be the control's own grid; any other raises
+    ValueError."""
+    _require_own_grid(u, grid)
+    if isinstance(u, BasisControl):
+        out = sampled_basis_matrix(grid, u.n_functions, True) @ u.coefficients
+    else:
         out = np.empty((2 * grid.steps + 1, u.dimension))
         out[0::2] = u.values
         out[1::2] = 0.5 * (u.values[:-1] + u.values[1:])
-        return np.clip(out, -u.u_max, u.u_max)
-    if isinstance(u, BasisControl) and u.grid == grid:
-        mat = sampled_basis_matrix(grid, u.n_functions, True)
-        return np.clip(mat @ u.coefficients, -u.u_max, u.u_max)
-    return eval_control_many(u, grid.stage_times)
+    return np.clip(out, -u.u_max, u.u_max)
 
 
 def combined_stage_controls(u1: ControlSignal, u2: ControlSignal,
@@ -372,9 +385,7 @@ def gradient_check(objective: Objective, validation: Dataset,
                           u2, grid, theta0, config.terminal_mode)
 
     g2 = control_gradient_follower(fprob, u2).pointwise + corruption
-    traj = leader_forward(lprob, u1)
-    costate = leader_backward(lprob, traj)
-    g1 = leader_gradient_arrays(lprob, u1, costate).pointwise + corruption
+    g1 = control_gradient_leader(lprob, u1).pointwise + corruption
 
     def j2_at(values: Array) -> float:
         cand = GridControl(grid, values, config.u_max)

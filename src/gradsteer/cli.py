@@ -82,13 +82,6 @@ def ingest_csv(path) -> Dataset:
     return Dataset(np.array(inputs)[:, None], np.array(outputs))
 
 
-def write_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("w,v\n")
-        for x, y in zip(dataset.inputs[:, 0], dataset.outputs):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # config files
 
@@ -165,44 +158,32 @@ def parse_config(path) -> RunConfig:
         lineno = pairs[key][1] if key in pairs else 0
         raise ConfigError(f"{path}:{lineno}: {key}: {msg}")
 
-    def number(key: str) -> float:
+    def convert(key: str, kind: type = float, many: bool = False):
+        """The key's value as a float or int, or as a comma-separated list
+        of them; floats must be finite."""
         text, _ = get(key)
+        article, noun = ("a", "number") if kind is float else ("an", "integer")
         try:
-            val = float(text)
+            vals = [kind(c) for c in text.split(",")] if many else [kind(text)]
         except ValueError:
-            fail(key, f"not a number: {text!r}")
-        if not np.isfinite(val):
+            fail(key, f"not a comma-separated {noun} list: {text!r}" if many
+                 else f"not {article} {noun}: {text!r}")
+        if kind is float and not all(np.isfinite(vals)):
             fail(key, "must be finite")
-        return val
-
-    def integer(key: str) -> int:
-        text, _ = get(key)
-        try:
-            return int(text)
-        except ValueError:
-            fail(key, f"not an integer: {text!r}")
-
-    def float_list(key: str) -> List[float]:
-        text, _ = get(key)
-        try:
-            return [float(c) for c in text.split(",")]
-        except ValueError:
-            fail(key, f"not a comma-separated number list: {text!r}")
-
-    def int_list(key: str) -> List[int]:
-        text, _ = get(key)
-        try:
-            return [int(c) for c in text.split(",")]
-        except ValueError:
-            fail(key, f"not a comma-separated integer list: {text!r}")
+        return vals if many else vals[0]
 
     model_name, _ = get("model")
     try:
         kind = ModelKind(model_name)
     except ValueError:
         fail("model", f"unknown model {model_name!r}")
-    theta0 = np.array(float_list("theta0"))
-    model = ModelSpec(kind, param_dim=len(theta0))
+    theta0 = np.array(convert("theta0", many=True))
+    try:
+        model = ModelSpec(kind, param_dim=len(theta0))
+        # data files hold one input column, so the model must take scalars
+        Objective(model, Dataset(np.zeros((1, 1)), np.zeros(1)))
+    except ValueError as exc:
+        fail("theta0", str(exc))
 
     scale_name, _ = get("loss_scale")
     try:
@@ -220,16 +201,17 @@ def parse_config(path) -> RunConfig:
     # reported at the line of the key it names
     try:
         solver = SolverConfig(
-            **{key: number(key) for key in ("alpha", "beta", "gamma1", "gamma2",
+            **{key: convert(key) for key in ("alpha", "beta", "gamma1", "gamma2",
                                             "eps_tol", "inner_tol", "z", "mu",
                                             "u_max")},
-            max_outer=integer("max_outer"), max_inner=integer("max_inner"),
+            max_outer=convert("max_outer", int),
+            max_inner=convert("max_inner", int),
             terminal_mode=terminal_mode)
-        grid = make_time_grid(number("T"), integer("N_t"))
+        grid = make_time_grid(convert("T"), convert("N_t", int))
     except InvalidSetting as exc:
         fail(_GRID_KEYS.get(exc.name, exc.name), exc.rule)
 
-    leader_mask = np.array(float_list("leader_mask"))
+    leader_mask = np.array(convert("leader_mask", many=True))
     if len(leader_mask) != len(theta0):
         fail("leader_mask", "length must match theta0")
     try:
@@ -237,8 +219,8 @@ def parse_config(path) -> RunConfig:
     except ValueError as exc:
         fail("leader_mask", str(exc))
 
-    train = int_list("train_indices")
-    val = int_list("validation_indices")
+    train = convert("train_indices", int, many=True)
+    val = convert("validation_indices", int, many=True)
     for key, idx in (("train_indices", train), ("validation_indices", val)):
         if any(i < 1 for i in idx):
             fail(key, "sample indices are 1-based")
@@ -259,11 +241,11 @@ def parse_config(path) -> RunConfig:
     elif len(parts) != 1:
         fail("control", f"unexpected trailing text in {control_text!r}")
 
-    u1_init, u2_init = number("u1_init"), number("u2_init")
+    u1_init, u2_init = convert("u1_init"), convert("u2_init")
     for key, value in (("u1_init", u1_init), ("u2_init", u2_init)):
         if abs(value) > solver.u_max:
             fail(key, "initial control exceeds u_max")
-    seed = integer("seed")
+    seed = convert("seed", int)
     if seed < 0:
         fail("seed", "must be at least 0")
 
@@ -388,27 +370,15 @@ def write_residuals_plot(path, residuals) -> None:
 # ---------------------------------------------------------------------------
 # output files
 
-def _write_trajectory_csv(path, grid: TimeGrid, states: np.ndarray) -> None:
-    p = states.shape[1]
-    header = "t," + ",".join(f"theta_{j + 1}" for j in range(p))
+def _write_node_table(path, grid: TimeGrid, **tables: np.ndarray) -> None:
+    """One CSV row per grid node: the time, then each (nodes, p) table's
+    columns, headed <name>_1 .. <name>_p in keyword order."""
+    header = ["t"] + [f"{name}_{j + 1}" for name, table in tables.items()
+                      for j in range(table.shape[1])]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(grid.nodes, states):
-            fh.write(f"{float(t)!r},"
-                     + ",".join(repr(float(x)) for x in row) + "\n")
-
-
-def _write_controls_csv(path, grid: TimeGrid, u1_nodes, u2_nodes) -> None:
-    p = u1_nodes.shape[1]
-    header = ("t,"
-              + ",".join(f"u1_{j + 1}" for j in range(p)) + ","
-              + ",".join(f"u2_{j + 1}" for j in range(p)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, a, b in zip(grid.nodes, u1_nodes, u2_nodes):
-            fh.write(f"{float(t)!r},"
-                     + ",".join(repr(float(x)) for x in a) + ","
-                     + ",".join(repr(float(x)) for x in b) + "\n")
+        fh.write(",".join(header) + "\n")
+        for t, row in zip(grid.nodes, np.hstack(list(tables.values()))):
+            fh.write(",".join(repr(float(x)) for x in (t, *row)) + "\n")
 
 
 def _timestamp() -> str:
@@ -459,10 +429,10 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_trajectory_csv(out / "trajectory.csv", cfg.grid, traj.states)
-    _write_controls_csv(out / "controls.csv", cfg.grid,
-                        control_node_values(report.u1, cfg.grid),
-                        control_node_values(report.u2, cfg.grid))
+    _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
+    _write_node_table(out / "controls.csv", cfg.grid,
+                      u1=control_node_values(report.u1, cfg.grid),
+                      u2=control_node_values(report.u2, cfg.grid))
     write_fit_plot(out / "fit_plot.svg", data, cfg.model, report.theta_final)
     write_residuals_plot(out / "residuals_plot.svg", stats.residuals)
     print(f"theta = {[float(x) for x in report.theta_final]}, "
@@ -478,7 +448,7 @@ def run_simulate(config_path, out_dir: Optional[Path] = None) -> int:
     _, objective, _ = _load_problem(cfg)
     no_control = np.zeros((2 * cfg.grid.steps + 1, cfg.partition.dimension))
     traj = run_forward(objective, no_control, cfg.theta0, cfg.grid)
-    _write_trajectory_csv(out / "trajectory.csv", cfg.grid, traj.states)
+    _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
     endpoint = [float(x) for x in traj.terminal_state]
     print(f"uncontrolled endpoint theta(T) = {endpoint}")
     return EXIT_OK

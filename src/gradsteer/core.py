@@ -197,35 +197,16 @@ def constant_grid_control(grid: TimeGrid, value, u_max: float = 10.0) -> GridCon
     return GridControl(grid, np.tile(value, (grid.steps + 1, 1)), u_max)
 
 
-def _legendre_matrix(times, horizon: float, n_functions: int) -> Array:
-    """Rows: evaluation times; columns: phi_1..phi_K (Legendre on [0, T])."""
-    x = 2.0 * np.asarray(times) / horizon - 1.0
-    return np.polynomial.legendre.legvander(x, n_functions - 1)
-
-
 @lru_cache(maxsize=64)
 def sampled_basis_matrix(grid: TimeGrid, n_functions: int, stages: bool) -> Array:
-    """_legendre_matrix at the grid's nodes, or at its stage times when
-    `stages` is set; read-only and cached, because basis-control sweeps
-    sample it on every call."""
+    """BasisControl's functions phi_1..phi_K (columns) at the grid's nodes
+    (rows), or at its stage times when `stages` is set; read-only and
+    cached, because basis-control sweeps sample it on every call."""
     times = grid.stage_times if stages else grid.nodes
-    out = _legendre_matrix(times, grid.horizon, n_functions)
+    out = np.polynomial.legendre.legvander(2.0 * times / grid.horizon - 1.0,
+                                           n_functions - 1)
     out.flags.writeable = False
     return out
-
-
-def eval_control_many(u: ControlSignal, times: Array) -> Array:
-    """Evaluate a control at many times at once; rows are time points."""
-    times = np.asarray(times, dtype=float)
-    if times.size and (times.min() < -1e-12 or times.max() > u.grid.horizon + 1e-12):
-        raise ValueError("evaluation time outside [0, T]")
-    if isinstance(u, GridControl):
-        out = np.empty((times.size, u.dimension))
-        for j in range(u.dimension):
-            out[:, j] = np.interp(times, u.grid.nodes, u.values[:, j])
-    else:
-        out = _legendre_matrix(times, u.grid.horizon, u.n_functions) @ u.coefficients
-    return np.clip(out, -u.u_max, u.u_max)
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,19 @@ correction with a backtracking safeguard)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .adjoint import (FollowerProblem, follower_backward, follower_cost,
                       follower_forward, follower_gradient_arrays, update_control)
-from .core import ControlSignal, CostateTrajectory, Trajectory
+from .core import ControlSignal, CostateTrajectory, SolverConfig
 from .integrate import DivergenceError
 
 MAX_HALVINGS = 30
 
 
 class NoProgressError(RuntimeError):
-    """Backtracking could not find a descent step; `best` carries the best
-    iterate reached before the stall."""
+    """Backtracking could not find a descent step; `best` carries the last
+    iterate reached before the stall, which is also the best one."""
 
     def __init__(self, message: str, best=None):
         super().__init__(message)
@@ -27,14 +27,13 @@ class NoProgressError(RuntimeError):
 @dataclass(frozen=True)
 class FollowerResult:
     u2_star: ControlSignal
-    trajectory: Trajectory
     costate: CostateTrajectory
     J2_value: float
     inner_iterations: int
     grad_norm: float
     converged: bool
     gamma_last: float                 # last accepted step size, 0 if none
-    j2_history: Tuple[float, ...]     # accepted-iterate costs, non-increasing
+    j2_history: Tuple[float, ...]     # accepted-iterate costs, strictly decreasing
 
     @property
     def progressed(self) -> bool:
@@ -42,48 +41,43 @@ class FollowerResult:
 
 
 def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
-                   inner_tol: float = 1e-6, max_inner: int = 500,
-                   gamma2: float = 1.0) -> FollowerResult:
+                   config: SolverConfig) -> FollowerResult:
     """Iterate sweeps and corrections until the pointwise extremum residual
-    (beta*u2 + p2 on follower coordinates) drops below inner_tol.
+    (beta*u2 + p2 on follower coordinates) drops below config.inner_tol.
 
-    Returns the converged iterate, or the best-cost iterate if the iteration
-    cap is reached. gamma2 = 0 returns after one sweep pair without updating.
-    Raises NoProgressError when a positive step cannot decrease J2 after
-    MAX_HALVINGS halvings.
+    Iteration config.max_inner runs its sweep pair and returns that iterate
+    without a line search. A candidate is accepted only when its J2 is
+    strictly below the current one, so the returned (last) iterate is also
+    the best. config.gamma2 = 0 returns after one sweep pair without
+    updating. Raises NoProgressError when a positive step cannot decrease J2
+    after MAX_HALVINGS halvings.
     """
     u2 = u2_init
-    best = None  # (j2, u2, traj, costate, gnorm)
     history = []
     gamma_last = 0.0
 
-    def result(snapshot, iterations, converged) -> FollowerResult:
-        j2, u2_s, traj, costate, gnorm = snapshot
+    def result(converged: bool) -> FollowerResult:
         return FollowerResult(
-            u2_star=u2_s, trajectory=traj, costate=costate, J2_value=j2,
-            inner_iterations=iterations, grad_norm=gnorm, converged=converged,
-            gamma_last=gamma_last, j2_history=tuple(history))
+            u2_star=u2, costate=costate, J2_value=j2, inner_iterations=it,
+            grad_norm=gnorm, converged=converged, gamma_last=gamma_last,
+            j2_history=tuple(history))
 
-    for it in range(1, max_inner + 1):
+    for it in range(1, config.max_inner + 1):
         traj = follower_forward(prob, u2)
         j2 = follower_cost(prob, traj, u2)
         costate = follower_backward(prob, traj)
         grad = follower_gradient_arrays(prob, u2, costate)
         gnorm = grad.norm_inf
         history.append(j2)
-        snapshot = (j2, u2, traj, costate, gnorm)
-        if best is None or j2 < best[0]:
-            best = snapshot
-        if grad.update_norm <= inner_tol:
+        if grad.update_norm <= config.inner_tol:
             # for a basis control this is coefficient-space stationarity; the
             # pointwise residual (and the converged flag) may stay above tol
             # by the representation error
-            return result(snapshot, it, gnorm <= inner_tol)
-        if gamma2 == 0.0:
-            return result(snapshot, it, False)
+            return result(gnorm <= config.inner_tol)
+        if config.gamma2 == 0.0 or it == config.max_inner:
+            return result(False)
 
-        accepted = None
-        step = gamma2
+        step = config.gamma2
         for _ in range(MAX_HALVINGS + 1):
             candidate = update_control(u2, grad, step)
             try:
@@ -92,15 +86,11 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
                 step *= 0.5
                 continue
             if follower_cost(prob, cand_traj, candidate) < j2:
-                accepted = candidate
                 break
             step *= 0.5
-        if accepted is None:
+        else:
             raise NoProgressError(
                 f"follower backtracking stalled at iteration {it} "
-                f"(residual {gnorm:.3e})",
-                best=result(best, it, False))
-        u2 = accepted
+                f"(residual {gnorm:.3e})", best=result(False))
+        u2 = candidate
         gamma_last = step
-
-    return result(best, max_inner, False)

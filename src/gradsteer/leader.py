@@ -5,7 +5,7 @@ extremum residual meets tolerance."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .adjoint import (FollowerProblem, LeaderProblem, follower_cost,
                       leader_backward, leader_forward,
                       leader_gradient_arrays, leader_merit, update_control)
 from .core import (ControlPartition, ControlSignal, Dataset, HistoryRecord,
-                   RunReport, SolverConfig, TimeGrid, zero_grid_control)
+                   RunReport, SolverConfig, TimeGrid)
 from .follower import MAX_HALVINGS, NoProgressError, solve_follower
 from .integrate import DivergenceError
 from .models import ModelSpec, Objective, _predict_batch
@@ -31,11 +31,12 @@ class LeaderStepResult:
     stalled: bool
 
 
-def leader_step(prob: LeaderProblem, u1: ControlSignal, gamma1: float = 0.5,
-                skip_update_below: Optional[float] = None) -> LeaderStepResult:
-    """One leader sweep pair and backtracked correction, with the follower
-    response `prob.u2` held fixed. When the residual is already at or below
-    `skip_update_below`, no step is attempted.
+def leader_step(prob: LeaderProblem, u1: ControlSignal,
+                config: SolverConfig) -> LeaderStepResult:
+    """One leader sweep pair and backtracked correction of step
+    config.gamma1, with the follower response `prob.u2` held fixed. When the
+    residual is already at or below config.eps_tol, no step is attempted;
+    config.gamma1 = 0 reports a stall without stepping.
     """
     traj = leader_forward(prob, u1)
     costate = leader_backward(prob, traj)
@@ -48,14 +49,12 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, gamma1: float = 0.5,
                                 merit=merit, merit_after=merit_after,
                                 gamma_used=gamma_used, stalled=stalled)
 
-    if gnorm == 0.0:
+    if gnorm <= config.eps_tol:
         return outcome(u1, merit, 0.0, False)
-    if skip_update_below is not None and gnorm <= skip_update_below:
-        return outcome(u1, merit, 0.0, False)
-    if gamma1 == 0.0:
+    if config.gamma1 == 0.0:
         return outcome(u1, merit, 0.0, True)
 
-    step = gamma1
+    step = config.gamma1
     for _ in range(MAX_HALVINGS + 1):
         candidate = update_control(u1, grad, step)
         try:
@@ -72,17 +71,16 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, gamma1: float = 0.5,
 
 def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset,
                  partition: ControlPartition, theta0, grid: TimeGrid,
-                 u1_init: Optional[ControlSignal] = None,
-                 u2_init: Optional[ControlSignal] = None) -> RunReport:
-    """Alternate follower response solves (warm-started) with leader steps
-    until the leader residual falls below eps_tol or a cap or stall ends the
-    run. The report's values come from a final forward sweep with the final
-    control pair, so logged costs are reproducible from logged controls.
+                 u1_init: ControlSignal, u2_init: ControlSignal) -> RunReport:
+    """Starting from u1_init and u2_init, alternate follower response solves
+    (warm-started) with leader steps until the leader residual falls below
+    eps_tol or a cap or stall ends the run; every setting comes from
+    `config`. The report's values come from a final forward sweep with the
+    final control pair, so logged costs are reproducible from logged
+    controls.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    p = partition.dimension
-    u1 = u1_init if u1_init is not None else zero_grid_control(grid, p, config.u_max)
-    u2 = u2_init if u2_init is not None else zero_grid_control(grid, p, config.u_max)
+    u1, u2 = u1_init, u2_init
     history = []
 
     converged = False
@@ -90,8 +88,7 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
         fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                                 u1, grid, theta0)
         try:
-            fres = solve_follower(fprob, u2, config.inner_tol,
-                                  config.max_inner, config.gamma2)
+            fres = solve_follower(fprob, u2, config)
         except NoProgressError as stall:
             fres = stall.best
         u2 = fres.u2_star
@@ -99,8 +96,7 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
                               partition, u2, grid, theta0,
                               config.terminal_mode)
-        lres = leader_step(lprob, u1, config.gamma1,
-                           skip_update_below=config.eps_tol)
+        lres = leader_step(lprob, u1, config)
         u1 = lres.u1
         history.append(HistoryRecord(
             j1=lres.j1, j2=fres.J2_value, phi=lres.phi,

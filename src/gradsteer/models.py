@@ -99,19 +99,6 @@ def _predict_batch(model: ModelSpec, theta: Array, inputs: Array) -> Array:
     return theta[0] * np.exp(theta[1] * w)
 
 
-def value_function(obj: Objective) -> Callable[[Array], float]:
-    """Bind the dataset once; returns theta -> J(theta)."""
-    model, scale = obj.model, obj.loss_scale.factor
-    inputs, outputs = obj.dataset.inputs, obj.dataset.outputs
-    m = float(len(outputs))
-
-    def value(theta: Array) -> float:
-        r = _predict_batch(model, theta, inputs) - outputs
-        return scale * (r @ r) / m
-
-    return value
-
-
 def gradient_function(obj: Objective) -> Callable[[Array], Array]:
     """Bind the dataset once; returns theta -> grad J(theta).
 
@@ -155,7 +142,9 @@ def gradient_function(obj: Objective) -> Callable[[Array], Array]:
 
 
 def objective_value(obj: Objective, theta) -> float:
-    return value_function(obj)(np.asarray(theta, dtype=float))
+    r = (_predict_batch(obj.model, np.asarray(theta, dtype=float),
+                        obj.dataset.inputs) - obj.dataset.outputs)
+    return obj.loss_scale.factor * (r @ r) / float(len(obj.dataset.outputs))
 
 
 def objective_gradient(obj: Objective, theta) -> Array:

@@ -7,8 +7,7 @@ import pytest
 from gradsteer import LossScale, SolverConfig
 from gradsteer.cli import (ConfigError, CsvError, EXIT_CONFIG, EXIT_DIVERGED,
                            EXIT_GRADCHECK, EXIT_OK, ingest_csv, main,
-                           parse_config, run_fit, run_gradcheck, run_simulate,
-                           write_csv)
+                           parse_config, run_fit, run_gradcheck, run_simulate)
 
 from conftest import REPO, TABLE_V, TABLE_W
 
@@ -82,7 +81,9 @@ class TestIngestCsv:
 
     def test_roundtrip_exact(self, tmp_path, table_data):
         out = tmp_path / "rt.csv"
-        write_csv(table_data, out)
+        out.write_text("w,v\n" + "".join(
+            f"{float(x)!r},{float(y)!r}\n"
+            for x, y in zip(table_data.inputs[:, 0], table_data.outputs)))
         back = ingest_csv(out)
         assert np.array_equal(back.inputs, table_data.inputs)
         assert np.array_equal(back.outputs, table_data.outputs)
@@ -316,6 +317,18 @@ class TestMain:
         assert main(["simulate", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "validation_indices: sample 9 " in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"theta0": "nan, 0.02"},
+        {"theta0": "3.8, 0.02, 1.0", "leader_mask": "1,0,0"},
+        {"model": "linear", "theta0": "3.8, 0.02"},
+    ])
+    def test_bad_theta0_names_its_line(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        idx = next(i for i, ln in enumerate(cfg.read_text().splitlines())
+                   if ln.startswith("theta0"))
+        assert main(["fit", str(cfg)]) == EXIT_CONFIG
+        assert f"{cfg}:{idx + 1}: theta0: " in capsys.readouterr().err
 
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path, N_t="200", T="0.5", max_outer="1")

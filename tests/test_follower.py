@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gradsteer import (ControlPartition, GridControl, LossScale, Objective,
-                       make_time_grid, zero_grid_control)
+                       SolverConfig, make_time_grid, zero_grid_control)
 from gradsteer.adjoint import (FollowerProblem, follower_cost, follower_forward,
                                control_node_values)
+from gradsteer import follower
 from gradsteer.follower import NoProgressError, solve_follower
 
 from conftest import linear_objective
@@ -34,7 +35,8 @@ class TestSolveFollower:
     def test_zero_is_optimal_when_unforced(self):
         prob = full_follower_problem(alpha=1e-8)
         res = solve_follower(prob, zero_grid_control(prob.grid, 1),
-                             inner_tol=1e-9, max_inner=50, gamma2=1.0)
+                             SolverConfig(inner_tol=1e-9, max_inner=50,
+                                          gamma2=1.0))
         assert res.converged
         assert np.abs(control_node_values(res.u2_star, prob.grid)).max() < 1e-3
         assert res.J2_value < 1e-6
@@ -42,24 +44,27 @@ class TestSolveFollower:
     def test_monotone_history(self, mm_follower_problem):
         prob = mm_follower_problem
         res = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                             inner_tol=1e-7, max_inner=60, gamma2=1.0)
-        assert all(b <= a + 1e-15 for a, b in
-                   zip(res.j2_history, res.j2_history[1:]))
+                             SolverConfig(inner_tol=1e-7, max_inner=60,
+                                          gamma2=1.0))
+        # an accepted step strictly lowers J2, so the last iterate is the best
+        assert len(res.j2_history) > 1
+        assert all(b < a for a, b in zip(res.j2_history, res.j2_history[1:]))
+        assert res.J2_value == min(res.j2_history)
 
     def test_improves_on_init(self):
         prob = full_follower_problem(alpha=0.5, beta=0.2, theta0=2.0)
         init = GridControl(prob.grid, np.full((prob.grid.steps + 1, 1), 0.5))
-        res = solve_follower(prob, init, inner_tol=1e-3, max_inner=100,
-                             gamma2=1.0)
+        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-3,
+                                                      max_inner=100, gamma2=1.0))
         j2_init = follower_cost(prob, follower_forward(prob, init), init)
         assert res.J2_value <= j2_init
 
     def test_determinism(self, mm_follower_problem):
         prob = mm_follower_problem
         a = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                           inner_tol=1e-6, max_inner=30)
+                           SolverConfig(inner_tol=1e-6, max_inner=30))
         b = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                           inner_tol=1e-6, max_inner=30)
+                           SolverConfig(inner_tol=1e-6, max_inner=30))
         assert np.array_equal(a.u2_star.values, b.u2_star.values)
         assert a.J2_value == b.J2_value
         assert a.j2_history == b.j2_history
@@ -69,7 +74,8 @@ class TestSolveFollower:
         # floor (O(dt^2)); at 800 steps the floor is ~2e-6
         prob = full_follower_problem(alpha=0.5, beta=0.5, theta0=1.0, n=800)
         res = solve_follower(prob, zero_grid_control(prob.grid, 1),
-                             inner_tol=1e-5, max_inner=200, gamma2=0.9)
+                             SolverConfig(inner_tol=1e-5, max_inner=200,
+                                          gamma2=0.9))
         assert res.converged
         residual = (prob.beta * control_node_values(res.u2_star, prob.grid)
                     + res.costate.costates) * prob.partition.follower_mask
@@ -79,18 +85,38 @@ class TestSolveFollower:
     def test_mask_invariance(self, mm_follower_problem):
         prob = mm_follower_problem
         res = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                             inner_tol=1e-7, max_inner=40)
+                             SolverConfig(inner_tol=1e-7, max_inner=40))
         assert np.array_equal(res.u2_star.values[:, 0],
                               np.zeros(prob.grid.steps + 1))
 
     def test_gamma_zero_returns_unchanged(self, mm_follower_problem):
         prob = mm_follower_problem
         init = zero_grid_control(prob.grid, 2)
-        res = solve_follower(prob, init, inner_tol=1e-12, max_inner=50,
-                             gamma2=0.0)
+        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-12,
+                                                      max_inner=50, gamma2=0.0))
         assert res.inner_iterations == 1
         assert res.u2_star is init
         assert not res.progressed
+
+    def test_cap_returns_before_line_search(self, mm_follower_problem,
+                                            monkeypatch):
+        # the cap iteration runs its sweep pair and returns that iterate; a
+        # step it would then discard is neither tried nor reported
+        prob = mm_follower_problem
+        forwards = []
+
+        def counted(*args):
+            forwards.append(args)
+            return follower_forward(*args)
+
+        monkeypatch.setattr(follower, "follower_forward", counted)
+        init = zero_grid_control(prob.grid, 2)
+        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-12,
+                                                      max_inner=1))
+        assert res.u2_star is init
+        assert not res.progressed
+        assert res.inner_iterations == 1
+        assert len(forwards) == 1
 
     def test_stall_raises_with_best(self):
         # optimum sits outside the amplitude bound: the clamp pins the control
@@ -103,7 +129,7 @@ class TestSolveFollower:
                                np.array([1.0]))
         init = GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)
         with pytest.raises(NoProgressError) as err:
-            solve_follower(prob, init, inner_tol=1e-10, max_inner=20,
-                           gamma2=1.0)
+            solve_follower(prob, init, SolverConfig(inner_tol=1e-10,
+                                                    max_inner=20, gamma2=1.0))
         assert err.value.best is not None
         assert err.value.best.J2_value > 0.0

@@ -34,6 +34,11 @@ def scalar_lq_problem(k=1.0, alpha=1.0, beta=1.0, T=1.0, n=200, theta0=1.0):
     return obj, validation, grid, partition, np.array([float(theta0)])
 
 
+def zero_controls(grid, p=2):
+    """Zero initial leader and follower controls for solve_nested."""
+    return zero_grid_control(grid, p), zero_grid_control(grid, p)
+
+
 class TestLeaderStep:
     def test_zero_gradient_leaves_control(self):
         # zero-data linear model resting at the origin with mu 0: the running
@@ -45,7 +50,7 @@ class TestLeaderStep:
         prob = LeaderProblem(objective, validation, 0.005, 0.0, partition,
                              zero_grid_control(grid, 2), grid, np.zeros(2))
         u1 = zero_grid_control(grid, 2)
-        res = leader_step(prob, u1, gamma1=0.5)
+        res = leader_step(prob, u1, SolverConfig(gamma1=0.5))
         assert res.grad_norm == 0.0
         assert res.u1 is u1
         assert not res.stalled
@@ -54,7 +59,8 @@ class TestLeaderStep:
         objective, validation, grid, partition, theta0 = small_setup
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                              zero_grid_control(grid, 2), grid, theta0)
-        res = leader_step(prob, zero_grid_control(grid, 2), gamma1=0.01)
+        res = leader_step(prob, zero_grid_control(grid, 2),
+                          SolverConfig(gamma1=0.01))
         assert res.gamma_used > 0.0
         assert res.merit_after < res.merit
 
@@ -62,7 +68,8 @@ class TestLeaderStep:
         objective, validation, grid, partition, theta0 = small_setup
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                              zero_grid_control(grid, 2), grid, theta0)
-        res = leader_step(prob, zero_grid_control(grid, 2), gamma1=0.01)
+        res = leader_step(prob, zero_grid_control(grid, 2),
+                          SolverConfig(gamma1=0.01))
         assert res.gamma_used > 0.0
         assert np.array_equal(res.u1.values[:, 1], np.zeros(grid.steps + 1))
 
@@ -73,7 +80,7 @@ class TestSolveNested:
         config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.0, gamma2=0.0,
                               max_outer=5)
         report = solve_nested(config, objective, validation, partition,
-                              theta0, grid)
+                              theta0, grid, *zero_controls(grid))
         plain = integrate_forward(uncontrolled_rate(objective), theta0, grid)
         assert report.theta_final.tobytes() == plain.terminal_state.tobytes()
         assert not report.converged
@@ -91,7 +98,7 @@ class TestSolveNested:
                               eps_tol=1e-6, inner_tol=1e-5, mu=0.0, z=0.0,
                               max_outer=3, max_inner=300)
         report = solve_nested(config, objective, validation, partition,
-                              theta0, grid)
+                              theta0, grid, *zero_controls(grid, p=1))
         assert report.converged
         last = report.history[-1]
         assert last.leader_grad_norm <= config.eps_tol
@@ -112,7 +119,7 @@ class TestSolveNested:
                               inner_tol=1e-6, mu=100.0, max_outer=4,
                               max_inner=80)
         report = solve_nested(config, objective, validation, partition,
-                              theta0, grid)
+                              theta0, grid, *zero_controls(grid))
         assert len(report.history) == report.outer_iterations
         # replay: logged controls reproduce logged final costs
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
@@ -132,8 +139,10 @@ class TestSolveNested:
         config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01, gamma2=1.0,
                               inner_tol=1e-5, mu=100.0, max_outer=3,
                               max_inner=50)
-        a = solve_nested(config, objective, validation, partition, theta0, grid)
-        b = solve_nested(config, objective, validation, partition, theta0, grid)
+        a = solve_nested(config, objective, validation, partition, theta0,
+                         grid, *zero_controls(grid))
+        b = solve_nested(config, objective, validation, partition, theta0,
+                         grid, *zero_controls(grid))
         assert np.array_equal(a.theta_final, b.theta_final)
         assert a.history == b.history
         assert np.array_equal(a.u1.values, b.u1.values)
@@ -148,12 +157,11 @@ class TestSolveNested:
         for _ in range(3):
             fprob = FollowerProblem(objective, config.alpha, config.beta,
                                     partition, u1, grid, theta0)
-            fres = solve_follower(fprob, u2, config.inner_tol,
-                                  config.max_inner, config.gamma2)
+            fres = solve_follower(fprob, u2, config)
             u2 = fres.u2_star
             lprob = LeaderProblem(objective, validation, config.z, config.mu,
                                   partition, u2, grid, theta0)
-            lres = leader_step(lprob, u1, config.gamma1)
+            lres = leader_step(lprob, u1, config)
             assert lres.merit_after <= lres.merit
             u1 = lres.u1
 
