@@ -19,8 +19,8 @@ from .models import (LossScale, ModelKind, ModelSpec, Objective,
 from .integrate import DivergenceError, integrate_backward, integrate_forward
 from .adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
                       control_gradient_follower, control_gradient_leader,
-                      gradient_check, hamiltonian_follower, hamiltonian_leader)
-from .follower import FollowerResult, NoProgressError, solve_follower
+                      gradient_check)
+from .follower import FollowerResult, solve_follower
 from .leader import (LeaderStepResult, ResidualStats, leader_step,
                      residual_stats, solve_nested)
 
@@ -28,12 +28,11 @@ __all__ = [
     "BasisControl", "ControlGradient", "ControlPartition", "Dataset",
     "DivergenceError", "FollowerProblem", "FollowerResult", "GridControl",
     "HistoryRecord", "LeaderProblem", "LeaderStepResult", "LossScale",
-    "ModelKind", "ModelSpec", "NoProgressError", "Objective", "ResidualStats",
+    "ModelKind", "ModelSpec", "Objective", "ResidualStats",
     "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
     "TerminalMode", "TimeGrid", "constant_grid_control",
     "control_gradient_follower", "control_gradient_leader",
-    "gradient_check", "hamiltonian_follower", "hamiltonian_leader",
-    "integrate_backward", "integrate_forward", "leader_step",
+    "gradient_check", "integrate_backward", "integrate_forward", "leader_step",
     "make_time_grid", "objective_gradient", "objective_value",
     "residual_stats", "solve_follower", "solve_nested", "validation_phi",
     "validation_phi_grad", "zero_grid_control",

@@ -1,5 +1,5 @@
-"""Hamiltonians, costate dynamics, and adjoint-based gradients of the two
-control functionals.
+"""Costate dynamics and adjoint-based gradients of the two control
+functionals.
 
 Conventions (fixed by the finite-difference exactness tests):
 
@@ -48,8 +48,6 @@ class FollowerProblem:
     theta0: Array
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
         object.__setattr__(self, "theta0", _frozen_array(self.theta0, "theta0"))
 
 
@@ -70,8 +68,6 @@ class LeaderProblem:
     terminal_mode: TerminalMode = TerminalMode.PENALTY
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
         object.__setattr__(self, "theta0", _frozen_array(self.theta0, "theta0"))
 
 
@@ -164,8 +160,10 @@ def _trapz(vals: Array, dt: float) -> float:
 # stage-indexed rates: s indexes nodes (even) and interval midpoints (odd)
 
 def make_costate_rate(objective: Objective, traj: Trajectory, forcing: float):
-    """Costate rate pdot = Hess(J0)(theta_s) p - forcing * theta_s, with
-    theta_s the stored node states and their Hermite midpoints."""
+    """Costate rate pdot = -dH/dtheta = Hess(J0)(theta_s) p - forcing *
+    theta_s of both Hamiltonians (forcing alpha for the follower, 1 for the
+    leader), with theta_s the stored node states and their Hermite
+    midpoints."""
     hvp = hvp_function(objective)
     stage_states = np.empty((2 * traj.grid.steps + 1, traj.states.shape[1]))
     stage_states[0::2] = traj.states
@@ -184,42 +182,6 @@ def run_forward(objective: Objective, stage_u: Array, theta0: Array,
     grad = gradient_function(objective)
     return integrate_forward(lambda s, theta: stage_u[s] - grad(theta),
                              theta0, grid)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonians and pointwise costate rates
-
-def hamiltonian_follower(objective: Objective, theta, p2, u1_value, u2_value,
-                         partition: ControlPartition, alpha: float,
-                         beta: float) -> float:
-    theta = np.asarray(theta, dtype=float)
-    u2m = np.asarray(u2_value, dtype=float) * partition.follower_mask
-    velocity = (-gradient_function(objective)(theta)
-                + np.asarray(u1_value, dtype=float) * partition.leader_mask
-                + u2m)
-    return float(velocity @ np.asarray(p2, dtype=float)
-                 + 0.5 * alpha * (theta @ theta) + 0.5 * beta * (u2m @ u2m))
-
-
-def hamiltonian_leader(objective: Objective, theta, p1, u1_value, u2_value,
-                       partition: ControlPartition) -> float:
-    theta = np.asarray(theta, dtype=float)
-    velocity = (-gradient_function(objective)(theta)
-                + np.asarray(u1_value, dtype=float) * partition.leader_mask
-                + np.asarray(u2_value, dtype=float) * partition.follower_mask)
-    return float(velocity @ np.asarray(p1, dtype=float) + 0.5 * (theta @ theta))
-
-
-def costate_rate_follower(objective: Objective, theta, p2, alpha: float) -> Array:
-    """pdot2 = -dH2/dtheta = Hess(J0) p2 - alpha theta."""
-    theta = np.asarray(theta, dtype=float)
-    return hvp_function(objective)(theta, np.asarray(p2, dtype=float)) - alpha * theta
-
-
-def costate_rate_leader(objective: Objective, theta, p1) -> Array:
-    """pdot1 = -dH1/dtheta = Hess(J0) p1 - theta."""
-    theta = np.asarray(theta, dtype=float)
-    return hvp_function(objective)(theta, np.asarray(p1, dtype=float)) - theta
 
 
 # ---------------------------------------------------------------------------

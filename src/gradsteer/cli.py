@@ -29,7 +29,6 @@ from .integrate import DivergenceError
 from .leader import residual_stats, solve_nested
 from .models import (LossScale, ModelKind, ModelSpec, Objective,
                      SingularityError, _predict_batch)
-from .follower import NoProgressError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,6 +74,8 @@ def ingest_csv(path) -> Dataset:
             w, v = float(cells[0]), float(cells[1])
         except ValueError:
             raise CsvError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+        if not (np.isfinite(w) and np.isfinite(v)):
+            raise CsvError(f"{path}:{lineno}: non-finite value in row {line!r}")
         inputs.append(w)
         outputs.append(v)
     if not inputs:
@@ -89,6 +90,7 @@ def ingest_csv(path) -> Dataset:
 class RunConfig:
     model: ModelSpec
     data_path: Path
+    data: Dataset                  # the CSV at data_path, read once
     split: SplitSpec
     loss_scale: LossScale
     solver: SolverConfig
@@ -253,9 +255,14 @@ def parse_config(path) -> RunConfig:
     data_path = Path(data_text)
     if not data_path.is_absolute():
         data_path = path.parent / data_path
+    data = ingest_csv(data_path)
+    try:
+        split.check_bounds(data)
+    except InvalidSetting as exc:
+        fail(exc.name, f"{exc.rule} of {data_path}")
     out_text, _ = get("out_dir")
 
-    return RunConfig(model=model, data_path=data_path, split=split,
+    return RunConfig(model=model, data_path=data_path, data=data, split=split,
                      loss_scale=loss_scale, solver=solver, grid=grid,
                      theta0=theta0, partition=partition, control_kind=parts[0],
                      basis_size=basis_size, u1_init=u1_init, u2_init=u2_init,
@@ -266,15 +273,8 @@ def parse_config(path) -> RunConfig:
 # problem assembly
 
 def _load_problem(cfg: RunConfig):
-    data = ingest_csv(cfg.data_path)
-    for key in ("train_indices", "validation_indices"):
-        for i in getattr(cfg.split, key):
-            if i >= len(data):
-                raise ConfigError(f"{key}: sample {i + 1} is beyond the "
-                                  f"{len(data)} rows of {cfg.data_path}")
-    objective = Objective(cfg.model, cfg.split.train(data), cfg.loss_scale)
-    validation = cfg.split.validation(data)
-    return data, objective, validation
+    objective = Objective(cfg.model, cfg.split.train(cfg.data), cfg.loss_scale)
+    return objective, cfg.split.validation(cfg.data)
 
 
 def _initial_control(cfg: RunConfig, value: float):
@@ -392,14 +392,14 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     cfg = parse_config(config_path)
     out = Path(out_dir) if out_dir is not None else cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    data, objective, validation = _load_problem(cfg)
+    objective, validation = _load_problem(cfg)
 
     report = solve_nested(cfg.solver, objective, validation, cfg.partition,
                           cfg.theta0, cfg.grid,
                           u1_init=_initial_control(cfg, cfg.u1_init),
                           u2_init=_initial_control(cfg, cfg.u2_init))
 
-    stats = residual_stats(cfg.model, report.theta_final, data)
+    stats = residual_stats(cfg.model, report.theta_final, cfg.data)
     lprob = LeaderProblem(objective, validation, cfg.solver.z, cfg.solver.mu,
                           cfg.partition, report.u2, cfg.grid, cfg.theta0,
                           cfg.solver.terminal_mode)
@@ -433,7 +433,7 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     _write_node_table(out / "controls.csv", cfg.grid,
                       u1=control_node_values(report.u1, cfg.grid),
                       u2=control_node_values(report.u2, cfg.grid))
-    write_fit_plot(out / "fit_plot.svg", data, cfg.model, report.theta_final)
+    write_fit_plot(out / "fit_plot.svg", cfg.data, cfg.model, report.theta_final)
     write_residuals_plot(out / "residuals_plot.svg", stats.residuals)
     print(f"theta = {[float(x) for x in report.theta_final]}, "
           f"Phi = {report.Phi_value:.6g}, converged = {report.converged}")
@@ -445,7 +445,7 @@ def run_simulate(config_path, out_dir: Optional[Path] = None) -> int:
     cfg = parse_config(config_path)
     out = Path(out_dir) if out_dir is not None else cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    _, objective, _ = _load_problem(cfg)
+    objective, _ = _load_problem(cfg)
     no_control = np.zeros((2 * cfg.grid.steps + 1, cfg.partition.dimension))
     traj = run_forward(objective, no_control, cfg.theta0, cfg.grid)
     _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
@@ -465,7 +465,7 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     cfg = parse_config(config_path)
     out = Path(out_dir) if out_dir is not None else cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    _, objective, validation = _load_problem(cfg)
+    objective, validation = _load_problem(cfg)
     check_grid = make_time_grid(cfg.grid.horizon, 2 * cfg.grid.steps)
     records = gradient_check(objective, validation, cfg.partition, cfg.theta0,
                              check_grid, cfg.solver, seed=cfg.seed,
@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     except (ConfigError, CsvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, SingularityError, NoProgressError) as exc:
+    except (DivergenceError, SingularityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -27,8 +27,8 @@ def _frozen_array(values, shape_hint: str) -> Array:
 
 
 class InvalidSetting(ValueError):
-    """A solver or grid setting outside its allowed range; `name` is the
-    field and `rule` the condition it breaks."""
+    """A solver, grid or split setting outside its allowed range; `name` is
+    the field and `rule` the condition it breaks."""
 
     def __init__(self, name: str, rule: str):
         super().__init__(f"{name} {rule}")
@@ -81,10 +81,15 @@ class SplitSpec:
             raise ValueError("both splits must be non-empty")
 
     def check_bounds(self, dataset: Dataset) -> None:
+        """Raise InvalidSetting(key, rule) for the first index outside the
+        dataset; `key` is the index set's field name and `rule` names the
+        1-based sample, as a config file writes it."""
         m = len(dataset)
-        for i in self.train_indices + self.validation_indices:
-            if not 0 <= i < m:
-                raise ValueError(f"split index {i} outside dataset of size {m}")
+        for key in ("train_indices", "validation_indices"):
+            for i in getattr(self, key):
+                if not 0 <= i < m:
+                    raise InvalidSetting(key, f"sample {i + 1} is outside "
+                                              f"the {m} rows")
 
     def train(self, dataset: Dataset) -> Dataset:
         self.check_bounds(dataset)

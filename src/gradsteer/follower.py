@@ -1,11 +1,12 @@
 """Inner loop: successive approximation of the follower's optimal response
 to a fixed leader control (forward sweep, backward sweep, damped control
-correction with a backtracking safeguard)."""
+correction with a backtracking safeguard). The backtracking line search is
+shared with the leader's step."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 from .adjoint import (FollowerProblem, follower_backward, follower_cost,
                       follower_forward, follower_gradient_arrays, update_control)
@@ -15,13 +16,22 @@ from .integrate import DivergenceError
 MAX_HALVINGS = 30
 
 
-class NoProgressError(RuntimeError):
-    """Backtracking could not find a descent step; `best` carries the last
-    iterate reached before the stall, which is also the best one."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+def backtrack(trial: Callable[[float], tuple], step: float,
+              current: float) -> Optional[tuple]:
+    """Try `trial` at step, step/2, ... (at most MAX_HALVINGS halvings) and
+    return (step, candidate, value) for the first trial whose value is
+    strictly below `current`; a trial that diverges counts as rejected.
+    Returns None when no trial descends."""
+    for _ in range(MAX_HALVINGS + 1):
+        try:
+            candidate, value = trial(step)
+        except DivergenceError:
+            step *= 0.5
+            continue
+        if value < current:
+            return step, candidate, value
+        step *= 0.5
+    return None
 
 
 @dataclass(frozen=True)
@@ -32,6 +42,7 @@ class FollowerResult:
     inner_iterations: int
     grad_norm: float
     converged: bool
+    stalled: bool                     # backtracking found no descent step
     gamma_last: float                 # last accepted step size, 0 if none
     j2_history: Tuple[float, ...]     # accepted-iterate costs, strictly decreasing
 
@@ -49,18 +60,23 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
     without a line search. A candidate is accepted only when its J2 is
     strictly below the current one, so the returned (last) iterate is also
     the best. config.gamma2 = 0 returns after one sweep pair without
-    updating. Raises NoProgressError when a positive step cannot decrease J2
-    after MAX_HALVINGS halvings.
+    updating. When a positive step cannot decrease J2 after MAX_HALVINGS
+    halvings, the current iterate is returned with `stalled` set.
     """
     u2 = u2_init
     history = []
     gamma_last = 0.0
 
-    def result(converged: bool) -> FollowerResult:
+    def result(converged: bool, stalled: bool = False) -> FollowerResult:
         return FollowerResult(
             u2_star=u2, costate=costate, J2_value=j2, inner_iterations=it,
-            grad_norm=gnorm, converged=converged, gamma_last=gamma_last,
-            j2_history=tuple(history))
+            grad_norm=gnorm, converged=converged, stalled=stalled,
+            gamma_last=gamma_last, j2_history=tuple(history))
+
+    def trial(step: float):
+        candidate = update_control(u2, grad, step)
+        return candidate, follower_cost(prob, follower_forward(prob, candidate),
+                                        candidate)
 
     for it in range(1, config.max_inner + 1):
         traj = follower_forward(prob, u2)
@@ -77,20 +93,7 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
         if config.gamma2 == 0.0 or it == config.max_inner:
             return result(False)
 
-        step = config.gamma2
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = update_control(u2, grad, step)
-            try:
-                cand_traj = follower_forward(prob, candidate)
-            except DivergenceError:
-                step *= 0.5
-                continue
-            if follower_cost(prob, cand_traj, candidate) < j2:
-                break
-            step *= 0.5
-        else:
-            raise NoProgressError(
-                f"follower backtracking stalled at iteration {it} "
-                f"(residual {gnorm:.3e})", best=result(False))
-        u2 = candidate
-        gamma_last = step
+        accepted = backtrack(trial, config.gamma2, j2)
+        if accepted is None:
+            return result(False, stalled=True)
+        gamma_last, u2, _ = accepted

@@ -14,8 +14,7 @@ from .adjoint import (FollowerProblem, LeaderProblem, follower_cost,
                       leader_gradient_arrays, leader_merit, update_control)
 from .core import (ControlPartition, ControlSignal, Dataset, HistoryRecord,
                    RunReport, SolverConfig, TimeGrid)
-from .follower import MAX_HALVINGS, NoProgressError, solve_follower
-from .integrate import DivergenceError
+from .follower import backtrack, solve_follower
 from .models import ModelSpec, Objective, _predict_batch
 
 
@@ -36,7 +35,8 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal,
     """One leader sweep pair and backtracked correction of step
     config.gamma1, with the follower response `prob.u2` held fixed. When the
     residual is already at or below config.eps_tol, no step is attempted;
-    config.gamma1 = 0 reports a stall without stepping.
+    config.gamma1 = 0 reports a stall without stepping; so does a step that
+    the shared `backtrack` cannot make decrease the merit.
     """
     traj = leader_forward(prob, u1)
     costate = leader_backward(prob, traj)
@@ -51,22 +51,16 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal,
 
     if gnorm <= config.eps_tol:
         return outcome(u1, merit, 0.0, False)
-    if config.gamma1 == 0.0:
-        return outcome(u1, merit, 0.0, True)
 
-    step = config.gamma1
-    for _ in range(MAX_HALVINGS + 1):
+    def trial(step: float):
         candidate = update_control(u1, grad, step)
-        try:
-            cand_traj = leader_forward(prob, candidate)
-        except DivergenceError:
-            step *= 0.5
-            continue
-        cand_merit, _, _ = leader_merit(prob, cand_traj)
-        if cand_merit < merit:
-            return outcome(candidate, cand_merit, step, False)
-        step *= 0.5
-    return outcome(u1, merit, 0.0, True)
+        return candidate, leader_merit(prob, leader_forward(prob, candidate))[0]
+
+    accepted = backtrack(trial, config.gamma1, merit) if config.gamma1 else None
+    if accepted is None:
+        return outcome(u1, merit, 0.0, True)
+    step, candidate, cand_merit = accepted
+    return outcome(candidate, cand_merit, step, False)
 
 
 def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset,
@@ -74,8 +68,10 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
                  u1_init: ControlSignal, u2_init: ControlSignal) -> RunReport:
     """Starting from u1_init and u2_init, alternate follower response solves
     (warm-started) with leader steps until the leader residual falls below
-    eps_tol or a cap or stall ends the run; every setting comes from
-    `config`. The report's values come from a final forward sweep with the
+    eps_tol, config.max_outer is reached, or the leader stalls in an outer
+    iteration where the follower took no step; every setting comes from
+    `config`. A stalled follower solve is not an error: its last iterate,
+    which is also its best, is the response the leader steps against. The report's values come from a final forward sweep with the
     final control pair, so logged costs are reproducible from logged
     controls.
     """
@@ -87,10 +83,7 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
     for _ in range(config.max_outer):
         fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                                 u1, grid, theta0)
-        try:
-            fres = solve_follower(fprob, u2, config)
-        except NoProgressError as stall:
-            fres = stall.best
+        fres = solve_follower(fprob, u2, config)
         u2 = fres.u2_star
 
         lprob = LeaderProblem(objective, validation, config.z, config.mu,

@@ -3,8 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsteer import (ControlPartition, Dataset, LossScale, ModelKind,
-                       ModelSpec, Objective, SplitSpec)
+from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
+                       ModelKind, ModelSpec, Objective, SplitSpec,
+                       make_time_grid, zero_grid_control)
+from gradsteer.adjoint import FollowerProblem
 from gradsteer.models import gradient_function
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,3 +68,15 @@ def uncontrolled_rate(objective: Objective):
     """Stage-indexed rate of the plain training gradient flow."""
     grad = gradient_function(objective)
     return lambda s, theta: -grad(theta)
+
+
+def clamped_follower_problem():
+    """Scalar follower problem whose control starts pinned at -u_max with the
+    costate pushing it further out, so every trial step is clamped away."""
+    obj = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
+    grid = make_time_grid(1.0, 50)
+    partition = ControlPartition(np.array([0.0]))
+    prob = FollowerProblem(obj, 1.0, 0.01, partition,
+                           zero_grid_control(grid, 1, u_max=0.01), grid,
+                           np.array([1.0]))
+    return prob, GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
-                       LossScale, ModelKind, ModelSpec, Objective, SolverConfig,
-                       TerminalMode, gradient_check, hamiltonian_follower,
-                       hamiltonian_leader, make_time_grid, zero_grid_control)
+                       LossScale, Objective, SolverConfig, TerminalMode,
+                       gradient_check, make_time_grid, zero_grid_control)
 from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
                                control_gradient_follower, control_gradient_leader,
-                               costate_rate_follower, costate_rate_leader,
                                follower_backward, follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
-                               leader_merit, smooth_random_signal, update_control)
-from gradsteer.models import objective_gradient, validation_phi_grad
+                               leader_merit, make_costate_rate,
+                               smooth_random_signal, update_control)
+from gradsteer.core import Trajectory
+from gradsteer.models import (gradient_function, objective_gradient,
+                              validation_phi_grad)
 
 from conftest import linear_objective
 
@@ -31,6 +32,36 @@ def small_mm(table_data, split, mm_model):
 
 def smooth(grid, dim, seed, amp=1.0):
     return smooth_random_signal(np.random.default_rng(seed), grid, dim, amp)
+
+
+# Reference Hamiltonians: running cost + <costate, state velocity>. The
+# costate-rate tests differentiate them to check the solver's sign convention.
+
+def hamiltonian_follower(objective, theta, p2, u1_value, u2_value, partition,
+                         alpha, beta):
+    theta = np.asarray(theta, dtype=float)
+    u2m = np.asarray(u2_value, dtype=float) * partition.follower_mask
+    velocity = (-gradient_function(objective)(theta)
+                + np.asarray(u1_value, dtype=float) * partition.leader_mask
+                + u2m)
+    return float(velocity @ np.asarray(p2, dtype=float)
+                 + 0.5 * alpha * (theta @ theta) + 0.5 * beta * (u2m @ u2m))
+
+
+def hamiltonian_leader(objective, theta, p1, u1_value, u2_value, partition):
+    theta = np.asarray(theta, dtype=float)
+    velocity = (-gradient_function(objective)(theta)
+                + np.asarray(u1_value, dtype=float) * partition.leader_mask
+                + np.asarray(u2_value, dtype=float) * partition.follower_mask)
+    return float(velocity @ np.asarray(p1, dtype=float) + 0.5 * (theta @ theta))
+
+
+def costate_rate_at(objective, theta, p, forcing):
+    """The production costate rate at stage 0 of a trajectory resting at
+    theta."""
+    states = np.tile(np.asarray(theta, dtype=float), (3, 1))
+    traj = Trajectory(make_time_grid(1.0, 2), states, np.zeros_like(states))
+    return make_costate_rate(objective, traj, forcing)(0, np.asarray(p, dtype=float))
 
 
 class TestHamiltonians:
@@ -79,7 +110,7 @@ class TestHamiltonians:
 class TestCostateRates:
     def test_zero_everything(self, partition_10):
         obj = linear_objective(np.zeros((1, 2)), [0.0], param_dim=2)
-        out = costate_rate_follower(obj, np.zeros(2), np.zeros(2), ALPHA)
+        out = costate_rate_at(obj, np.zeros(2), np.zeros(2), ALPHA)
         assert np.array_equal(out, np.zeros(2))
 
     def test_linear_constant_hessian(self):
@@ -89,7 +120,7 @@ class TestCostateRates:
         a_mat = x.T @ x / 6.0
         theta = rng.normal(size=2)
         p2 = rng.normal(size=2)
-        got = costate_rate_follower(obj, theta, p2, ALPHA)
+        got = costate_rate_at(obj, theta, p2, ALPHA)
         assert np.allclose(got, a_mat @ p2 - ALPHA * theta, rtol=1e-7, atol=1e-10)
 
     def test_matches_hamiltonian_theta_derivative(self, mm_train_half,
@@ -108,7 +139,7 @@ class TestCostateRates:
                                           partition_10, ALPHA, BETA)
                      - hamiltonian_follower(mm_train_half, theta - e, p2, u1, u2,
                                             partition_10, ALPHA, BETA)) / (2 * h)
-        rate = costate_rate_follower(mm_train_half, theta, p2, ALPHA)
+        rate = costate_rate_at(mm_train_half, theta, p2, ALPHA)
         assert np.allclose(rate, -fd, rtol=1e-4, atol=1e-8)
 
     def test_leader_rate_matches_hamiltonian(self, mm_train_half, partition_10):
@@ -125,7 +156,7 @@ class TestCostateRates:
                      - hamiltonian_leader(mm_train_half, theta - e, p1,
                                           np.zeros(2), np.zeros(2),
                                           partition_10)) / (2 * h)
-        rate = costate_rate_leader(mm_train_half, theta, p1)
+        rate = costate_rate_at(mm_train_half, theta, p1, 1.0)
         assert np.allclose(rate, -fd, rtol=1e-4, atol=1e-8)
 
 

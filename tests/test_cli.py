@@ -73,6 +73,17 @@ class TestIngestCsv:
         with pytest.raises(CsvError, match="bad.csv:2"):
             ingest_csv(f)
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.7,inf", "-inf,1.0"])
+    def test_non_finite_cell_names_line(self, tmp_path, capsys, row):
+        f = tmp_path / "nf.csv"
+        f.write_text(f"w,v\n0.1,0.2\n{row}\n0.3,0.4\n")
+        with pytest.raises(CsvError, match=f"nf.csv:3: non-finite"):
+            ingest_csv(f)
+        cfg = write_config(tmp_path, data=str(f), train_indices="1",
+                           validation_indices="2")
+        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        assert f"{f}:3: " in capsys.readouterr().err
+
     def test_wrong_column_count(self, tmp_path):
         f = tmp_path / "cols.csv"
         f.write_text("w,v\n0.1,0.2,0.3\n")
@@ -314,9 +325,10 @@ class TestMain:
         # the dataset has 7 rows; the message names the key and the 1-based
         # index as written
         cfg = write_config(tmp_path, validation_indices="2,4,9")
+        line = cfg.read_text().splitlines().index("validation_indices = 2,4,9")
         assert main(["simulate", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "validation_indices: sample 9 " in err
+        assert f"{cfg}:{line + 1}: validation_indices: sample 9 " in err
 
     @pytest.mark.parametrize("overrides", [
         {"theta0": "nan, 0.02"},

@@ -8,6 +8,7 @@ from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
                        make_time_grid, zero_grid_control)
 from gradsteer.adjoint import (combined_stage_controls, control_node_values,
                                stage_control_values)
+from gradsteer.core import InvalidSetting
 
 
 class TestTimeGrid:
@@ -158,6 +159,19 @@ class TestDatasetAndSplit:
         spec = SplitSpec((0, 9), (1,))
         with pytest.raises(ValueError):
             spec.train(table_data)
+
+    @pytest.mark.parametrize("train,val,key,sample", [
+        ((0, 9), (1,), "train_indices", 10),
+        ((0, 2), (1, 7), "validation_indices", 8),
+        ((-1, 2), (1,), "train_indices", 0),
+    ])
+    def test_check_bounds_names_key_and_sample(self, table_data, train, val,
+                                               key, sample):
+        # table_data has 7 rows; the rule names the sample 1-based
+        with pytest.raises(InvalidSetting) as err:
+            SplitSpec(train, val).check_bounds(table_data)
+        assert err.value.name == key
+        assert err.value.rule == f"sample {sample} is outside the 7 rows"
 
     def test_split_selects(self, table_data):
         spec = SplitSpec((0, 2), (1,))

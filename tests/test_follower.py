@@ -6,9 +6,10 @@ from gradsteer import (ControlPartition, GridControl, LossScale, Objective,
 from gradsteer.adjoint import (FollowerProblem, follower_cost, follower_forward,
                                control_node_values)
 from gradsteer import follower
-from gradsteer.follower import NoProgressError, solve_follower
+from gradsteer.follower import backtrack, solve_follower
+from gradsteer.integrate import DivergenceError
 
-from conftest import linear_objective
+from conftest import clamped_follower_problem, linear_objective
 
 
 @pytest.fixture(scope="module")
@@ -118,18 +119,40 @@ class TestSolveFollower:
         assert res.inner_iterations == 1
         assert len(forwards) == 1
 
-    def test_stall_raises_with_best(self):
+    def test_stall_reported_with_best(self):
         # optimum sits outside the amplitude bound: the clamp pins the control
         # and no positive step can decrease J2
-        obj = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
-        grid = make_time_grid(1.0, 50)
-        partition = ControlPartition(np.array([0.0]))
-        prob = FollowerProblem(obj, 1.0, 0.01, partition,
-                               zero_grid_control(grid, 1, u_max=0.01), grid,
-                               np.array([1.0]))
-        init = GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)
-        with pytest.raises(NoProgressError) as err:
-            solve_follower(prob, init, SolverConfig(inner_tol=1e-10,
-                                                    max_inner=20, gamma2=1.0))
-        assert err.value.best is not None
-        assert err.value.best.J2_value > 0.0
+        prob, init = clamped_follower_problem()
+        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-10,
+                                                      max_inner=20, gamma2=1.0))
+        assert res.stalled
+        assert not res.converged
+        assert not res.progressed
+        assert res.u2_star is init
+        assert res.inner_iterations == 1
+        assert res.J2_value > 0.0
+
+
+class TestBacktrack:
+    def test_divergence_counts_as_rejection(self):
+        steps = []
+
+        def trial(step):
+            steps.append(step)
+            if step > 0.25:
+                raise DivergenceError(0.5, 3)
+            return "candidate", 0.5
+
+        assert backtrack(trial, 1.0, 1.0) == (0.25, "candidate", 0.5)
+        assert steps == [1.0, 0.5, 0.25]
+
+    def test_no_descent_returns_none_after_cap(self):
+        steps = []
+
+        def trial(step):
+            steps.append(step)
+            return "candidate", 1.0  # equal to current: not a decrease
+
+        assert backtrack(trial, 1.0, 1.0) is None
+        assert len(steps) == follower.MAX_HALVINGS + 1
+        assert steps[-1] == 0.5 ** follower.MAX_HALVINGS

@@ -12,7 +12,8 @@ from gradsteer.follower import solve_follower
 from gradsteer.integrate import integrate_forward
 from gradsteer.leader import leader_step
 
-from conftest import THETA_REPORTED, linear_objective, uncontrolled_rate
+from conftest import (THETA_REPORTED, clamped_follower_problem,
+                      linear_objective, uncontrolled_rate)
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +74,43 @@ class TestLeaderStep:
         assert res.gamma_used > 0.0
         assert np.array_equal(res.u1.values[:, 1], np.zeros(grid.steps + 1))
 
+    def test_stall_at_bound_leaves_control(self):
+        # the leader's control starts at -u_max and its costate is positive
+        # (mu = 0, theta > 0, zero training gradient), so every trial step is
+        # clamped back onto the current control and none decreases the merit
+        objective = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
+        grid = make_time_grid(1.0, 50)
+        partition = ControlPartition(np.array([1.0]))
+        prob = LeaderProblem(objective, Dataset(np.zeros((1, 1)), np.zeros(1)),
+                             0.0, 0.0, partition, zero_grid_control(grid, 1),
+                             grid, np.array([1.0]))
+        u1 = GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)
+        res = leader_step(prob, u1, SolverConfig(gamma1=0.5))
+        assert res.grad_norm > 0.5
+        assert res.stalled
+        assert res.u1 is u1
+        assert res.gamma_used == 0.0
+        assert res.merit_after == res.merit
+
 
 class TestSolveNested:
+    def test_stalling_follower_returns_report(self):
+        # the follower stalls on its first iteration; the leader owns no
+        # coordinate, so its residual is zero and the run ends after one
+        # outer iteration with the follower's last (initial) iterate
+        fprob, u2 = clamped_follower_problem()
+        validation = Dataset(np.zeros((1, 1)), np.zeros(1))
+        config = SolverConfig(alpha=fprob.alpha, beta=fprob.beta,
+                              inner_tol=1e-10, max_inner=20, gamma2=1.0)
+        report = solve_nested(config, fprob.objective, validation,
+                              fprob.partition, fprob.theta0, fprob.grid,
+                              zero_grid_control(fprob.grid, 1, u_max=0.01), u2)
+        assert report.u2 is u2
+        assert report.outer_iterations == 1
+        assert not report.converged
+        assert report.history[0].gamma2_used == 0.0
+        assert report.J2_value > 0.0
+
     def test_reduction_to_uncontrolled_flow(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
         config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.0, gamma2=0.0,
