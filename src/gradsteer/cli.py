@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .adjoint import (LeaderProblem, control_node_values, gradient_check,
-                      leader_forward, run_forward)
+from .adjoint import control_node_values, gradient_check, run_forward
+from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
                    SolverConfig, SplitSpec, TerminalMode, TimeGrid,
                    constant_grid_control, make_time_grid)
@@ -50,15 +50,25 @@ class CsvError(ValueError):
 # ---------------------------------------------------------------------------
 # dataset files
 
+def _read_text(path: Path, error: type) -> str:
+    """The file's UTF-8 text; a path that cannot be read as such (missing,
+    a directory, other bytes) raises `error` with a `path:` message."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise error(f"{path}: no such file") from None
+    except OSError as exc:  # a directory, a file without read permission
+        raise error(f"{path}: {exc.strerror.lower()}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def ingest_csv(path) -> Dataset:
     """Read a two-column `w,v` CSV into a dataset, in file order."""
     path = Path(path)
-    if not path.exists():
-        raise CsvError(f"{path}: no such file")
     inputs: List[float] = []
     outputs: List[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, CsvError).splitlines()
     if not lines:
         raise CsvError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -121,27 +131,25 @@ _GRID_KEYS = {"horizon": "T", "steps": "N_t"}
 
 def _parse_pairs(path: Path) -> Dict[str, Tuple[str, int]]:
     pairs: Dict[str, Tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}:{lineno}: empty key or value")
-            if key in pairs:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = (value, lineno)
+    for lineno, raw in enumerate(_read_text(path, ConfigError).split("\n"),
+                                 start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        if key in pairs:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        pairs[key] = (value, lineno)
     return pairs
 
 
 def parse_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such file")
     pairs = _parse_pairs(path)
     for key in _REQUIRED:
         if key not in pairs:
@@ -400,10 +408,6 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
                           u2_init=_initial_control(cfg, cfg.u2_init))
 
     stats = residual_stats(cfg.model, report.theta_final, cfg.data)
-    lprob = LeaderProblem(objective, validation, cfg.solver.z, cfg.solver.mu,
-                          cfg.partition, report.u2, cfg.grid, cfg.theta0,
-                          cfg.solver.terminal_mode)
-    traj = leader_forward(lprob, report.u1)
 
     payload = {
         "timestamp": _timestamp(),
@@ -429,7 +433,8 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
+    _write_node_table(out / "trajectory.csv", cfg.grid,
+                      theta=report.trajectory.states)
     _write_node_table(out / "controls.csv", cfg.grid,
                       u1=control_node_values(report.u1, cfg.grid),
                       u2=control_node_values(report.u2, cfg.grid))

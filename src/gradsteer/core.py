@@ -334,7 +334,7 @@ class HistoryRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    theta_final: Array
+    trajectory: Trajectory      # the forward sweep of the final (u1, u2)
     J1_value: float
     J2_value: float
     Phi_value: float
@@ -344,6 +344,6 @@ class RunReport:
     u1: ControlSignal
     u2: ControlSignal
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_final",
-                           _frozen_array(self.theta_final, "theta_final"))
+    @property
+    def theta_final(self) -> Array:
+        return self.trajectory.terminal_state

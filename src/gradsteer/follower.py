@@ -10,7 +10,7 @@ from typing import Callable, Optional, Tuple
 
 from .adjoint import (FollowerProblem, follower_backward, follower_cost,
                       follower_forward, follower_gradient_arrays, update_control)
-from .core import ControlSignal, CostateTrajectory, SolverConfig
+from .core import ControlSignal, CostateTrajectory, SolverConfig, Trajectory
 from .integrate import DivergenceError
 
 MAX_HALVINGS = 30
@@ -37,6 +37,7 @@ def backtrack(trial: Callable[[float], tuple], step: float,
 @dataclass(frozen=True)
 class FollowerResult:
     u2_star: ControlSignal
+    trajectory: Trajectory            # the forward sweep of u2_star
     costate: CostateTrajectory
     J2_value: float
     inner_iterations: int
@@ -52,35 +53,36 @@ class FollowerResult:
 
 
 def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
-                   config: SolverConfig) -> FollowerResult:
-    """Iterate sweeps and corrections until the pointwise extremum residual
-    (beta*u2 + p2 on follower coordinates) drops below config.inner_tol.
+                   traj: Trajectory, config: SolverConfig) -> FollowerResult:
+    """Iterate sweeps and corrections from u2_init, whose forward sweep (with
+    prob.u1) is `traj`, until the pointwise extremum residual (beta*u2 + p2
+    on follower coordinates) drops below config.inner_tol. Each accepted
+    trial hands on its own sweep; the result's `trajectory` is u2_star's.
 
-    Iteration config.max_inner runs its sweep pair and returns that iterate
-    without a line search. A candidate is accepted only when its J2 is
-    strictly below the current one, so the returned (last) iterate is also
-    the best. config.gamma2 = 0 returns after one sweep pair without
-    updating. When a positive step cannot decrease J2 after MAX_HALVINGS
-    halvings, the current iterate is returned with `stalled` set.
+    Iteration config.max_inner runs its backward sweep and returns that
+    iterate without a line search. A candidate is accepted only when its J2
+    is strictly below the current one, so the returned (last) iterate is
+    also the best; config.gamma2 = 0 returns it without updating. When a
+    positive step cannot decrease J2 after MAX_HALVINGS halvings, the
+    current iterate is returned with `stalled` set.
     """
     u2 = u2_init
+    j2 = follower_cost(prob, traj, u2)
     history = []
     gamma_last = 0.0
 
     def result(converged: bool, stalled: bool = False) -> FollowerResult:
         return FollowerResult(
-            u2_star=u2, costate=costate, J2_value=j2, inner_iterations=it,
-            grad_norm=gnorm, converged=converged, stalled=stalled,
-            gamma_last=gamma_last, j2_history=tuple(history))
+            u2_star=u2, trajectory=traj, costate=costate, J2_value=j2,
+            inner_iterations=it, grad_norm=gnorm, converged=converged,
+            stalled=stalled, gamma_last=gamma_last, j2_history=tuple(history))
 
     def trial(step: float):
         candidate = update_control(u2, grad, step)
-        return candidate, follower_cost(prob, follower_forward(prob, candidate),
-                                        candidate)
+        cand_traj = follower_forward(prob, candidate)
+        return (candidate, cand_traj), follower_cost(prob, cand_traj, candidate)
 
     for it in range(1, config.max_inner + 1):
-        traj = follower_forward(prob, u2)
-        j2 = follower_cost(prob, traj, u2)
         costate = follower_backward(prob, traj)
         grad = follower_gradient_arrays(prob, u2, costate)
         gnorm = grad.norm_inf
@@ -96,4 +98,4 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
         accepted = backtrack(trial, config.gamma2, j2)
         if accepted is None:
             return result(False, stalled=True)
-        gamma_last, u2, _ = accepted
+        gamma_last, (u2, traj), j2 = accepted

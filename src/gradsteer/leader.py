@@ -4,7 +4,7 @@ extremum residual meets tolerance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -13,7 +13,7 @@ from .adjoint import (FollowerProblem, LeaderProblem, follower_cost,
                       leader_backward, leader_forward,
                       leader_gradient_arrays, leader_merit, update_control)
 from .core import (ControlPartition, ControlSignal, Dataset, HistoryRecord,
-                   RunReport, SolverConfig, TimeGrid)
+                   RunReport, SolverConfig, TimeGrid, Trajectory)
 from .follower import backtrack, solve_follower
 from .models import ModelSpec, Objective, _predict_batch
 
@@ -21,6 +21,7 @@ from .models import ModelSpec, Objective, _predict_batch
 @dataclass(frozen=True)
 class LeaderStepResult:
     u1: ControlSignal
+    trajectory: Trajectory      # the forward sweep of u1 (with prob.u2)
     grad_norm: float
     j1: float
     phi: float
@@ -30,37 +31,33 @@ class LeaderStepResult:
     stalled: bool
 
 
-def leader_step(prob: LeaderProblem, u1: ControlSignal,
+def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
                 config: SolverConfig) -> LeaderStepResult:
-    """One leader sweep pair and backtracked correction of step
-    config.gamma1, with the follower response `prob.u2` held fixed. When the
-    residual is already at or below config.eps_tol, no step is attempted;
-    config.gamma1 = 0 reports a stall without stepping; so does a step that
-    the shared `backtrack` cannot make decrease the merit.
+    """One leader backward sweep along `traj`, the forward sweep of u1 with
+    the follower response `prob.u2` held fixed, and a backtracked correction
+    of step config.gamma1; the result's `trajectory` is the accepted trial's
+    sweep, or `traj` when no step is taken. When the residual is already at
+    or below config.eps_tol, no step is attempted; config.gamma1 = 0 reports
+    a stall without stepping; so does a step that the shared `backtrack`
+    cannot make decrease the merit.
     """
-    traj = leader_forward(prob, u1)
     costate = leader_backward(prob, traj)
     grad = leader_gradient_arrays(prob, u1, costate)
     gnorm = grad.norm_inf
     merit, j1, phi = leader_merit(prob, traj)
 
-    def outcome(u1_out, merit_after, gamma_used, stalled):
-        return LeaderStepResult(u1=u1_out, grad_norm=gnorm, j1=j1, phi=phi,
-                                merit=merit, merit_after=merit_after,
-                                gamma_used=gamma_used, stalled=stalled)
-
-    if gnorm <= config.eps_tol:
-        return outcome(u1, merit, 0.0, False)
-
     def trial(step: float):
         candidate = update_control(u1, grad, step)
-        return candidate, leader_merit(prob, leader_forward(prob, candidate))[0]
+        cand_traj = leader_forward(prob, candidate)
+        return (candidate, cand_traj), leader_merit(prob, cand_traj)[0]
 
-    accepted = backtrack(trial, config.gamma1, merit) if config.gamma1 else None
-    if accepted is None:
-        return outcome(u1, merit, 0.0, True)
-    step, candidate, cand_merit = accepted
-    return outcome(candidate, cand_merit, step, False)
+    stepping = gnorm > config.eps_tol
+    accepted = (backtrack(trial, config.gamma1, merit)
+                if stepping and config.gamma1 else None)
+    step, (u1_out, traj_out), merit_after = accepted or (0.0, (u1, traj), merit)
+    return LeaderStepResult(u1=u1_out, trajectory=traj_out, grad_norm=gnorm,
+                            j1=j1, phi=phi, merit=merit, merit_after=merit_after,
+                            gamma_used=step, stalled=stepping and not accepted)
 
 
 def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset,
@@ -71,26 +68,25 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
     eps_tol, config.max_outer is reached, or the leader stalls in an outer
     iteration where the follower took no step; every setting comes from
     `config`. A stalled follower solve is not an error: its last iterate,
-    which is also its best, is the response the leader steps against. The report's values come from a final forward sweep with the
-    final control pair, so logged costs are reproducible from logged
-    controls.
+    which is also its best, is the response the leader steps against. Each
+    agent hands on the forward sweep of the pair it returns, so each pair is
+    integrated once; the report's values and `trajectory` come from the
+    final pair's sweep.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    u1, u2 = u1_init, u2_init
+    # the two problems hold the current pair: fprob.u1 and lprob.u2
+    fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
+                            u1_init, grid, theta0)
+    lprob = LeaderProblem(objective, validation, config.z, config.mu,
+                          partition, u2_init, grid, theta0, config.terminal_mode)
+    traj = leader_forward(lprob, u1_init)
     history = []
-
     converged = False
     for _ in range(config.max_outer):
-        fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
-                                u1, grid, theta0)
-        fres = solve_follower(fprob, u2, config)
-        u2 = fres.u2_star
-
-        lprob = LeaderProblem(objective, validation, config.z, config.mu,
-                              partition, u2, grid, theta0,
-                              config.terminal_mode)
-        lres = leader_step(lprob, u1, config)
-        u1 = lres.u1
+        fres = solve_follower(fprob, lprob.u2, traj, config)
+        lprob = replace(lprob, u2=fres.u2_star)
+        lres = leader_step(lprob, fprob.u1, fres.trajectory, config)
+        fprob, traj = replace(fprob, u1=lres.u1), lres.trajectory
         history.append(HistoryRecord(
             j1=lres.j1, j2=fres.J2_value, phi=lres.phi,
             leader_grad_norm=lres.grad_norm,
@@ -103,17 +99,12 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
         if lres.stalled and not fres.progressed:
             break
 
-    lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
-                          u2, grid, theta0, config.terminal_mode)
-    final_traj = leader_forward(lprob, u1)
-    _, j1, phi = leader_merit(lprob, final_traj)
-    fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
-                            u1, grid, theta0)
-    j2 = follower_cost(fprob, final_traj, u2)
-
-    return RunReport(theta_final=final_traj.terminal_state, J1_value=j1,
-                     J2_value=j2, Phi_value=phi, outer_iterations=len(history),
-                     converged=converged, history=tuple(history), u1=u1, u2=u2)
+    _, j1, phi = leader_merit(lprob, traj)
+    return RunReport(trajectory=traj, J1_value=j1,
+                     J2_value=follower_cost(fprob, traj, lprob.u2),
+                     Phi_value=phi, outer_iterations=len(history),
+                     converged=converged, history=tuple(history),
+                     u1=fprob.u1, u2=lprob.u2)
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,25 @@ class TestMain:
     def test_missing_config_exit(self, tmp_path):
         assert main(["fit", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("which,kind", [("config", "directory"),
+                                            ("data", "directory"),
+                                            ("config", "latin-1"),
+                                            ("data", "latin-1")])
+    def test_unreadable_input_exit(self, tmp_path, capsys, which, kind):
+        # a directory, or a file that is not UTF-8, is a config error that
+        # names the path, not a traceback
+        csv = tmp_path / "data.csv"
+        csv.write_bytes(DATA_CSV.read_bytes())
+        cfg = write_config(tmp_path, data=str(csv))
+        target = cfg if which == "config" else csv
+        if kind == "directory":
+            target.unlink()
+            target.mkdir()
+        else:
+            target.write_bytes(target.read_bytes() + b"# caf\xe9\n")
+        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {target}: ")
+
     def test_split_index_beyond_data(self, tmp_path, capsys):
         # the dataset has 7 rows; the message names the key and the 1-based
         # index as written

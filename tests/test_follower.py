@@ -22,6 +22,11 @@ def mm_follower_problem(table_data, split, mm_model):
                            np.array([3.9, 0.0178]))
 
 
+def solve(prob, u2_init, config):
+    """solve_follower from u2_init and its own forward sweep."""
+    return solve_follower(prob, u2_init, follower_forward(prob, u2_init), config)
+
+
 def full_follower_problem(alpha=1e-8, beta=0.1, theta0=1.0, T=1.0, n=100):
     """Scalar problem with zero training gradient: dynamics thetadot = u2."""
     obj = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
@@ -35,37 +40,41 @@ def full_follower_problem(alpha=1e-8, beta=0.1, theta0=1.0, T=1.0, n=100):
 class TestSolveFollower:
     def test_zero_is_optimal_when_unforced(self):
         prob = full_follower_problem(alpha=1e-8)
-        res = solve_follower(prob, zero_grid_control(prob.grid, 1),
-                             SolverConfig(inner_tol=1e-9, max_inner=50,
-                                          gamma2=1.0))
+        res = solve(prob, zero_grid_control(prob.grid, 1),
+                    SolverConfig(inner_tol=1e-9, max_inner=50,
+                                 gamma2=1.0))
         assert res.converged
         assert np.abs(control_node_values(res.u2_star, prob.grid)).max() < 1e-3
         assert res.J2_value < 1e-6
 
     def test_monotone_history(self, mm_follower_problem):
         prob = mm_follower_problem
-        res = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                             SolverConfig(inner_tol=1e-7, max_inner=60,
-                                          gamma2=1.0))
+        res = solve(prob, zero_grid_control(prob.grid, 2),
+                    SolverConfig(inner_tol=1e-7, max_inner=60,
+                                 gamma2=1.0))
         # an accepted step strictly lowers J2, so the last iterate is the best
         assert len(res.j2_history) > 1
         assert all(b < a for a, b in zip(res.j2_history, res.j2_history[1:]))
         assert res.J2_value == min(res.j2_history)
+        # the handed-on trajectory is the sweep of the returned control
+        fresh = follower_forward(prob, res.u2_star)
+        assert res.trajectory.states.tobytes() == fresh.states.tobytes()
+        assert res.J2_value == follower_cost(prob, fresh, res.u2_star)
 
     def test_improves_on_init(self):
         prob = full_follower_problem(alpha=0.5, beta=0.2, theta0=2.0)
         init = GridControl(prob.grid, np.full((prob.grid.steps + 1, 1), 0.5))
-        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-3,
-                                                      max_inner=100, gamma2=1.0))
+        res = solve(prob, init, SolverConfig(inner_tol=1e-3,
+                                             max_inner=100, gamma2=1.0))
         j2_init = follower_cost(prob, follower_forward(prob, init), init)
         assert res.J2_value <= j2_init
 
     def test_determinism(self, mm_follower_problem):
         prob = mm_follower_problem
-        a = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                           SolverConfig(inner_tol=1e-6, max_inner=30))
-        b = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                           SolverConfig(inner_tol=1e-6, max_inner=30))
+        a = solve(prob, zero_grid_control(prob.grid, 2),
+                  SolverConfig(inner_tol=1e-6, max_inner=30))
+        b = solve(prob, zero_grid_control(prob.grid, 2),
+                  SolverConfig(inner_tol=1e-6, max_inner=30))
         assert np.array_equal(a.u2_star.values, b.u2_star.values)
         assert a.J2_value == b.J2_value
         assert a.j2_history == b.j2_history
@@ -74,9 +83,9 @@ class TestSolveFollower:
         # inner_tol must sit above the adjoint-vs-discretization consistency
         # floor (O(dt^2)); at 800 steps the floor is ~2e-6
         prob = full_follower_problem(alpha=0.5, beta=0.5, theta0=1.0, n=800)
-        res = solve_follower(prob, zero_grid_control(prob.grid, 1),
-                             SolverConfig(inner_tol=1e-5, max_inner=200,
-                                          gamma2=0.9))
+        res = solve(prob, zero_grid_control(prob.grid, 1),
+                    SolverConfig(inner_tol=1e-5, max_inner=200,
+                                 gamma2=0.9))
         assert res.converged
         residual = (prob.beta * control_node_values(res.u2_star, prob.grid)
                     + res.costate.costates) * prob.partition.follower_mask
@@ -85,24 +94,25 @@ class TestSolveFollower:
 
     def test_mask_invariance(self, mm_follower_problem):
         prob = mm_follower_problem
-        res = solve_follower(prob, zero_grid_control(prob.grid, 2),
-                             SolverConfig(inner_tol=1e-7, max_inner=40))
+        res = solve(prob, zero_grid_control(prob.grid, 2),
+                    SolverConfig(inner_tol=1e-7, max_inner=40))
         assert np.array_equal(res.u2_star.values[:, 0],
                               np.zeros(prob.grid.steps + 1))
 
     def test_gamma_zero_returns_unchanged(self, mm_follower_problem):
         prob = mm_follower_problem
         init = zero_grid_control(prob.grid, 2)
-        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-12,
-                                                      max_inner=50, gamma2=0.0))
+        res = solve(prob, init, SolverConfig(inner_tol=1e-12,
+                                             max_inner=50, gamma2=0.0))
         assert res.inner_iterations == 1
         assert res.u2_star is init
         assert not res.progressed
 
     def test_cap_returns_before_line_search(self, mm_follower_problem,
                                             monkeypatch):
-        # the cap iteration runs its sweep pair and returns that iterate; a
-        # step it would then discard is neither tried nor reported
+        # the cap iteration runs its backward sweep along the handed-in
+        # trajectory and returns that iterate; a step it would then discard is
+        # neither tried nor reported, so no forward sweep runs at all
         prob = mm_follower_problem
         forwards = []
 
@@ -112,25 +122,27 @@ class TestSolveFollower:
 
         monkeypatch.setattr(follower, "follower_forward", counted)
         init = zero_grid_control(prob.grid, 2)
-        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-12,
-                                                      max_inner=1))
+        res = solve(prob, init, SolverConfig(inner_tol=1e-12,
+                                             max_inner=1))
         assert res.u2_star is init
         assert not res.progressed
         assert res.inner_iterations == 1
-        assert len(forwards) == 1
+        assert len(forwards) == 0
 
     def test_stall_reported_with_best(self):
         # optimum sits outside the amplitude bound: the clamp pins the control
         # and no positive step can decrease J2
         prob, init = clamped_follower_problem()
-        res = solve_follower(prob, init, SolverConfig(inner_tol=1e-10,
-                                                      max_inner=20, gamma2=1.0))
+        res = solve(prob, init, SolverConfig(inner_tol=1e-10,
+                                             max_inner=20, gamma2=1.0))
         assert res.stalled
         assert not res.converged
         assert not res.progressed
         assert res.u2_star is init
         assert res.inner_iterations == 1
         assert res.J2_value > 0.0
+        assert res.trajectory.states.tobytes() == \
+            follower_forward(prob, init).states.tobytes()
 
 
 class TestBacktrack:

@@ -5,9 +5,10 @@ from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
                        ModelKind, ModelSpec, Objective, SolverConfig,
                        make_time_grid, residual_stats, solve_nested,
                        zero_grid_control)
+from gradsteer import adjoint, follower, leader
 from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
                                control_node_values, follower_cost,
-                               leader_forward, leader_merit)
+                               follower_forward, leader_forward, leader_merit)
 from gradsteer.follower import solve_follower
 from gradsteer.integrate import integrate_forward
 from gradsteer.leader import leader_step
@@ -35,6 +36,11 @@ def scalar_lq_problem(k=1.0, alpha=1.0, beta=1.0, T=1.0, n=200, theta0=1.0):
     return obj, validation, grid, partition, np.array([float(theta0)])
 
 
+def step(prob, u1, config):
+    """leader_step from u1 and its own forward sweep."""
+    return leader_step(prob, u1, leader_forward(prob, u1), config)
+
+
 def zero_controls(grid, p=2):
     """Zero initial leader and follower controls for solve_nested."""
     return zero_grid_control(grid, p), zero_grid_control(grid, p)
@@ -51,7 +57,7 @@ class TestLeaderStep:
         prob = LeaderProblem(objective, validation, 0.005, 0.0, partition,
                              zero_grid_control(grid, 2), grid, np.zeros(2))
         u1 = zero_grid_control(grid, 2)
-        res = leader_step(prob, u1, SolverConfig(gamma1=0.5))
+        res = step(prob, u1, SolverConfig(gamma1=0.5))
         assert res.grad_norm == 0.0
         assert res.u1 is u1
         assert not res.stalled
@@ -60,17 +66,19 @@ class TestLeaderStep:
         objective, validation, grid, partition, theta0 = small_setup
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                              zero_grid_control(grid, 2), grid, theta0)
-        res = leader_step(prob, zero_grid_control(grid, 2),
-                          SolverConfig(gamma1=0.01))
+        res = step(prob, zero_grid_control(grid, 2), SolverConfig(gamma1=0.01))
         assert res.gamma_used > 0.0
         assert res.merit_after < res.merit
+        # the handed-on trajectory is the sweep of the accepted control
+        fresh = leader_forward(prob, res.u1)
+        assert res.trajectory.states.tobytes() == fresh.states.tobytes()
+        assert res.merit_after == leader_merit(prob, fresh)[0]
 
     def test_mask_invariance(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                              zero_grid_control(grid, 2), grid, theta0)
-        res = leader_step(prob, zero_grid_control(grid, 2),
-                          SolverConfig(gamma1=0.01))
+        res = step(prob, zero_grid_control(grid, 2), SolverConfig(gamma1=0.01))
         assert res.gamma_used > 0.0
         assert np.array_equal(res.u1.values[:, 1], np.zeros(grid.steps + 1))
 
@@ -85,12 +93,14 @@ class TestLeaderStep:
                              0.0, 0.0, partition, zero_grid_control(grid, 1),
                              grid, np.array([1.0]))
         u1 = GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)
-        res = leader_step(prob, u1, SolverConfig(gamma1=0.5))
+        res = step(prob, u1, SolverConfig(gamma1=0.5))
         assert res.grad_norm > 0.5
         assert res.stalled
         assert res.u1 is u1
         assert res.gamma_used == 0.0
         assert res.merit_after == res.merit
+        assert res.trajectory.states.tobytes() == \
+            leader_forward(prob, u1).states.tobytes()
 
 
 class TestSolveNested:
@@ -169,6 +179,7 @@ class TestSolveNested:
         assert abs(phi - report.Phi_value) <= 1e-12
         assert abs(j2 - report.J2_value) <= 1e-12
         assert np.abs(traj.terminal_state - report.theta_final).max() == 0.0
+        assert report.trajectory.states.tobytes() == traj.states.tobytes()
 
     def test_determinism(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
@@ -183,6 +194,33 @@ class TestSolveNested:
         assert a.history == b.history
         assert np.array_equal(a.u1.values, b.u1.values)
 
+    def test_one_forward_sweep_per_control_pair(self, small_setup,
+                                                monkeypatch):
+        # one sweep of the initial pair, then one per trial of either agent:
+        # no pair that a trial has integrated is integrated again
+        objective, validation, grid, partition, theta0 = small_setup
+        calls = {"sweeps": 0, "follower": 0, "leader": 0}
+
+        def count(module, name, key):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(adjoint, "integrate_forward", "sweeps")
+        count(follower, "update_control", "follower")
+        count(leader, "update_control", "leader")
+        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01, gamma2=1.0,
+                              inner_tol=1e-5, mu=100.0, max_outer=3,
+                              max_inner=50)
+        solve_nested(config, objective, validation, partition, theta0, grid,
+                     *zero_controls(grid))
+        assert calls["follower"] > 0 and calls["leader"] > 0
+        assert calls["sweeps"] == 1 + calls["follower"] + calls["leader"]
+
     def test_merit_progress_within_accepted_steps(self, small_setup):
         # every accepted leader step decreases the frozen-follower merit
         objective, validation, grid, partition, theta0 = small_setup
@@ -190,16 +228,19 @@ class TestSolveNested:
         u2 = zero_grid_control(grid, 2)
         config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01, gamma2=1.0,
                               inner_tol=1e-5, mu=100.0, max_inner=60)
+        traj = None
         for _ in range(3):
             fprob = FollowerProblem(objective, config.alpha, config.beta,
                                     partition, u1, grid, theta0)
-            fres = solve_follower(fprob, u2, config)
+            if traj is None:
+                traj = follower_forward(fprob, u2)
+            fres = solve_follower(fprob, u2, traj, config)
             u2 = fres.u2_star
             lprob = LeaderProblem(objective, validation, config.z, config.mu,
                                   partition, u2, grid, theta0)
-            lres = leader_step(lprob, u1, config)
+            lres = leader_step(lprob, u1, fres.trajectory, config)
             assert lres.merit_after <= lres.merit
-            u1 = lres.u1
+            u1, traj = lres.u1, lres.trajectory
 
 
 class TestResidualStats:
