@@ -1,13 +1,14 @@
-"""Costate dynamics and adjoint-based gradients of the two control
-functionals.
+"""Adjoint-based gradients of the two control functionals, discretise then
+optimise: each is the exact derivative of the functional that the RK4
+forward sweep and the trapezoid rule compute (see `integrate`).
 
 Conventions (fixed by the finite-difference exactness tests):
 
 * Hamiltonian = running cost + <costate, state velocity>.
-* Costate dynamics: pdot = -dH/dtheta, integrated backward from t = T.
-* With the follower's zero terminal costate, the functional gradient of the
-  regularization cost w.r.t. its control is dH2/du2 = (beta*u2 + p2) on
-  follower coordinates.
+* `costates` are node values p_j whose trapezoid pairing with a direction is
+  the derivative of the functional's state part along it.
+* With the follower's zero terminal costate, dH2/du2 = (beta*u2 + p2) on
+  follower coordinates is the exact gradient of J2.
 * With the penalty terminal costate p1(T) = mu*(Phi(theta(T)) - z)*dPhi,
   dH1/du1 = p1 on leader coordinates is the exact frozen-follower gradient
   of  J1 + (mu/2)*(Phi - z)^2.  The fixed-terminal mode instead uses
@@ -25,13 +26,12 @@ import numpy as np
 from .core import (Array, BasisControl, ControlPartition, ControlSignal, Dataset,
                    GridControl, SolverConfig, TerminalMode, TimeGrid,
                    Trajectory, CostateTrajectory, sampled_basis_matrix,
-                   _frozen_array)
-from .integrate import integrate_backward, integrate_forward, midpoint_states
+                   trapezoid_weights, _frozen_array)
+from .integrate import integrate_backward, integrate_forward
 from .models import (Objective, gradient_function, hvp_function, validation_phi,
                      validation_phi_grad)
 
-# central-difference step of gradient_check; the leader's is shrunk with mu
-FD_STEP = 1e-5
+FD_STEP = 1e-5  # central-difference step of gradient_check
 SIGNAL_MODES = 4  # cosine modes of gradient_check's random signals
 
 
@@ -140,41 +140,13 @@ def combined_stage_controls(u1: ControlSignal, u2: ControlSignal,
             + stage_control_values(u2, grid) * partition.follower_mask)
 
 
-def trapezoid_weights(grid: TimeGrid) -> Array:
-    w = np.full(grid.steps + 1, grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def grid_inner_product(grid: TimeGrid, a: Array, b: Array) -> float:
     """Trapezoid-weighted L2 pairing of two node-sampled signals."""
     return float(trapezoid_weights(grid) @ np.sum(a * b, axis=1))
 
 
-def _trapz(vals: Array, dt: float) -> float:
-    return float(dt * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
-
-
 # ---------------------------------------------------------------------------
-# stage-indexed rates: s indexes nodes (even) and interval midpoints (odd)
-
-def make_costate_rate(objective: Objective, traj: Trajectory, forcing: float):
-    """Costate rate pdot = -dH/dtheta = Hess(J0)(theta_s) p - forcing *
-    theta_s of both Hamiltonians (forcing alpha for the follower, 1 for the
-    leader), with theta_s the stored node states and their Hermite
-    midpoints."""
-    hvp = hvp_function(objective)
-    stage_states = np.empty((2 * traj.grid.steps + 1, traj.states.shape[1]))
-    stage_states[0::2] = traj.states
-    stage_states[1::2] = midpoint_states(traj)
-
-    def rate(s: int, p: Array) -> Array:
-        theta = stage_states[s]
-        return hvp(theta, p) - forcing * theta
-
-    return rate
-
+# sweeps
 
 def run_forward(objective: Objective, stage_u: Array, theta0: Array,
                 grid: TimeGrid) -> Trajectory:
@@ -193,8 +165,8 @@ def follower_forward(prob: FollowerProblem, u2: ControlSignal) -> Trajectory:
 
 
 def follower_backward(prob: FollowerProblem, traj: Trajectory) -> CostateTrajectory:
-    rate = make_costate_rate(prob.objective, traj, prob.alpha)
-    return integrate_backward(rate, np.zeros(traj.states.shape[1]), prob.grid)
+    return integrate_backward(hvp_function(prob.objective), traj,
+                              np.zeros(traj.states.shape[1]), prob.alpha)
 
 
 def follower_cost(prob: FollowerProblem, traj: Trajectory,
@@ -203,14 +175,21 @@ def follower_cost(prob: FollowerProblem, traj: Trajectory,
     u2n = control_node_values(u2, prob.grid) * prob.partition.follower_mask
     running = (0.5 * prob.alpha * np.sum(traj.states * traj.states, axis=1)
                + 0.5 * prob.beta * np.sum(u2n * u2n, axis=1))
-    return _trapz(running, prob.grid.dt)
+    return float(trapezoid_weights(prob.grid) @ running)
 
 
-def _package_gradient(pointwise: Array, like: ControlSignal,
-                      grid: TimeGrid) -> ControlGradient:
+def _package_gradient(like: ControlSignal, costate: CostateTrajectory,
+                      mask: Array, cost_grad) -> ControlGradient:
+    """Gradient on the `mask` coordinates of a functional whose running control
+    cost has node gradient `cost_grad` and whose state part has `costate`; a
+    basis control's coefficients take its transposed node and stage sampling."""
+    pointwise = (cost_grad + costate.costates) * mask
     if isinstance(like, BasisControl):
-        basis = sampled_basis_matrix(grid, like.n_functions, False)
-        coeffs = basis.T @ (trapezoid_weights(grid)[:, None] * pointwise)
+        grid = costate.grid
+        cost = trapezoid_weights(grid)[:, None] * cost_grad * mask
+        coeffs = (sampled_basis_matrix(grid, like.n_functions, False).T @ cost
+                  + sampled_basis_matrix(grid, like.n_functions, True).T
+                  @ (costate.sensitivities * mask))
         return ControlGradient(pointwise=pointwise, coefficients=coeffs)
     return ControlGradient(pointwise=pointwise)
 
@@ -218,8 +197,8 @@ def _package_gradient(pointwise: Array, like: ControlSignal,
 def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
                              costate: CostateTrajectory) -> ControlGradient:
     u2n = control_node_values(u2, prob.grid)
-    pointwise = (prob.beta * u2n + costate.costates) * prob.partition.follower_mask
-    return _package_gradient(pointwise, u2, prob.grid)
+    return _package_gradient(u2, costate, prob.partition.follower_mask,
+                             prob.beta * u2n)
 
 
 def control_gradient_follower(prob: FollowerProblem,
@@ -252,14 +231,13 @@ def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
 
 
 def leader_backward(prob: LeaderProblem, traj: Trajectory) -> CostateTrajectory:
-    rate = make_costate_rate(prob.objective, traj, 1.0)
     p_T = leader_terminal_costate(prob, traj.terminal_state)
-    return integrate_backward(rate, p_T, prob.grid)
+    return integrate_backward(hvp_function(prob.objective), traj, p_T, 1.0)
 
 
 def leader_running_cost(traj: Trajectory) -> float:
     running = 0.5 * np.sum(traj.states * traj.states, axis=1)
-    return _trapz(running, traj.grid.dt)
+    return float(trapezoid_weights(traj.grid) @ running)
 
 
 def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, float]:
@@ -277,8 +255,7 @@ def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, f
 
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
                            costate: CostateTrajectory) -> ControlGradient:
-    pointwise = costate.costates * prob.partition.leader_mask
-    return _package_gradient(pointwise, u1, prob.grid)
+    return _package_gradient(u1, costate, prob.partition.leader_mask, 0.0)
 
 
 def control_gradient_leader(prob: LeaderProblem,
@@ -328,14 +305,11 @@ def gradient_check(objective: Objective, validation: Dataset,
 
     Returns one record per (functional, direction). `corruption` is a fault
     injection hook: it is added to every adjoint gradient before comparison,
-    so any nonzero value must make the check fail.
-
-    The leader comparison shrinks its difference step with mu: the penalty
-    term multiplies higher derivatives of the merit by mu, so a fixed step
-    would lose accuracy to truncation on hard-penalty configurations.
+    so any nonzero value must make the check fail. The adjoint gradients
+    are exact for the discrete functionals, so one difference step serves
+    both, on `grid` itself.
     """
     rng = np.random.default_rng(seed)
-    theta0 = np.asarray(theta0, dtype=float)
     p = partition.dimension
     base_amp = 0.1
     u1 = GridControl(grid, smooth_random_signal(rng, grid, p, base_amp), config.u_max)
@@ -357,21 +331,17 @@ def gradient_check(objective: Objective, validation: Dataset,
         cand = GridControl(grid, values, config.u_max)
         return leader_merit(lprob, leader_forward(lprob, cand))[0]
 
-    def record(functional: str, i: int, fd, adj: float) -> dict:
-        fd = float(fd)  # the leader merit is a numpy scalar
-        return {"functional": functional, "direction": i, "fd": fd,
-                "adjoint": adj, "rel_error": abs(fd - adj) / max(abs(fd), 1e-12)}
-
-    fd_step_leader = FD_STEP / np.sqrt(1.0 + config.mu)
+    checks = (("follower", j2_at, u2, g2, partition.follower_mask),
+              ("leader", merit_at, u1, g1, partition.leader_mask))
     records = []
     for i in range(n_directions):
         d = smooth_random_signal(rng, grid, p, 1.0)
-        d2 = d * partition.follower_mask
-        fd = (j2_at(u2.values + FD_STEP * d2) - j2_at(u2.values - FD_STEP * d2)) \
-            / (2 * FD_STEP)
-        records.append(record("follower", i, fd, grid_inner_product(grid, g2, d2)))
-        d1 = d * partition.leader_mask
-        fd = (merit_at(u1.values + fd_step_leader * d1)
-              - merit_at(u1.values - fd_step_leader * d1)) / (2 * fd_step_leader)
-        records.append(record("leader", i, fd, grid_inner_product(grid, g1, d1)))
+        for functional, value_at, u, g, mask in checks:
+            dm = d * mask
+            fd = float(value_at(u.values + FD_STEP * dm)
+                       - value_at(u.values - FD_STEP * dm)) / (2 * FD_STEP)
+            adj = grid_inner_product(grid, g, dm)
+            records.append({"functional": functional, "direction": i,
+                            "fd": fd, "adjoint": adj,
+                            "rel_error": abs(fd - adj) / max(abs(fd), 1e-12)})
     return records

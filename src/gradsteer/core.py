@@ -19,7 +19,8 @@ Array = NDArray[np.float64]
 
 
 def _frozen_array(values, shape_hint: str) -> Array:
-    arr = np.asarray(values, dtype=float)
+    """A read-only float copy of `values`; the caller's array stays writeable."""
+    arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{shape_hint} contains non-finite entries")
     arr.flags.writeable = False
@@ -131,6 +132,13 @@ class TimeGrid:
         return out
 
 
+def trapezoid_weights(grid: TimeGrid) -> Array:
+    w = np.full(grid.steps + 1, grid.dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def make_time_grid(horizon: float, steps: int) -> TimeGrid:
     """Uniform time grid covering [0, horizon] with the given step count."""
     return TimeGrid(horizon=float(horizon), steps=int(steps))
@@ -223,7 +231,7 @@ class ControlPartition:
     follower_mask: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lm = np.asarray(self.leader_mask, dtype=float)
+        lm = np.array(self.leader_mask, dtype=float)  # a copy: frozen below
         if lm.ndim != 1:
             raise ValueError("mask must be 1-d")
         if not np.all(np.isin(lm, (0.0, 1.0))):
@@ -241,23 +249,21 @@ class ControlPartition:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a time grid and the rate at each node (its stage 2j), as
-    integrate_forward produces them; the backward sweeps rebuild the
-    interval-midpoint states (odd stages) from both."""
+    """States on a time grid, as integrate_forward produces them: `states`
+    at the nodes, and `stages[j]` the states of RK4 stages 2-4 of step j,
+    which the backward sweep differentiates at."""
 
     grid: TimeGrid
     states: Array
-    derivs: Array
+    stages: Array
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        if states.shape[0] != self.grid.steps + 1:
+        object.__setattr__(self, "states", _frozen_array(self.states, "states"))
+        object.__setattr__(self, "stages", _frozen_array(self.stages, "stages"))
+        if self.states.shape[0] != self.grid.steps + 1:
             raise ValueError("state count must equal node count")
-        object.__setattr__(self, "states", _frozen_array(states, "states"))
-        derivs = np.asarray(self.derivs, dtype=float)
-        if derivs.shape != states.shape:
-            raise ValueError("derivs shape must match states")
-        object.__setattr__(self, "derivs", _frozen_array(derivs, "derivs"))
+        if self.stages.shape != (self.grid.steps, 3) + self.states.shape[1:]:
+            raise ValueError("need three stage states per step")
 
     @property
     def terminal_state(self) -> Array:
@@ -266,14 +272,26 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CostateTrajectory:
+    """dL/du at every stage of a sweep (integrate_backward's result), and the
+    node costates p_j: the grid's transposed stage sampling (a midpoint is the
+    mean of its nodes) applied to them over the trapezoid weights, so that p's
+    trapezoid pairing with a node-sampled direction is the derivative of L."""
+
     grid: TimeGrid
-    costates: Array
+    sensitivities: Array
 
     def __post_init__(self):
-        costates = np.asarray(self.costates, dtype=float)
-        if costates.shape[0] != self.grid.steps + 1:
-            raise ValueError("costate count must equal node count")
-        object.__setattr__(self, "costates", _frozen_array(costates, "costates"))
+        object.__setattr__(self, "sensitivities",
+                           _frozen_array(self.sensitivities, "sensitivities"))
+        if self.sensitivities.shape[0] != 2 * self.grid.steps + 1:
+            raise ValueError("need one sensitivity per stage")
+
+    @property
+    def costates(self) -> Array:
+        nodes = self.sensitivities[0::2].copy()
+        nodes[:-1] += 0.5 * self.sensitivities[1::2]
+        nodes[1:] += 0.5 * self.sensitivities[1::2]
+        return nodes / trapezoid_weights(self.grid)[:, None]
 
 
 class TerminalMode(Enum):

@@ -1,23 +1,21 @@
-"""Fixed-step classical Runge-Kutta integration of forward state ODEs and
-backward (terminal-value) costate ODEs on a shared uniform grid.
+"""Fixed-step classical Runge-Kutta integration of the forward state ODE,
+and the exact adjoint of that discrete scheme (discretise, then optimise).
 
 A rate is called as `rate(s, y)` with a stage index, not a time: stage 2j is
-node j and stage 2j + 1 the midpoint of interval j. One RK4 loop serves both
-directions: a forward step from node j visits stages 2j, 2j+1, 2j+1, 2j+2, a
-backward step 2j, 2j-1, 2j-1, 2j-2 with the step negated.
-
-Forward trajectories store the rate at every node. The backward sweeps need
-the state at each interval midpoint; `midpoint_states` rebuilds those from
-the stored node states and rates with the cubic Hermite interpolant.
+node j and stage 2j + 1 the midpoint of interval j. A forward step from node
+j visits stages 2j, 2j+1, 2j+1, 2j+2 and keeps the states of stages 2-4;
+`integrate_backward` runs the transposed step along them (Hager 2000, Numer.
+Math. 87), exact for the forward sweep's numbers at any step size.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
-from .core import Array, CostateTrajectory, TimeGrid, Trajectory
+from .core import (Array, CostateTrajectory, TimeGrid, Trajectory,
+                   trapezoid_weights)
 
 Rate = Callable[[int, Array], Array]
 
@@ -32,52 +30,65 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite {what} at t={t:.6g} (step {step})")
 
 
-def _rk4(rate: Rate, y0, grid: TimeGrid, direction: int,
-         what: str) -> Tuple[Array, Array]:
-    """Node values from y0 at node 0 (direction 1) or node N (direction -1),
-    and the first-stage rate of each step at the node it starts from."""
-    y = np.array(y0, dtype=float)
-    n = grid.steps
-    h = direction * grid.dt
-    half = 0.5 * h
-    sixth = h / 6.0
-    values = np.empty((n + 1, y.shape[0]))
-    slopes = np.empty_like(values)
-    start = 0 if direction > 0 else n
-    values[start] = y
-    for j in range(start, start + direction * n, direction):
-        s = 2 * j
-        k1 = rate(s, y)
-        k2 = rate(s + direction, y + half * k1)
-        k3 = rate(s + direction, y + half * k2)
-        k4 = rate(s + 2 * direction, y + h * k3)
-        slopes[j] = k1
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(grid.nodes[j + direction], j + direction, what)
-        values[j + direction] = y
-    return values, slopes
-
-
-# overflow shows up as a non-finite value, which _rk4 reports itself
+# overflow shows up as a non-finite value, which the loops report themselves
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_forward(rate: Rate, y0, grid: TimeGrid) -> Trajectory:
-    """RK4 from t=0 to t=T; node j of the result holds the state at t_j."""
-    states, derivs = _rk4(rate, y0, grid, 1, "state")
-    derivs[-1] = rate(2 * grid.steps, states[-1])
-    return Trajectory(grid=grid, states=states, derivs=derivs)
+    """RK4 from t=0 to t=T: node states, and step j's stage 2-4 states."""
+    y = np.array(y0, dtype=float)
+    n = grid.steps
+    h = grid.dt
+    half = 0.5 * h
+    sixth = h / 6.0
+    states = np.empty((n + 1, y.shape[0]))
+    stages = np.empty((n, 3, y.shape[0]))
+    states[0] = y
+    for j in range(n):
+        s = 2 * j
+        k1 = rate(s, y)
+        y2 = y + half * k1
+        k2 = rate(s + 1, y2)
+        y3 = y + half * k2
+        k3 = rate(s + 1, y3)
+        y4 = y + h * k3
+        k4 = rate(s + 2, y4)
+        stages[j] = y2, y3, y4
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
+        states[j + 1] = y
+    return Trajectory(grid=grid, states=states, stages=stages)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def integrate_backward(rate: Rate, p_T, grid: TimeGrid) -> CostateTrajectory:
-    """RK4 from t=T down to t=0; the node at T holds p_T exactly."""
-    costates, _ = _rk4(rate, p_T, grid, -1, "costate")
-    return CostateTrajectory(grid=grid, costates=costates)
-
-
-def midpoint_states(traj: Trajectory) -> Array:
-    """All interval-midpoint states at once: the cubic Hermite interpolant
-    through each interval's end states and end slopes, at its centre."""
-    dt = traj.grid.dt
-    st, dv = traj.states, traj.derivs
-    return 0.5 * (st[:-1] + st[1:]) + (dt / 8.0) * (dv[:-1] - dv[1:])
+def integrate_backward(hvp: Callable[[Array, Array], Array], traj: Trajectory,
+                       p_T, forcing: float) -> CostateTrajectory:
+    """dL/du at all 2N + 1 stages of `traj`, a sweep of the rate
+    u - grad J(theta) with hvp(theta, v) = Hess(J)(theta) @ v, for
+    L = sum_j w_j forcing/2 |theta_j|^2 + (a terminal term of gradient p_T),
+    w the trapezoid weights. Runs lambda_j = dL/dtheta_j through the
+    transposed RK4 steps from lambda_N = p_T + w_N * forcing * theta_N."""
+    grid = traj.grid
+    n = grid.steps
+    h = grid.dt
+    half = 0.5 * h
+    sixth = h / 6.0
+    running = (forcing * trapezoid_weights(grid))[:, None] * traj.states
+    lam = p_T + running[n]
+    sens = np.zeros((2 * n + 1, traj.states.shape[1]))
+    for j in range(n - 1, -1, -1):
+        y2, y3, y4 = traj.stages[j]
+        g4 = sixth * lam
+        a4 = -hvp(y4, g4)
+        g3 = 2.0 * g4 + h * a4
+        a3 = -hvp(y3, g3)
+        g2 = 2.0 * g4 + half * a3
+        a2 = -hvp(y2, g2)
+        g1 = g4 + half * a2
+        a1 = -hvp(traj.states[j], g1)
+        sens[2 * j + 2] += g4
+        sens[2 * j + 1] = g2 + g3
+        sens[2 * j] = g1
+        lam = lam + a1 + a2 + a3 + a4 + running[j]
+        if not np.all(np.isfinite(lam)):
+            raise DivergenceError(grid.nodes[j], j, "costate")
+    return CostateTrajectory(grid=grid, sensitivities=sens)

@@ -1,5 +1,5 @@
 """Hypothesis functions, quadratic losses, the training objective and the
-validation functional, with analytic gradients and finite-difference
+validation functional, with analytic gradients and closed-form
 Hessian-vector products.
 
 Built-in model kinds:
@@ -23,7 +23,6 @@ import numpy as np
 from .core import Array, Dataset
 
 SINGULARITY_GUARD = 1e-9
-HVP_BASE_STEP = 1e-5
 
 
 class SingularityError(ArithmeticError):
@@ -152,16 +151,36 @@ def objective_gradient(obj: Objective, theta) -> Array:
 
 
 def hvp_function(obj: Objective) -> Callable[[Array, Array], Array]:
-    """theta, v -> (Hessian J)(theta) @ v by central differences of the
-    analytic gradient; exact for the linear model."""
-    grad = gradient_function(obj)
+    """Bind the dataset once; returns theta, v -> (Hessian J)(theta) @ v from
+    the closed-form Hessian: 2x2 for the two-parameter models, constant for
+    the linear one."""
+    scale = 2.0 * obj.loss_scale.factor / len(obj.dataset.outputs)
+    outputs = obj.dataset.outputs
+    if obj.model.kind is ModelKind.LINEAR:
+        hessian = scale * (obj.dataset.inputs.T @ obj.dataset.inputs)
+        return lambda theta, v: hessian @ v
+
+    # (H00, H01, H11) / scale = sum_i g_i g_i^T + r_i Hess(prediction_i)
+    w = obj.dataset.inputs[:, 0]
+    if obj.model.kind is ModelKind.MICHAELIS_MENTEN:
+        def entries(theta: Array):
+            d = _mm_check(theta, w)
+            q = w / d
+            qd = q / d
+            r = theta[0] * q - outputs
+            t = theta[0] * q + r
+            return q @ q, -(qd @ t), theta[0] * ((qd / d) @ (t + r))
+    else:
+        def entries(theta: Array):
+            e = np.exp(theta[1] * w)
+            we = w * e
+            t = theta[0] * e + (theta[0] * e - outputs)
+            return e @ e, we @ t, theta[0] * ((w * we) @ t)
 
     def hvp(theta: Array, v: Array) -> Array:
-        nv = float(np.sqrt(v @ v))
-        if nv == 0.0:
-            return np.zeros_like(theta)
-        h = HVP_BASE_STEP / (1.0 + nv)
-        return (grad(theta + h * v) - grad(theta - h * v)) / (2.0 * h)
+        h00, h01, h11 = entries(theta)
+        return scale * np.array([h00 * v[0] + h01 * v[1],
+                                 h01 * v[0] + h11 * v[1]])
 
     return hvp
 

@@ -5,12 +5,12 @@ from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
                        LossScale, Objective, SolverConfig, TerminalMode,
                        gradient_check, make_time_grid, zero_grid_control)
 from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
+                               combined_stage_controls,
                                control_gradient_follower, control_gradient_leader,
                                follower_backward, follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
-                               leader_merit, make_costate_rate,
+                               leader_merit, leader_terminal_costate, run_forward,
                                smooth_random_signal, update_control)
-from gradsteer.core import Trajectory
 from gradsteer.models import (gradient_function, objective_gradient,
                               validation_phi_grad)
 
@@ -34,8 +34,8 @@ def smooth(grid, dim, seed, amp=1.0):
     return smooth_random_signal(np.random.default_rng(seed), grid, dim, amp)
 
 
-# Reference Hamiltonians: running cost + <costate, state velocity>. The
-# costate-rate tests differentiate them to check the solver's sign convention.
+# Reference Hamiltonians: running cost + <costate, state velocity>, the sign
+# convention the adjoint module states.
 
 def hamiltonian_follower(objective, theta, p2, u1_value, u2_value, partition,
                          alpha, beta):
@@ -56,12 +56,34 @@ def hamiltonian_leader(objective, theta, p1, u1_value, u2_value, partition):
     return float(velocity @ np.asarray(p1, dtype=float) + 0.5 * (theta @ theta))
 
 
-def costate_rate_at(objective, theta, p, forcing):
-    """The production costate rate at stage 0 of a trajectory resting at
-    theta."""
-    states = np.tile(np.asarray(theta, dtype=float), (3, 1))
-    traj = Trajectory(make_time_grid(1.0, 2), states, np.zeros_like(states))
-    return make_costate_rate(objective, traj, forcing)(0, np.asarray(p, dtype=float))
+def stage_fd(functional, stage_u, step=1e-4):
+    """Central differences of functional(stage_u) in every stage control."""
+    out = np.empty_like(stage_u)
+    for idx in np.ndindex(stage_u.shape):
+        e = np.zeros_like(stage_u)
+        e[idx] = step
+        out[idx] = (functional(stage_u + e) - functional(stage_u - e)) / (2 * step)
+    return out
+
+
+def two_step_problems(objective, validation, seed):
+    """Follower and leader problems on a 2-step grid, random controls and
+    their combined stage controls."""
+    grid = make_time_grid(0.004, 2)
+    partition = ControlPartition(np.array([1.0, 0.0]))
+    rng = np.random.default_rng(seed)
+    u1 = GridControl(grid, rng.normal(size=(3, 2)))
+    u2 = GridControl(grid, rng.normal(size=(3, 2)))
+    theta0 = np.array([3.9, 0.0178])
+    fprob = FollowerProblem(objective, 0.5, BETA, partition, u1, grid, theta0)
+    lprob = LeaderProblem(objective, validation, 0.005, 50.0, partition, u2,
+                          grid, theta0)
+    return fprob, lprob, u2, combined_stage_controls(u1, u2, partition, grid)
+
+
+def terminal_lambda(grid, p_T, forcing, theta_T):
+    """lambda_N = p_T + w_N * forcing * theta_N, in the sweep's own order."""
+    return p_T + forcing * (0.5 * grid.dt) * theta_T
 
 
 class TestHamiltonians:
@@ -108,70 +130,87 @@ class TestHamiltonians:
 
 
 class TestCostateRates:
+    # the backward sweep returns dL/du at every RK4 stage; each must be the
+    # derivative of the discrete functional the forward sweep computes, to
+    # 1e-7 of the largest (the MM tests' theta_1 entries are ~100x smaller)
+
     def test_zero_everything(self, partition_10):
         obj = linear_objective(np.zeros((1, 2)), [0.0], param_dim=2)
-        out = costate_rate_at(obj, np.zeros(2), np.zeros(2), ALPHA)
-        assert np.array_equal(out, np.zeros(2))
+        grid = make_time_grid(1.0, 2)
+        prob = FollowerProblem(obj, ALPHA, BETA, partition_10,
+                               zero_grid_control(grid, 2), grid, np.zeros(2))
+        cs = follower_backward(prob, follower_forward(prob, prob.u1))
+        assert np.array_equal(cs.sensitivities, np.zeros((5, 2)))
+        assert np.array_equal(cs.costates, np.zeros((3, 2)))
 
-    def test_linear_constant_hessian(self):
+    def test_linear_constant_hessian(self, partition_10):
+        # quadratic functional: the central difference itself is exact
         rng = np.random.default_rng(6)
         x = rng.normal(size=(6, 2))
-        obj = linear_objective(x, np.zeros(6))
-        a_mat = x.T @ x / 6.0
-        theta = rng.normal(size=2)
-        p2 = rng.normal(size=2)
-        got = costate_rate_at(obj, theta, p2, ALPHA)
-        assert np.allclose(got, a_mat @ p2 - ALPHA * theta, rtol=1e-7, atol=1e-10)
+        obj = linear_objective(x, rng.normal(size=6))
+        grid = make_time_grid(0.5, 2)
+        stage_u = rng.normal(size=(5, 2))
+        prob = FollowerProblem(obj, 0.7, BETA, partition_10,
+                               zero_grid_control(grid, 2), grid, rng.normal(size=2))
+        u2 = zero_grid_control(grid, 2)
+
+        def j2(stage):
+            return follower_cost(prob, run_forward(obj, stage, prob.theta0, grid), u2)
+
+        cs = follower_backward(prob, run_forward(obj, stage_u, prob.theta0, grid))
+        assert np.allclose(cs.sensitivities, stage_fd(j2, stage_u),
+                           rtol=1e-8, atol=1e-12)
 
     def test_matches_hamiltonian_theta_derivative(self, mm_train_half,
-                                                  partition_10):
-        rng = np.random.default_rng(8)
-        theta = np.array([3.0, 0.4])
-        p2 = rng.normal(size=2)
-        u1 = rng.normal(size=2) * 0.3
-        u2 = rng.normal(size=2) * 0.3
-        h = 1e-6
-        fd = np.empty(2)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            fd[j] = (hamiltonian_follower(mm_train_half, theta + e, p2, u1, u2,
-                                          partition_10, ALPHA, BETA)
-                     - hamiltonian_follower(mm_train_half, theta - e, p2, u1, u2,
-                                            partition_10, ALPHA, BETA)) / (2 * h)
-        rate = costate_rate_at(mm_train_half, theta, p2, ALPHA)
-        assert np.allclose(rate, -fd, rtol=1e-4, atol=1e-8)
+                                                  mm_validation):
+        # follower: running cost alpha/2 |theta|^2, zero terminal costate
+        fprob, _, u2, stage_u = two_step_problems(mm_train_half,
+                                                  mm_validation, 8)
+        no_cost = zero_grid_control(fprob.grid, 2)  # J2's state part only
 
-    def test_leader_rate_matches_hamiltonian(self, mm_train_half, partition_10):
-        rng = np.random.default_rng(13)
-        theta = np.array([2.4, 0.5])
-        p1 = rng.normal(size=2)
-        h = 1e-6
-        fd = np.empty(2)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            fd[j] = (hamiltonian_leader(mm_train_half, theta + e, p1,
-                                        np.zeros(2), np.zeros(2), partition_10)
-                     - hamiltonian_leader(mm_train_half, theta - e, p1,
-                                          np.zeros(2), np.zeros(2),
-                                          partition_10)) / (2 * h)
-        rate = costate_rate_at(mm_train_half, theta, p1, 1.0)
-        assert np.allclose(rate, -fd, rtol=1e-4, atol=1e-8)
+        def j2(stage):
+            traj = run_forward(mm_train_half, stage, fprob.theta0, fprob.grid)
+            return follower_cost(fprob, traj, no_cost)
+
+        traj = run_forward(mm_train_half, stage_u, fprob.theta0, fprob.grid)
+        cs = follower_backward(fprob, traj)
+        fd = stage_fd(j2, stage_u)
+        assert np.abs(cs.sensitivities - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    def test_leader_rate_matches_hamiltonian(self, mm_train_half,
+                                             mm_validation):
+        # leader: running cost |theta|^2 / 2, penalty terminal costate
+        _, lprob, _, stage_u = two_step_problems(mm_train_half,
+                                                 mm_validation, 13)
+
+        def merit(stage):
+            traj = run_forward(mm_train_half, stage, lprob.theta0, lprob.grid)
+            return leader_merit(lprob, traj)[0]
+
+        traj = run_forward(mm_train_half, stage_u, lprob.theta0, lprob.grid)
+        cs = leader_backward(lprob, traj)
+        fd = stage_fd(merit, stage_u)
+        assert np.abs(cs.sensitivities - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
 class TestTerminalConditions:
+    # the last stage's sensitivity is dt/6 * lambda_N, and lambda_N is the
+    # terminal costate plus the running cost's weight at the final node
+
     def test_penalty_zero_residual(self, small_mm, mm_model):
         objective, validation, grid, partition, theta0 = small_mm
         traj_prob = LeaderProblem(objective, validation, 0.005, 50.0, partition,
                                   zero_grid_control(grid, 2), grid, theta0)
         traj = leader_forward(traj_prob, zero_grid_control(grid, 2))
-        # re-target z to the achieved value: terminal costate must vanish
+        # re-target z to the achieved value: the terminal costate vanishes
         phi_T = leader_merit(traj_prob, traj)[2]
         prob2 = LeaderProblem(objective, validation, phi_T, 50.0, partition,
                               zero_grid_control(grid, 2), grid, theta0)
+        p_T = leader_terminal_costate(prob2, traj.terminal_state)
+        assert np.array_equal(p_T, np.zeros(2))
         cs = leader_backward(prob2, traj)
-        assert np.array_equal(cs.costates[-1], np.zeros(2))
+        lam_N = terminal_lambda(grid, p_T, 1.0, traj.terminal_state)
+        assert np.array_equal(cs.sensitivities[-1], grid.dt / 6.0 * lam_N)
 
     def test_paper_fixed_boundary(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
@@ -180,9 +219,10 @@ class TestTerminalConditions:
                              terminal_mode=TerminalMode.PAPER_FIXED)
         traj = leader_forward(prob, zero_grid_control(grid, 2))
         cs = leader_backward(prob, traj)
-        expected = -validation_phi_grad(objective.model, traj.terminal_state,
-                                        validation, objective.loss_scale)
-        assert np.array_equal(cs.costates[-1], expected)
+        p_T = -validation_phi_grad(objective.model, traj.terminal_state,
+                                   validation, objective.loss_scale)
+        lam_N = terminal_lambda(grid, p_T, 1.0, traj.terminal_state)
+        assert np.array_equal(cs.sensitivities[-1], grid.dt / 6.0 * lam_N)
 
     def test_follower_terminal_is_zero(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
@@ -190,7 +230,8 @@ class TestTerminalConditions:
                                zero_grid_control(grid, 2), grid, theta0)
         traj = follower_forward(prob, zero_grid_control(grid, 2))
         cs = follower_backward(prob, traj)
-        assert np.array_equal(cs.costates[-1], np.zeros(2))
+        lam_N = terminal_lambda(grid, np.zeros(2), ALPHA, traj.terminal_state)
+        assert np.array_equal(cs.sensitivities[-1], grid.dt / 6.0 * lam_N)
 
 
 class TestControlGradients:
@@ -221,7 +262,7 @@ class TestControlGradients:
             d = smooth(grid, 2, seed) * partition.follower_mask
             fd = (j2_at(u2.values + h * d) - j2_at(u2.values - h * d)) / (2 * h)
             adj = grid_inner_product(grid, g.pointwise, d)
-            assert fd == pytest.approx(adj, rel=1e-4)
+            assert fd == pytest.approx(adj, rel=1e-7)
 
     def test_leader_directional_derivative_penalty(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
@@ -241,7 +282,7 @@ class TestControlGradients:
             fd = (merit_at(u1.values + h * d) - merit_at(u1.values - h * d)) \
                 / (2 * h)
             adj = grid_inner_product(grid, g.pointwise, d)
-            assert fd == pytest.approx(adj, rel=1e-3)
+            assert fd == pytest.approx(adj, rel=1e-7)
 
     def test_leader_directional_derivative_paper_fixed(self, small_mm):
         # fixed-terminal mode differentiates J1 - (Phi - z)
@@ -261,7 +302,7 @@ class TestControlGradients:
         d = smooth(grid, 2, 63) * partition.leader_mask
         fd = (merit_at(u1.values + h * d) - merit_at(u1.values - h * d)) / (2 * h)
         assert fd == pytest.approx(grid_inner_product(grid, g.pointwise, d),
-                                   rel=1e-3)
+                                   rel=1e-7)
 
     def test_mask_locality(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
@@ -297,7 +338,7 @@ class TestControlGradients:
         d = rng.normal(size=(k, 2))
         d[:, 0] = 0.0  # follower coordinate only
         fd = (j2_at(coeffs + h * d) - j2_at(coeffs - h * d)) / (2 * h)
-        assert fd == pytest.approx(float(np.sum(g.coefficients * d)), rel=1e-3)
+        assert fd == pytest.approx(float(np.sum(g.coefficients * d)), rel=1e-7)
 
 
 class TestUpdateControl:
@@ -325,21 +366,19 @@ class TestUpdateControl:
 
 class TestCheckProtocol:
     def test_linear_model_high_accuracy(self):
-        # quadratic case: the finite difference itself is exact, so the
-        # residual error is pure scheme consistency and shrinks as dt^2
+        # quadratic case: the finite difference itself is exact, and the
+        # adjoint is exact for the discrete functional, so the agreement is
+        # at rounding level on coarse and fine grids alike
         rng = np.random.default_rng(5)
         obj = linear_objective(rng.normal(size=(6, 2)), rng.normal(size=6))
         validation = Dataset(rng.normal(size=(4, 2)), rng.normal(size=4))
         partition = ControlPartition(np.array([1.0, 0.0]))
         cfg = SolverConfig(alpha=0.5, beta=0.5, mu=10.0, z=0.0)
-        worst = {}
-        for n in (160, 640):
+        for n in (40, 160, 640):
             records = gradient_check(obj, validation, partition, np.zeros(2),
                                      make_time_grid(1.0, n), cfg, seed=1,
                                      n_directions=4)
-            worst[n] = max(r["rel_error"] for r in records)
-        assert worst[640] < 2e-5
-        assert worst[160] / worst[640] > 10.0  # consistent with second order
+            assert max(r["rel_error"] for r in records) <= 1e-8, n
 
     def test_fault_injection_fails(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm

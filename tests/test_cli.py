@@ -227,12 +227,12 @@ class TestGoldenFit:
     # frozen report values of the small config for both control kinds; a
     # change to the solver's arithmetic or its order of operations moves them
     GOLDEN = {
-        "grid": ([3.8650930619812565, 0.017322380351600195],
-                 0.0036993129052875304, 5.636879903992926,
-                 0.056368955425075196),
-        "basis 4": ([3.8715699834330137, 0.017406815225720827],
-                    0.003536911020870157, 5.6575105872643725,
-                    0.05657525295717157),
+        "grid": ([3.865093151880277, 0.017322380764719696],
+                 0.003699310477780009, 5.636880171160495,
+                 0.05636895807010519),
+        "basis 4": ([3.8715700515580567, 0.017406816101422844],
+                    0.003536909350549244, 5.657510724224705,
+                    0.05657525430351904),
     }
 
     @pytest.mark.parametrize("control", sorted(GOLDEN))
@@ -304,6 +304,19 @@ class TestRunGradcheck:
         cfg = write_config(tmp_path, N_t="300", mu="100.0")
         out = tmp_path / "gcf"
         assert run_gradcheck(cfg, out, corruption=1e-2) == EXIT_GRADCHECK
+
+    def test_shipped_config_seed_3(self, tmp_path):
+        # the shipped reference config on its own grid (N_t = 2000, mu = 1e5):
+        # seed 3 draws the controls and directions that an adjoint of the
+        # continuous costate equation got wrong by more than the tolerance
+        text = GOLDEN_CFG.read_text(encoding="utf-8")
+        text = text.replace("../data/michaelis_menten.csv", str(DATA_CSV))
+        text = text.replace("seed = 0", "seed = 3")
+        assert "seed = 3" in text and str(DATA_CSV) in text
+        cfg = tmp_path / "reference.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
+            == EXIT_OK
 
 
 class TestMain:

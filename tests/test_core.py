@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
                        SolverConfig, SplitSpec, constant_grid_control,
                        make_time_grid, zero_grid_control)
-from gradsteer.adjoint import (combined_stage_controls, control_node_values,
-                               stage_control_values)
+from gradsteer.adjoint import (FollowerProblem, combined_stage_controls,
+                               control_node_values, stage_control_values)
+from gradsteer.cli import parse_config
 from gradsteer.core import InvalidSetting
+
+from conftest import REPO
 
 
 class TestTimeGrid:
@@ -136,6 +139,31 @@ class TestPartition:
         for j in range(p):
             expected = a[j] if mask_bits[j] else b[j]
             assert out[:, j] == pytest.approx(expected)
+
+
+class TestCallerArraysStayWriteable:
+    # each value type freezes its own copy, never the array it was given
+
+    def test_constructors_copy(self):
+        grid = make_time_grid(1.0, 4)
+        x, y = np.ones((3, 1)), np.arange(3.0)
+        values, coeffs = np.zeros((5, 2)), np.zeros((3, 2))
+        mask = np.array([1.0, 0.0])
+        data = Dataset(x, y)
+        own = [data.inputs, data.outputs, GridControl(grid, values).values,
+               BasisControl(grid, coeffs).coefficients,
+               ControlPartition(mask).leader_mask]
+        assert all(given.flags.writeable for given in (x, y, values, coeffs, mask))
+        assert not any(arr.flags.writeable for arr in own)
+
+    def test_config_theta0_survives_problem(self, mm_train_half):
+        cfg = parse_config(REPO / "configs" / "michaelis_menten.cfg")
+        prob = FollowerProblem(mm_train_half, 0.01, 0.1, cfg.partition,
+                               zero_grid_control(cfg.grid, 2), cfg.grid,
+                               cfg.theta0)
+        assert cfg.theta0.flags.writeable
+        assert not prob.theta0.flags.writeable
+        assert np.array_equal(prob.theta0, cfg.theta0)
 
 
 class TestDatasetAndSplit:

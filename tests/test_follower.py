@@ -80,8 +80,6 @@ class TestSolveFollower:
         assert a.j2_history == b.j2_history
 
     def test_optimality_certificate(self):
-        # inner_tol must sit above the adjoint-vs-discretization consistency
-        # floor (O(dt^2)); at 800 steps the floor is ~2e-6
         prob = full_follower_problem(alpha=0.5, beta=0.5, theta0=1.0, n=800)
         res = solve(prob, zero_grid_control(prob.grid, 1),
                     SolverConfig(inner_tol=1e-5, max_inner=200,

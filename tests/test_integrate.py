@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gradsteer import (LossScale, ModelKind, ModelSpec, Objective, Dataset,
-                       DivergenceError, integrate_backward, integrate_forward,
+from gradsteer import (DivergenceError, integrate_backward, integrate_forward,
                        make_time_grid)
-from gradsteer.adjoint import make_costate_rate
-from gradsteer.integrate import midpoint_states
-from gradsteer.core import Trajectory
+from gradsteer.models import hvp_function
 
 from conftest import linear_objective, uncontrolled_rate
 
@@ -43,22 +40,30 @@ def test_forward_anchors_initial_state():
 
 def test_backward_zero_field():
     grid = make_time_grid(1.0, 10)
-    cs = integrate_backward(lambda s, p: np.zeros(1), np.zeros(1), grid)
+    traj = integrate_forward(lambda s, y: np.zeros(1), np.zeros(1), grid)
+    cs = integrate_backward(lambda theta, v: np.zeros(1), traj, np.zeros(1), 1.0)
+    assert np.array_equal(cs.sensitivities, np.zeros((21, 1)))
     assert np.array_equal(cs.costates, np.zeros((11, 1)))
 
 
 def test_backward_exponential():
-    # pdot = p integrated from p(T)=1 down to t=0 gives p(0) = e^{-1}
+    # L = theta(T) on thetadot = u - theta: the costate is p(t) = e^{t - T},
+    # and the sensitivities sum to dtheta(T)/du for a constant u, 1 - e^{-1}
     grid = make_time_grid(1.0, 100)
-    cs = integrate_backward(lambda s, p: p, np.array([1.0]), grid)
-    assert abs(cs.costates[0, 0] - np.exp(-1.0)) < 1e-8
-    assert cs.costates[-1, 0] == 1.0
+    traj = integrate_forward(lambda s, y: -y, np.array([1.0]), grid)
+    cs = integrate_backward(lambda theta, v: v, traj, np.array([1.0]), 0.0)
+    assert abs(cs.sensitivities.sum() - (1.0 - np.exp(-1.0))) < 1e-10
+    assert cs.sensitivities[-1, 0] == grid.dt / 6.0
+    interior = grid.nodes[1:-1]
+    assert np.abs(cs.costates[1:-1, 0] - np.exp(interior - 1.0)).max() < 1e-5
 
 
 def test_backward_linear_adjoint_matrix_exponential():
     # For h(x) = <theta, x> with zero targets the state Hessian A is constant,
     # theta(t) = expm(-A t) theta0, and the costate with zero terminal value is
-    # p(t) = (alpha/2) A^{-1} (expm(-A t) - expm(A (t - 2T))) theta0.
+    # p(t) = (alpha/2) A^{-1} (expm(-A t) - expm(A (t - 2T))) theta0. The
+    # discrete costate is second-order accurate at interior nodes; at the two
+    # end nodes it pairs with half a hat function, which makes it first order
     rng = np.random.default_rng(12)
     x = rng.normal(size=(5, 2))
     obj = linear_objective(x, np.zeros(5))
@@ -68,10 +73,9 @@ def test_backward_linear_adjoint_matrix_exponential():
     T = 1.0
     grid = make_time_grid(T, 200)
     traj = integrate_forward(uncontrolled_rate(obj), theta0, grid)
-    cs = integrate_backward(make_costate_rate(obj, traj, alpha),
-                            np.zeros(2), grid)
+    cs = integrate_backward(hvp_function(obj), traj, np.zeros(2), alpha)
     a_inv = np.linalg.inv(a_mat)
-    for idx in (0, 50, 120, 200):
+    for idx in (1, 50, 120, 199):
         t = grid.nodes[idx]
         exact = (alpha / 2.0) * a_inv @ (
             expm(-a_mat * t) - expm(a_mat * (t - 2 * T))) @ theta0
@@ -95,7 +99,7 @@ def test_determinism():
     a = integrate_forward(rate, np.array([0.9, -0.4]), grid)
     b = integrate_forward(rate, np.array([0.9, -0.4]), grid)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.derivs, b.derivs)
+    assert np.array_equal(a.stages, b.stages)
 
 
 def test_divergence_detected():
@@ -107,58 +111,42 @@ def test_divergence_detected():
 
 
 def test_backward_divergence_detected():
-    # pdot = -p^2 from p(T) = 50 blows up backward in time
+    # a Hessian of 1e300 overflows the costate in the first backward step
     grid = make_time_grid(1.0, 10)
+    traj = integrate_forward(lambda s, y: -y, np.array([1.0]), grid)
     with pytest.raises(DivergenceError) as err:
-        integrate_backward(lambda s, p: -p * p, np.array([50.0]), grid)
+        integrate_backward(lambda theta, v: 1e300 * v, traj, np.array([1.0]),
+                           0.0)
     assert err.value.what == "costate"
     assert 0 <= err.value.step < grid.steps
     assert err.value.t == grid.nodes[err.value.step]
 
 
 def test_stage_indices_visited():
-    # stage 2j is node j, stage 2j + 1 the midpoint of interval j
+    # stage 2j is node j, stage 2j + 1 the midpoint of interval j; the stored
+    # stage states are the ones the forward step evaluated, and the backward
+    # step differentiates at them in reverse, ending at the node state
     grid = make_time_grid(1.0, 3)
-    seen = []
+    seen, states = [], []
 
     def rate(s, y):
         seen.append(s)
+        states.append(y.copy())
+        return np.sin(y) - 0.3 * y
+
+    traj = integrate_forward(rate, np.array([0.9]), grid)
+    assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    for j in range(grid.steps):
+        assert np.array_equal(states[4 * j], traj.states[j])
+        assert np.array_equal(np.array(states[4 * j + 1:4 * j + 4]),
+                              traj.stages[j])
+    visited = []
+
+    def hvp(theta, v):
+        visited.append(theta.copy())
         return np.zeros(1)
 
-    integrate_forward(rate, np.zeros(1), grid)
-    assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
-    seen.clear()
-    integrate_backward(rate, np.zeros(1), grid)
-    assert seen == [6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0]
-
-
-class TestInterpolation:
-    def test_node_values_bitwise(self):
-        # the costate rate reads the stored state itself at every even stage
-        # and the Hermite midpoint at every odd one
-        obj = linear_objective(np.array([[1.0, 0.5]]), [0.3])
-        grid = make_time_grid(1.0, 8)
-        traj = integrate_forward(uncontrolled_rate(obj),
-                                 np.array([2.0, -1.0]), grid)
-        rate = make_costate_rate(obj, traj, 1.0)
-        for j in range(grid.steps + 1):
-            assert np.array_equal(rate(2 * j, np.zeros(2)), -traj.states[j])
-        for j, mid in enumerate(midpoint_states(traj)):
-            assert np.array_equal(rate(2 * j + 1, np.zeros(2)), -mid)
-
-    def test_constant_trajectory(self):
-        grid = make_time_grid(1.0, 8)
-        traj = integrate_forward(lambda s, y: np.zeros(2),
-                                 np.array([3.0, -1.0]), grid)
-        assert np.allclose(midpoint_states(traj), [3.0, -1.0])
-
-    def test_midstep_accuracy(self):
-        grid = make_time_grid(1.0, 50)
-        traj = integrate_forward(lambda s, y: -y, np.array([1.0]), grid)
-        mid = midpoint_states(traj)[:, 0]
-        assert np.abs(mid - np.exp(-grid.stage_times[1::2])).max() < 1e-7
-
-    def test_requires_derivs(self):
-        grid = make_time_grid(1.0, 4)
-        with pytest.raises(TypeError):
-            Trajectory(grid, np.zeros((5, 1)))
+    integrate_backward(hvp, traj, np.zeros(1), 1.0)
+    expected = [row for j in range(grid.steps - 1, -1, -1)
+                for row in (*traj.stages[j][::-1], traj.states[j])]
+    assert np.array_equal(np.array(visited), np.array(expected))

@@ -170,6 +170,22 @@ class TestHvp:
         v = np.array([1.0, 0.0])
         assert np.allclose(hvp_function(obj)(theta, v), dense @ v, rtol=1e-4)
 
+    def test_exponential_against_dense_fd_hessian(self):
+        obj = Objective(ModelSpec(ModelKind.EXPONENTIAL),
+                        Dataset(np.array([[0.5], [1.5]]), np.array([1.0, 2.0])),
+                        LossScale.ONE)
+        theta = np.array([0.8, 0.3])
+        h = 1e-5
+        dense = np.empty((2, 2))
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            dense[:, j] = (objective_gradient(obj, theta + e)
+                           - objective_gradient(obj, theta - e)) / (2 * h)
+        for v in np.eye(2):
+            assert np.allclose(hvp_function(obj)(theta, v), dense @ v,
+                               rtol=1e-7)
+
     def test_symmetry(self, mm_train_half):
         rng = np.random.default_rng(9)
         theta = np.array([2.5, 0.3])
