@@ -85,8 +85,8 @@ class ControlGradient:
 
     @property
     def update_norm(self) -> float:
-        """Magnitude of the step the gradient actually drives: coefficient
-        norm for basis controls (the pointwise residual cannot drop below the
+        """The norm both agents' stopping tests use: coefficient norm for
+        basis controls (the pointwise residual cannot drop below the
         representation error there), pointwise norm for grid controls."""
         if self.coefficients is not None:
             return float(np.abs(self.coefficients).max())

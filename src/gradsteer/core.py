@@ -222,6 +222,17 @@ def sampled_basis_matrix(grid: TimeGrid, n_functions: int, stages: bool) -> Arra
     return out
 
 
+@lru_cache(maxsize=64)
+def basis_gram_matrix(grid: TimeGrid, n_functions: int) -> Array:
+    """G = B^T W B for the node-sampled basis B and trapezoid weights W, so
+    that an unclipped basis control's running cost is beta/2 * a^T G a;
+    read-only and cached like sampled_basis_matrix."""
+    basis = sampled_basis_matrix(grid, n_functions, False)
+    out = basis.T @ (trapezoid_weights(grid)[:, None] * basis)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ControlPartition:
     """A 0/1 leader mask over the control coordinates; the follower owns
@@ -313,8 +324,11 @@ _SOLVER_RULES = (
 class SolverConfig:
     """Weights, step sizes, tolerances and caps for the nested solver.
 
-    gamma1/gamma2 of exactly 0 are accepted as an explicit degenerate mode in
-    which the corresponding control is never updated.
+    gamma1 scales the leader's gradient step. gamma2 is the fraction of the
+    follower's successive-approximation (MSA) step that is tried first: 1
+    moves a grid control to the Hamiltonian's minimiser -p2/beta. Both are
+    backtracked. gamma1/gamma2 of exactly 0 are accepted as an explicit
+    degenerate mode in which the corresponding control is never updated.
     """
 
     alpha: float = 0.01

@@ -1,16 +1,22 @@
 """Inner loop: successive approximation of the follower's optimal response
-to a fixed leader control (forward sweep, backward sweep, damped control
-correction with a backtracking safeguard). The backtracking line search is
-shared with the leader's step."""
+to a fixed leader control. Each iteration runs a backward sweep and steps
+toward the pointwise minimiser of the follower Hamiltonian, u2 = -p2/beta
+(the method of successive approximations, MSA), with a backtracking
+safeguard: plain MSA can overshoot (Li, Chen, Tai & E 2018, JMLR 18). The
+backtracking line search is shared with the leader's step."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .adjoint import (FollowerProblem, follower_backward, follower_cost,
-                      follower_forward, follower_gradient_arrays, update_control)
-from .core import ControlSignal, CostateTrajectory, SolverConfig, Trajectory
+import numpy as np
+
+from .adjoint import (ControlGradient, FollowerProblem, follower_backward,
+                      follower_cost, follower_forward, follower_gradient_arrays,
+                      update_control)
+from .core import (ControlSignal, CostateTrajectory, SolverConfig, Trajectory,
+                   basis_gram_matrix)
 from .integrate import DivergenceError
 
 MAX_HALVINGS = 30
@@ -34,6 +40,21 @@ def backtrack(trial: Callable[[float], tuple], step: float,
     return None
 
 
+def msa_direction(u2: ControlSignal, grad: ControlGradient,
+                  beta: float) -> ControlGradient:
+    """The follower's step in its Hamiltonian's own metric: a full step
+    (update_control with step 1) is the MSA update. On a grid control that is
+    grad/beta, so u2 moves to -p2/beta on follower coordinates. On a basis
+    control the coefficient gradient is preconditioned by the Gram matrix G
+    of the node-sampled basis, d = G^-1 grad / beta, the same minimiser taken
+    in coefficient space, where the control cost is beta/2 * a^T G a."""
+    if grad.coefficients is None:
+        return ControlGradient(pointwise=grad.pointwise / beta)
+    coeffs = np.linalg.solve(basis_gram_matrix(u2.grid, u2.n_functions),
+                             grad.coefficients) / beta
+    return ControlGradient(pointwise=grad.pointwise / beta, coefficients=coeffs)
+
+
 @dataclass(frozen=True)
 class FollowerResult:
     u2_star: ControlSignal
@@ -44,7 +65,7 @@ class FollowerResult:
     grad_norm: float
     converged: bool
     stalled: bool                     # backtracking found no descent step
-    gamma_last: float                 # last accepted step size, 0 if none
+    gamma_last: float                 # last accepted MSA step fraction, 0 if none
     j2_history: Tuple[float, ...]     # accepted-iterate costs, strictly decreasing
 
     @property
@@ -54,17 +75,21 @@ class FollowerResult:
 
 def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
                    traj: Trajectory, config: SolverConfig) -> FollowerResult:
-    """Iterate sweeps and corrections from u2_init, whose forward sweep (with
-    prob.u1) is `traj`, until the pointwise extremum residual (beta*u2 + p2
-    on follower coordinates) drops below config.inner_tol. Each accepted
-    trial hands on its own sweep; the result's `trajectory` is u2_star's.
+    """Iterate sweeps and MSA steps (msa_direction) from u2_init, whose
+    forward sweep (with prob.u1) is `traj`, until the gradient's update_norm
+    drops below config.inner_tol: the pointwise extremum residual
+    (beta*u2 + p2 on follower coordinates) for a grid control, its
+    coefficient gradient for a basis control. `converged` reports that test;
+    `grad_norm` is the pointwise residual either way. Each accepted trial
+    hands on its own sweep; the result's `trajectory` is u2_star's.
 
-    Iteration config.max_inner runs its backward sweep and returns that
-    iterate without a line search. A candidate is accepted only when its J2
-    is strictly below the current one, so the returned (last) iterate is
-    also the best; config.gamma2 = 0 returns it without updating. When a
-    positive step cannot decrease J2 after MAX_HALVINGS halvings, the
-    current iterate is returned with `stalled` set.
+    The first trial takes config.gamma2 of the MSA step, and `backtrack`
+    halves it until J2 strictly decreases, so the returned (last) iterate is
+    also the best. Iteration config.max_inner runs its backward sweep and
+    returns that iterate without a line search; config.gamma2 = 0 returns it
+    without updating. When a positive step cannot decrease J2 after
+    MAX_HALVINGS halvings, the current iterate is returned with `stalled`
+    set.
     """
     u2 = u2_init
     j2 = follower_cost(prob, traj, u2)
@@ -78,7 +103,7 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
             stalled=stalled, gamma_last=gamma_last, j2_history=tuple(history))
 
     def trial(step: float):
-        candidate = update_control(u2, grad, step)
+        candidate = update_control(u2, direction, step)
         cand_traj = follower_forward(prob, candidate)
         return (candidate, cand_traj), follower_cost(prob, cand_traj, candidate)
 
@@ -88,13 +113,13 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
         gnorm = grad.norm_inf
         history.append(j2)
         if grad.update_norm <= config.inner_tol:
-            # for a basis control this is coefficient-space stationarity; the
-            # pointwise residual (and the converged flag) may stay above tol
+            # for a basis control the pointwise residual may stay above tol
             # by the representation error
-            return result(gnorm <= config.inner_tol)
+            return result(True)
         if config.gamma2 == 0.0 or it == config.max_inner:
             return result(False)
 
+        direction = msa_direction(u2, grad, prob.beta)
         accepted = backtrack(trial, config.gamma2, j2)
         if accepted is None:
             return result(False, stalled=True)

@@ -29,6 +29,7 @@ class LeaderStepResult:
     merit_after: float          # merit of the accepted step (== merit if none)
     gamma_used: float           # accepted step size, 0 when no step was taken
     stalled: bool
+    converged: bool             # update_norm at or below eps_tol: no step tried
 
 
 def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
@@ -36,8 +37,10 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
     """One leader backward sweep along `traj`, the forward sweep of u1 with
     the follower response `prob.u2` held fixed, and a backtracked correction
     of step config.gamma1; the result's `trajectory` is the accepted trial's
-    sweep, or `traj` when no step is taken. When the residual is already at
-    or below config.eps_tol, no step is attempted; config.gamma1 = 0 reports
+    sweep, or `traj` when no step is taken. When the gradient's update_norm
+    (the pointwise residual for a grid control, the coefficient gradient for
+    a basis control) is already at or below config.eps_tol, the result is
+    `converged` and no step is attempted; config.gamma1 = 0 reports
     a stall without stepping; so does a step that the shared `backtrack`
     cannot make decrease the merit.
     """
@@ -51,22 +54,25 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
         cand_traj = leader_forward(prob, candidate)
         return (candidate, cand_traj), leader_merit(prob, cand_traj)[0]
 
-    stepping = gnorm > config.eps_tol
+    converged = grad.update_norm <= config.eps_tol
     accepted = (backtrack(trial, config.gamma1, merit)
-                if stepping and config.gamma1 else None)
+                if not converged and config.gamma1 else None)
     step, (u1_out, traj_out), merit_after = accepted or (0.0, (u1, traj), merit)
     return LeaderStepResult(u1=u1_out, trajectory=traj_out, grad_norm=gnorm,
                             j1=j1, phi=phi, merit=merit, merit_after=merit_after,
-                            gamma_used=step, stalled=stepping and not accepted)
+                            gamma_used=step,
+                            stalled=not converged and accepted is None,
+                            converged=converged)
 
 
 def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset,
                  partition: ControlPartition, theta0, grid: TimeGrid,
                  u1_init: ControlSignal, u2_init: ControlSignal) -> RunReport:
     """Starting from u1_init and u2_init, alternate follower response solves
-    (warm-started) with leader steps until the leader residual falls below
-    eps_tol, config.max_outer is reached, or the leader stalls in an outer
-    iteration where the follower took no step; every setting comes from
+    (warm-started) with leader steps until the leader step is `converged`
+    (the run is converged when that iteration's follower solve is too),
+    config.max_outer is reached, or the leader stalls in an outer iteration
+    where the follower took no step; every setting comes from
     `config`. A stalled follower solve is not an error: its last iterate,
     which is also its best, is the response the leader steps against. Each
     agent hands on the forward sweep of the pair it returns, so each pair is
@@ -93,8 +99,8 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
             follower_grad_norm=fres.grad_norm,
             gamma1_used=lres.gamma_used, gamma2_used=fres.gamma_last))
 
-        if lres.grad_norm <= config.eps_tol:
-            converged = fres.grad_norm <= config.inner_tol
+        if lres.converged:
+            converged = fres.converged
             break
         if lres.stalled and not fres.progressed:
             break

@@ -227,12 +227,12 @@ class TestGoldenFit:
     # frozen report values of the small config for both control kinds; a
     # change to the solver's arithmetic or its order of operations moves them
     GOLDEN = {
-        "grid": ([3.865093151880277, 0.017322380764719696],
-                 0.003699310477780009, 5.636880171160495,
-                 0.05636895807010519),
-        "basis 4": ([3.8715700515580567, 0.017406816101422844],
-                    0.003536909350549244, 5.657510724224705,
-                    0.05657525430351904),
+        "grid": ([3.8650927085490725, 0.01732237487656885],
+                 0.003699321835916024, 5.636879272023238,
+                 0.05636895820863399),
+        "basis 4": ([3.871569981772874, 0.017407093610953713],
+                    0.0035369548142296712, 5.657508702399101,
+                    0.05657525251234326),
     }
 
     @pytest.mark.parametrize("control", sorted(GOLDEN))

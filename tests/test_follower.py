@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from gradsteer import (ControlPartition, GridControl, LossScale, Objective,
-                       SolverConfig, make_time_grid, zero_grid_control)
-from gradsteer.adjoint import (FollowerProblem, follower_cost, follower_forward,
-                               control_node_values)
+from gradsteer import (BasisControl, ControlPartition, GridControl, LossScale,
+                       Objective, SolverConfig, make_time_grid,
+                       zero_grid_control)
+from gradsteer.adjoint import (FollowerProblem, follower_backward,
+                               follower_cost, follower_forward,
+                               follower_gradient_arrays, control_node_values)
 from gradsteer import follower
-from gradsteer.follower import backtrack, solve_follower
+from gradsteer.cli import parse_config
+from gradsteer.core import (basis_gram_matrix, sampled_basis_matrix,
+                            trapezoid_weights)
+from gradsteer.follower import backtrack, msa_direction, solve_follower
 from gradsteer.integrate import DivergenceError
 
-from conftest import clamped_follower_problem, linear_objective
+from conftest import REPO, clamped_follower_problem, linear_objective
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +146,80 @@ class TestSolveFollower:
         assert res.J2_value > 0.0
         assert res.trajectory.states.tobytes() == \
             follower_forward(prob, init).states.tobytes()
+
+
+class TestMsaStep:
+    def test_grid_first_trial_is_hamiltonian_minimiser(
+            self, mm_follower_problem, monkeypatch):
+        # gamma2 = 1 tries u2 <- -p2/beta on follower coordinates at once;
+        # the leader's coordinate of u2 does not move
+        prob = mm_follower_problem
+        nodes = prob.grid.nodes
+        init = GridControl(prob.grid, np.column_stack(
+            [np.full_like(nodes, 0.3), 0.01 * np.sin(3.0 * nodes)]))
+        trials = []
+
+        def counted(prob_, candidate):
+            trials.append(candidate)
+            return follower_forward(prob_, candidate)
+
+        monkeypatch.setattr(follower, "follower_forward", counted)
+        solve(prob, init, SolverConfig(inner_tol=1e-12, max_inner=2,
+                                       gamma2=1.0))
+        p2 = follower_backward(prob, follower_forward(prob, init)).costates
+        expected = -p2[:, 1] / prob.beta
+        assert 0.0 < np.abs(expected).max() < init.u_max  # no clipping
+        first = trials[0].values
+        assert np.abs(first[:, 1] - expected).max() \
+            <= 1e-14 * np.abs(expected).max()
+        assert first[:, 0].tobytes() == init.values[:, 0].tobytes()
+
+    def test_basis_direction_solves_gram_system(self, mm_follower_problem):
+        prob = mm_follower_problem
+        grid, k = prob.grid, 6
+        coeffs = np.zeros((k, 2))
+        coeffs[:3, 1] = 0.01, -0.02, 0.005
+        u2 = BasisControl(grid, coeffs)
+        grad = follower_gradient_arrays(
+            prob, u2, follower_backward(prob, follower_forward(prob, u2)))
+        d = msa_direction(u2, grad, prob.beta).coefficients
+        gram = basis_gram_matrix(grid, k)
+        assert gram is basis_gram_matrix(grid, k)
+        assert not gram.flags.writeable
+        basis = sampled_basis_matrix(grid, k, False)
+        assert np.allclose(gram, basis.T @ (trapezoid_weights(grid)[:, None]
+                                            * basis), rtol=1e-14, atol=0.0)
+        target = grad.coefficients / prob.beta
+        assert np.abs(gram @ d - target).max() <= 1e-12 * np.abs(target).max()
+        assert np.all(d[:, 0] == 0.0)  # the leader's column stays put
+
+
+class TestShippedFirstSolve:
+    # the first (cold) follower solve of each shipped config, as `fit` runs it
+    @pytest.mark.parametrize("name, max_iterations, j2_max, residual_max", [
+        ("michaelis_menten.cfg", 3, 0.1092239590996757, 9.2e-6),
+        ("michaelis_menten_basis.cfg", 6, 0.10922395991571716, None),
+    ])
+    def test_iterations_and_cost(self, name, max_iterations, j2_max,
+                                 residual_max):
+        cfg = parse_config(REPO / "configs" / name)
+        assert cfg.u1_init == cfg.u2_init == 0.0
+        if cfg.control_kind == "basis":
+            zero = BasisControl(cfg.grid, np.zeros((cfg.basis_size, 2)),
+                                cfg.solver.u_max)
+        else:
+            zero = zero_grid_control(cfg.grid, 2, cfg.solver.u_max)
+        s = cfg.solver
+        prob = FollowerProblem(Objective(cfg.model, cfg.split.train(cfg.data),
+                                         cfg.loss_scale),
+                               s.alpha, s.beta, cfg.partition, zero, cfg.grid,
+                               cfg.theta0)
+        res = solve(prob, zero, s)
+        assert res.converged
+        assert res.inner_iterations <= max_iterations
+        assert res.J2_value <= j2_max
+        if residual_max is not None:
+            assert res.grad_norm <= residual_max
 
 
 class TestBacktrack:

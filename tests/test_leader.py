@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
-                       ModelKind, ModelSpec, Objective, SolverConfig,
-                       make_time_grid, residual_stats, solve_nested,
-                       zero_grid_control)
+from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
+                       LossScale, ModelKind, ModelSpec, Objective,
+                       SolverConfig, make_time_grid, residual_stats,
+                       solve_nested, zero_grid_control)
 from gradsteer import adjoint, follower, leader
 from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
                                control_node_values, follower_cost,
@@ -158,6 +158,27 @@ class TestSolveNested:
         residual = (config.beta * control_node_values(report.u2, grid)
                     + costate.costates) * partition.follower_mask
         assert np.abs(residual).max() <= config.inner_tol
+
+    def test_basis_run_reports_converged(self):
+        # four basis functions cannot bring the pointwise residual down to
+        # inner_tol; the coefficient gradient, which the follower stops on,
+        # gets there, and that is what both converged flags report
+        objective, validation, grid, partition, theta0 = \
+            scalar_lq_problem(n=800)
+        config = SolverConfig(alpha=1.0, beta=1.0, gamma1=0.5, gamma2=0.5,
+                              eps_tol=1e-6, inner_tol=1e-5, mu=0.0, z=0.0,
+                              max_outer=3, max_inner=300)
+        zero = BasisControl(grid, np.zeros((4, 1)))
+        fprob = FollowerProblem(objective, config.alpha, config.beta,
+                                partition, zero, grid, theta0)
+        fres = solve_follower(fprob, zero, follower_forward(fprob, zero),
+                              config)
+        assert fres.converged
+        assert fres.grad_norm > 10 * config.inner_tol
+        report = solve_nested(config, objective, validation, partition,
+                              theta0, grid, zero, zero)
+        assert report.converged
+        assert report.history[-1].follower_grad_norm > 10 * config.inner_tol
 
     def test_history_complete_and_replayable(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
