@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .core import (BasisControl, ControlPartition, Dataset, GridControl,
                    HistoryRecord, RunReport, SolverConfig, SplitSpec,
-                   TerminalMode, TimeGrid, constant_grid_control,
-                   make_time_grid, zero_grid_control)
+                   TerminalMode, TimeGrid, make_time_grid,
+                   zero_grid_control)
 from .models import (LossScale, ModelKind, ModelSpec, Objective,
                      SingularityError, objective_gradient, objective_value,
                      validation_phi, validation_phi_grad)
@@ -30,10 +30,10 @@ __all__ = [
     "HistoryRecord", "LeaderProblem", "LeaderStepResult", "LossScale",
     "ModelKind", "ModelSpec", "Objective", "ResidualStats",
     "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
-    "TerminalMode", "TimeGrid", "constant_grid_control",
-    "control_gradient_follower", "control_gradient_leader",
-    "gradient_check", "integrate_backward", "integrate_forward", "leader_step",
-    "make_time_grid", "objective_gradient", "objective_value",
-    "residual_stats", "solve_follower", "solve_nested", "validation_phi",
+    "TerminalMode", "TimeGrid", "control_gradient_follower",
+    "control_gradient_leader", "gradient_check", "integrate_backward",
+    "integrate_forward", "leader_step", "make_time_grid",
+    "objective_gradient", "objective_value", "residual_stats",
+    "solve_follower", "solve_nested", "validation_phi",
     "validation_phi_grad", "zero_grid_control",
 ]

@@ -5,8 +5,9 @@ forward sweep and the trapezoid rule compute (see `integrate`).
 Conventions (fixed by the finite-difference exactness tests):
 
 * Hamiltonian = running cost + <costate, state velocity>.
-* `costates` are node values p_j whose trapezoid pairing with a direction is
-  the derivative of the functional's state part along it.
+* A backward sweep returns dL/du at every RK4 stage; `node_costates` maps
+  that to node values p_j whose trapezoid pairing with a direction is the
+  derivative of the functional's state part along it.
 * With the follower's zero terminal costate, dH2/du2 = (beta*u2 + p2) on
   follower coordinates is the exact gradient of J2.
 * With the penalty terminal costate p1(T) = mu*(Phi(theta(T)) - z)*dPhi,
@@ -25,8 +26,8 @@ import numpy as np
 
 from .core import (Array, BasisControl, ControlPartition, ControlSignal, Dataset,
                    GridControl, SolverConfig, TerminalMode, TimeGrid,
-                   Trajectory, CostateTrajectory, sampled_basis_matrix,
-                   trapezoid_weights, _frozen_array)
+                   Trajectory, sampled_basis_matrix, trapezoid_weights,
+                   _frozen_array)
 from .integrate import integrate_backward, integrate_forward
 from .models import (Objective, gradient_function, hvp_function, validation_phi,
                      validation_phi_grad)
@@ -131,6 +132,17 @@ def stage_control_values(u: ControlSignal, grid: TimeGrid) -> Array:
     return np.clip(out, -u.u_max, u.u_max)
 
 
+def node_costates(grid: TimeGrid, sens: Array) -> Array:
+    """Node costates p_j of a backward sweep's stage sensitivities `sens`:
+    the transpose of stage_control_values' grid sampling (a midpoint is the
+    mean of its nodes) applied to them over the trapezoid weights, so that
+    p's trapezoid pairing with a node-sampled direction is the derivative."""
+    nodes = sens[0::2].copy()
+    nodes[:-1] += 0.5 * sens[1::2]
+    nodes[1:] += 0.5 * sens[1::2]
+    return nodes / trapezoid_weights(grid)[:, None]
+
+
 def combined_stage_controls(u1: ControlSignal, u2: ControlSignal,
                             partition: ControlPartition, grid: TimeGrid) -> Array:
     if not u1.dimension == u2.dimension == partition.dimension:
@@ -164,7 +176,7 @@ def follower_forward(prob: FollowerProblem, u2: ControlSignal) -> Trajectory:
     return run_forward(prob.objective, stage, prob.theta0, prob.grid)
 
 
-def follower_backward(prob: FollowerProblem, traj: Trajectory) -> CostateTrajectory:
+def follower_backward(prob: FollowerProblem, traj: Trajectory) -> Array:
     return integrate_backward(hvp_function(prob.objective), traj,
                               np.zeros(traj.states.shape[1]), prob.alpha)
 
@@ -178,26 +190,26 @@ def follower_cost(prob: FollowerProblem, traj: Trajectory,
     return float(trapezoid_weights(prob.grid) @ running)
 
 
-def _package_gradient(like: ControlSignal, costate: CostateTrajectory,
+def _package_gradient(grid: TimeGrid, like: ControlSignal, sens: Array,
                       mask: Array, cost_grad) -> ControlGradient:
     """Gradient on the `mask` coordinates of a functional whose running control
-    cost has node gradient `cost_grad` and whose state part has `costate`; a
-    basis control's coefficients take its transposed node and stage sampling."""
-    pointwise = (cost_grad + costate.costates) * mask
+    cost has node gradient `cost_grad` and whose state part has stage
+    sensitivities `sens`; a basis control's coefficients take its transposed
+    node and stage sampling."""
+    pointwise = (cost_grad + node_costates(grid, sens)) * mask
     if isinstance(like, BasisControl):
-        grid = costate.grid
         cost = trapezoid_weights(grid)[:, None] * cost_grad * mask
         coeffs = (sampled_basis_matrix(grid, like.n_functions, False).T @ cost
                   + sampled_basis_matrix(grid, like.n_functions, True).T
-                  @ (costate.sensitivities * mask))
+                  @ (sens * mask))
         return ControlGradient(pointwise=pointwise, coefficients=coeffs)
     return ControlGradient(pointwise=pointwise)
 
 
 def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
-                             costate: CostateTrajectory) -> ControlGradient:
+                             sens: Array) -> ControlGradient:
     u2n = control_node_values(u2, prob.grid)
-    return _package_gradient(u2, costate, prob.partition.follower_mask,
+    return _package_gradient(prob.grid, u2, sens, prob.partition.follower_mask,
                              prob.beta * u2n)
 
 
@@ -205,8 +217,7 @@ def control_gradient_follower(prob: FollowerProblem,
                               u2: ControlSignal) -> ControlGradient:
     """dH2/du2 along the current sweep pair (runs both sweeps)."""
     traj = follower_forward(prob, u2)
-    costate = follower_backward(prob, traj)
-    return follower_gradient_arrays(prob, u2, costate)
+    return follower_gradient_arrays(prob, u2, follower_backward(prob, traj))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
     return prob.mu * (leader_phi(prob, theta_T) - prob.z) * dphi
 
 
-def leader_backward(prob: LeaderProblem, traj: Trajectory) -> CostateTrajectory:
+def leader_backward(prob: LeaderProblem, traj: Trajectory) -> Array:
     p_T = leader_terminal_costate(prob, traj.terminal_state)
     return integrate_backward(hvp_function(prob.objective), traj, p_T, 1.0)
 
@@ -254,16 +265,16 @@ def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, f
 
 
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
-                           costate: CostateTrajectory) -> ControlGradient:
-    return _package_gradient(u1, costate, prob.partition.leader_mask, 0.0)
+                           sens: Array) -> ControlGradient:
+    return _package_gradient(prob.grid, u1, sens, prob.partition.leader_mask,
+                             0.0)
 
 
 def control_gradient_leader(prob: LeaderProblem,
                             u1: ControlSignal) -> ControlGradient:
     """dH1/du1 = leader-masked costate (no explicit control cost in H1)."""
     traj = leader_forward(prob, u1)
-    costate = leader_backward(prob, traj)
-    return leader_gradient_arrays(prob, u1, costate)
+    return leader_gradient_arrays(prob, u1, leader_backward(prob, traj))
 
 
 # ---------------------------------------------------------------------------

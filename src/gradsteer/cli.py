@@ -24,7 +24,7 @@ from .adjoint import control_node_values, gradient_check, run_forward
 from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
                    SolverConfig, SplitSpec, TerminalMode, TimeGrid,
-                   constant_grid_control, make_time_grid)
+                   make_time_grid, zero_grid_control)
 from .integrate import DivergenceError
 from .leader import residual_stats, solve_nested
 from .models import (LossScale, ModelKind, ModelSpec, Objective,
@@ -109,8 +109,6 @@ class RunConfig:
     partition: ControlPartition
     control_kind: str              # "grid" or "basis"
     basis_size: int
-    u1_init: float
-    u2_init: float
     out_dir: Path
     seed: int
 
@@ -118,8 +116,7 @@ class RunConfig:
 # SolverConfig's own defaults (the parsers take them as they are), CLI keys
 _DEFAULTS = {
     **{f.name: f.default for f in fields(SolverConfig)},
-    "loss_scale": "half", "control": "grid", "u1_init": "0.0",
-    "u2_init": "0.0", "out_dir": "out", "seed": "0",
+    "loss_scale": "half", "control": "grid", "out_dir": "out", "seed": "0",
 }
 
 _REQUIRED = ("model", "data", "train_indices", "validation_indices",
@@ -211,7 +208,7 @@ def parse_config(path) -> RunConfig:
     # reported at the line of the key it names
     try:
         solver = SolverConfig(
-            **{key: convert(key) for key in ("alpha", "beta", "gamma1", "gamma2",
+            **{key: convert(key) for key in ("alpha", "beta", "gamma1",
                                             "eps_tol", "inner_tol", "z", "mu",
                                             "u_max")},
             max_outer=convert("max_outer", int),
@@ -251,10 +248,6 @@ def parse_config(path) -> RunConfig:
     elif len(parts) != 1:
         fail("control", f"unexpected trailing text in {control_text!r}")
 
-    u1_init, u2_init = convert("u1_init"), convert("u2_init")
-    for key, value in (("u1_init", u1_init), ("u2_init", u2_init)):
-        if abs(value) > solver.u_max:
-            fail(key, "initial control exceeds u_max")
     seed = convert("seed", int)
     if seed < 0:
         fail("seed", "must be at least 0")
@@ -273,8 +266,7 @@ def parse_config(path) -> RunConfig:
     return RunConfig(model=model, data_path=data_path, data=data, split=split,
                      loss_scale=loss_scale, solver=solver, grid=grid,
                      theta0=theta0, partition=partition, control_kind=parts[0],
-                     basis_size=basis_size, u1_init=u1_init, u2_init=u2_init,
-                     out_dir=Path(out_text), seed=seed)
+                     basis_size=basis_size, out_dir=Path(out_text), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +277,13 @@ def _load_problem(cfg: RunConfig):
     return objective, cfg.split.validation(cfg.data)
 
 
-def _initial_control(cfg: RunConfig, value: float):
-    const = np.full(cfg.partition.dimension, value)
+def _initial_control(cfg: RunConfig):
+    """The zero control of the configured kind; both agents start from it."""
+    p = cfg.partition.dimension
     if cfg.control_kind == "basis":
-        coeffs = np.zeros((cfg.basis_size, cfg.partition.dimension))
-        coeffs[0] = const  # first basis function is identically 1
-        return BasisControl(cfg.grid, coeffs, u_max=cfg.solver.u_max)
-    return constant_grid_control(cfg.grid, const, cfg.solver.u_max)
+        return BasisControl(cfg.grid, np.zeros((cfg.basis_size, p)),
+                            u_max=cfg.solver.u_max)
+    return zero_grid_control(cfg.grid, p, cfg.solver.u_max)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +394,9 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     objective, validation = _load_problem(cfg)
 
+    zero = _initial_control(cfg)
     report = solve_nested(cfg.solver, objective, validation, cfg.partition,
-                          cfg.theta0, cfg.grid,
-                          u1_init=_initial_control(cfg, cfg.u1_init),
-                          u2_init=_initial_control(cfg, cfg.u2_init))
+                          cfg.theta0, cfg.grid, u1_init=zero, u2_init=zero)
 
     stats = residual_stats(cfg.model, report.theta_final, cfg.data)
 

@@ -205,11 +205,6 @@ def zero_grid_control(grid: TimeGrid, dimension: int, u_max: float = 10.0) -> Gr
     return GridControl(grid, np.zeros((grid.steps + 1, dimension)), u_max)
 
 
-def constant_grid_control(grid: TimeGrid, value, u_max: float = 10.0) -> GridControl:
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    return GridControl(grid, np.tile(value, (grid.steps + 1, 1)), u_max)
-
-
 @lru_cache(maxsize=64)
 def sampled_basis_matrix(grid: TimeGrid, n_functions: int, stages: bool) -> Array:
     """BasisControl's functions phi_1..phi_K (columns) at the grid's nodes
@@ -281,30 +276,6 @@ class Trajectory:
         return self.states[-1]
 
 
-@dataclass(frozen=True)
-class CostateTrajectory:
-    """dL/du at every stage of a sweep (integrate_backward's result), and the
-    node costates p_j: the grid's transposed stage sampling (a midpoint is the
-    mean of its nodes) applied to them over the trapezoid weights, so that p's
-    trapezoid pairing with a node-sampled direction is the derivative of L."""
-
-    grid: TimeGrid
-    sensitivities: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "sensitivities",
-                           _frozen_array(self.sensitivities, "sensitivities"))
-        if self.sensitivities.shape[0] != 2 * self.grid.steps + 1:
-            raise ValueError("need one sensitivity per stage")
-
-    @property
-    def costates(self) -> Array:
-        nodes = self.sensitivities[0::2].copy()
-        nodes[:-1] += 0.5 * self.sensitivities[1::2]
-        nodes[1:] += 0.5 * self.sensitivities[1::2]
-        return nodes / trapezoid_weights(self.grid)[:, None]
-
-
 class TerminalMode(Enum):
     PENALTY = "penalty"
     PAPER_FIXED = "paper_fixed"
@@ -314,7 +285,7 @@ class TerminalMode(Enum):
 _SOLVER_RULES = (
     (("alpha", "beta", "eps_tol", "inner_tol", "u_max"), lambda v: v > 0,
      "must be positive"),
-    (("gamma1", "gamma2"), lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    (("gamma1",), lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     (("z", "mu"), lambda v: v >= 0, "must be non-negative"),
     (("max_outer", "max_inner"), lambda v: v >= 1, "must be at least 1"),
 )
@@ -324,17 +295,14 @@ _SOLVER_RULES = (
 class SolverConfig:
     """Weights, step sizes, tolerances and caps for the nested solver.
 
-    gamma1 scales the leader's gradient step. gamma2 is the fraction of the
-    follower's successive-approximation (MSA) step that is tried first: 1
-    moves a grid control to the Hamiltonian's minimiser -p2/beta. Both are
-    backtracked. gamma1/gamma2 of exactly 0 are accepted as an explicit
-    degenerate mode in which the corresponding control is never updated.
+    gamma1 is the leader's first trial step along its gradient; the
+    follower's first trial is always its full successive-approximation (MSA)
+    step. Both are backtracked.
     """
 
     alpha: float = 0.01
     beta: float = 0.1
     gamma1: float = 0.5
-    gamma2: float = 1.0
     eps_tol: float = 1e-5
     inner_tol: float = 1e-6
     z: float = 0.005
@@ -353,7 +321,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """One outer iteration: cost values and extremum residual norms."""
+    """One outer iteration: cost values, extremum residual norms, and the
+    steps the two line searches accepted (gamma2_used is the follower's
+    last accepted fraction of its MSA step; 0 means no step)."""
 
     j1: float
     j2: float

@@ -15,8 +15,7 @@ import numpy as np
 from .adjoint import (ControlGradient, FollowerProblem, follower_backward,
                       follower_cost, follower_forward, follower_gradient_arrays,
                       update_control)
-from .core import (ControlSignal, CostateTrajectory, SolverConfig, Trajectory,
-                   basis_gram_matrix)
+from .core import ControlSignal, SolverConfig, Trajectory, basis_gram_matrix
 from .integrate import DivergenceError
 
 MAX_HALVINGS = 30
@@ -59,7 +58,6 @@ def msa_direction(u2: ControlSignal, grad: ControlGradient,
 class FollowerResult:
     u2_star: ControlSignal
     trajectory: Trajectory            # the forward sweep of u2_star
-    costate: CostateTrajectory
     J2_value: float
     inner_iterations: int
     grad_norm: float
@@ -83,11 +81,10 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
     `grad_norm` is the pointwise residual either way. Each accepted trial
     hands on its own sweep; the result's `trajectory` is u2_star's.
 
-    The first trial takes config.gamma2 of the MSA step, and `backtrack`
-    halves it until J2 strictly decreases, so the returned (last) iterate is
-    also the best. Iteration config.max_inner runs its backward sweep and
-    returns that iterate without a line search; config.gamma2 = 0 returns it
-    without updating. When a positive step cannot decrease J2 after
+    The first trial takes the full MSA step, and `backtrack` halves it until
+    J2 strictly decreases, so the returned (last) iterate is also the best.
+    Iteration config.max_inner runs its backward sweep and returns that
+    iterate without a line search. When a step cannot decrease J2 after
     MAX_HALVINGS halvings, the current iterate is returned with `stalled`
     set.
     """
@@ -98,7 +95,7 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
 
     def result(converged: bool, stalled: bool = False) -> FollowerResult:
         return FollowerResult(
-            u2_star=u2, trajectory=traj, costate=costate, J2_value=j2,
+            u2_star=u2, trajectory=traj, J2_value=j2,
             inner_iterations=it, grad_norm=gnorm, converged=converged,
             stalled=stalled, gamma_last=gamma_last, j2_history=tuple(history))
 
@@ -108,19 +105,18 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
         return (candidate, cand_traj), follower_cost(prob, cand_traj, candidate)
 
     for it in range(1, config.max_inner + 1):
-        costate = follower_backward(prob, traj)
-        grad = follower_gradient_arrays(prob, u2, costate)
+        grad = follower_gradient_arrays(prob, u2, follower_backward(prob, traj))
         gnorm = grad.norm_inf
         history.append(j2)
         if grad.update_norm <= config.inner_tol:
             # for a basis control the pointwise residual may stay above tol
             # by the representation error
             return result(True)
-        if config.gamma2 == 0.0 or it == config.max_inner:
+        if it == config.max_inner:
             return result(False)
 
         direction = msa_direction(u2, grad, prob.beta)
-        accepted = backtrack(trial, config.gamma2, j2)
+        accepted = backtrack(trial, 1.0, j2)
         if accepted is None:
             return result(False, stalled=True)
         gamma_last, (u2, traj), j2 = accepted

@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (Array, CostateTrajectory, TimeGrid, Trajectory,
-                   trapezoid_weights)
+from .core import Array, TimeGrid, Trajectory, trapezoid_weights
 
 Rate = Callable[[int, Array], Array]
 
@@ -61,12 +60,13 @@ def integrate_forward(rate: Rate, y0, grid: TimeGrid) -> Trajectory:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_backward(hvp: Callable[[Array, Array], Array], traj: Trajectory,
-                       p_T, forcing: float) -> CostateTrajectory:
-    """dL/du at all 2N + 1 stages of `traj`, a sweep of the rate
-    u - grad J(theta) with hvp(theta, v) = Hess(J)(theta) @ v, for
-    L = sum_j w_j forcing/2 |theta_j|^2 + (a terminal term of gradient p_T),
-    w the trapezoid weights. Runs lambda_j = dL/dtheta_j through the
-    transposed RK4 steps from lambda_N = p_T + w_N * forcing * theta_N."""
+                       p_T, forcing: float) -> Array:
+    """dL/du at all 2N + 1 stages of `traj`, a read-only (2N + 1, p) array;
+    `traj` is a sweep of the rate u - grad J(theta) with hvp(theta, v) =
+    Hess(J)(theta) @ v, and L = sum_j w_j forcing/2 |theta_j|^2 + (a
+    terminal term of gradient p_T), w the trapezoid weights. Runs lambda_j =
+    dL/dtheta_j through the transposed RK4 steps from lambda_N = p_T + w_N *
+    forcing * theta_N."""
     grid = traj.grid
     n = grid.steps
     h = grid.dt
@@ -91,4 +91,5 @@ def integrate_backward(hvp: Callable[[Array, Array], Array], traj: Trajectory,
         lam = lam + a1 + a2 + a3 + a4 + running[j]
         if not np.all(np.isfinite(lam)):
             raise DivergenceError(grid.nodes[j], j, "costate")
-    return CostateTrajectory(grid=grid, sensitivities=sens)
+    sens.flags.writeable = False
+    return sens

@@ -40,12 +40,10 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
     sweep, or `traj` when no step is taken. When the gradient's update_norm
     (the pointwise residual for a grid control, the coefficient gradient for
     a basis control) is already at or below config.eps_tol, the result is
-    `converged` and no step is attempted; config.gamma1 = 0 reports
-    a stall without stepping; so does a step that the shared `backtrack`
-    cannot make decrease the merit.
+    `converged` and no step is attempted; a step that the shared `backtrack`
+    cannot make decrease the merit reports a stall.
     """
-    costate = leader_backward(prob, traj)
-    grad = leader_gradient_arrays(prob, u1, costate)
+    grad = leader_gradient_arrays(prob, u1, leader_backward(prob, traj))
     gnorm = grad.norm_inf
     merit, j1, phi = leader_merit(prob, traj)
 
@@ -55,8 +53,7 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
         return (candidate, cand_traj), leader_merit(prob, cand_traj)[0]
 
     converged = grad.update_norm <= config.eps_tol
-    accepted = (backtrack(trial, config.gamma1, merit)
-                if not converged and config.gamma1 else None)
+    accepted = None if converged else backtrack(trial, config.gamma1, merit)
     step, (u1_out, traj_out), merit_after = accepted or (0.0, (u1, traj), merit)
     return LeaderStepResult(u1=u1_out, trajectory=traj_out, grad_norm=gnorm,
                             j1=j1, phi=phi, merit=merit, merit_after=merit_after,

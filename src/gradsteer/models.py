@@ -112,9 +112,7 @@ def gradient_function(obj: Objective) -> Callable[[Array], Array]:
         w = obj.dataset.inputs[:, 0]
 
         def grad(theta: Array) -> Array:
-            d = theta[1] + w
-            if np.abs(d).min() <= SINGULARITY_GUARD:
-                raise SingularityError(theta, float(w[np.abs(d).argmin()]))
+            d = _mm_check(theta, w)
             q = w / d
             r = theta[0] * q - outputs
             return (scale / m) * np.array([r @ q, -theta[0] * (r @ (q / d))])

@@ -9,7 +9,8 @@ from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
                                control_gradient_follower, control_gradient_leader,
                                follower_backward, follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
-                               leader_merit, leader_terminal_costate, run_forward,
+                               leader_merit, leader_terminal_costate,
+                               node_costates, run_forward,
                                smooth_random_signal, update_control)
 from gradsteer.models import (gradient_function, objective_gradient,
                               validation_phi_grad)
@@ -140,8 +141,8 @@ class TestCostateRates:
         prob = FollowerProblem(obj, ALPHA, BETA, partition_10,
                                zero_grid_control(grid, 2), grid, np.zeros(2))
         cs = follower_backward(prob, follower_forward(prob, prob.u1))
-        assert np.array_equal(cs.sensitivities, np.zeros((5, 2)))
-        assert np.array_equal(cs.costates, np.zeros((3, 2)))
+        assert np.array_equal(cs, np.zeros((5, 2)))
+        assert np.array_equal(node_costates(grid, cs), np.zeros((3, 2)))
 
     def test_linear_constant_hessian(self, partition_10):
         # quadratic functional: the central difference itself is exact
@@ -158,7 +159,7 @@ class TestCostateRates:
             return follower_cost(prob, run_forward(obj, stage, prob.theta0, grid), u2)
 
         cs = follower_backward(prob, run_forward(obj, stage_u, prob.theta0, grid))
-        assert np.allclose(cs.sensitivities, stage_fd(j2, stage_u),
+        assert np.allclose(cs, stage_fd(j2, stage_u),
                            rtol=1e-8, atol=1e-12)
 
     def test_matches_hamiltonian_theta_derivative(self, mm_train_half,
@@ -175,7 +176,7 @@ class TestCostateRates:
         traj = run_forward(mm_train_half, stage_u, fprob.theta0, fprob.grid)
         cs = follower_backward(fprob, traj)
         fd = stage_fd(j2, stage_u)
-        assert np.abs(cs.sensitivities - fd).max() <= 1e-7 * np.abs(fd).max()
+        assert np.abs(cs - fd).max() <= 1e-7 * np.abs(fd).max()
 
     def test_leader_rate_matches_hamiltonian(self, mm_train_half,
                                              mm_validation):
@@ -190,7 +191,7 @@ class TestCostateRates:
         traj = run_forward(mm_train_half, stage_u, lprob.theta0, lprob.grid)
         cs = leader_backward(lprob, traj)
         fd = stage_fd(merit, stage_u)
-        assert np.abs(cs.sensitivities - fd).max() <= 1e-7 * np.abs(fd).max()
+        assert np.abs(cs - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
 class TestTerminalConditions:
@@ -210,7 +211,7 @@ class TestTerminalConditions:
         assert np.array_equal(p_T, np.zeros(2))
         cs = leader_backward(prob2, traj)
         lam_N = terminal_lambda(grid, p_T, 1.0, traj.terminal_state)
-        assert np.array_equal(cs.sensitivities[-1], grid.dt / 6.0 * lam_N)
+        assert np.array_equal(cs[-1], grid.dt / 6.0 * lam_N)
 
     def test_paper_fixed_boundary(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
@@ -222,7 +223,7 @@ class TestTerminalConditions:
         p_T = -validation_phi_grad(objective.model, traj.terminal_state,
                                    validation, objective.loss_scale)
         lam_N = terminal_lambda(grid, p_T, 1.0, traj.terminal_state)
-        assert np.array_equal(cs.sensitivities[-1], grid.dt / 6.0 * lam_N)
+        assert np.array_equal(cs[-1], grid.dt / 6.0 * lam_N)
 
     def test_follower_terminal_is_zero(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
@@ -231,7 +232,7 @@ class TestTerminalConditions:
         traj = follower_forward(prob, zero_grid_control(grid, 2))
         cs = follower_backward(prob, traj)
         lam_N = terminal_lambda(grid, np.zeros(2), ALPHA, traj.terminal_state)
-        assert np.array_equal(cs.sensitivities[-1], grid.dt / 6.0 * lam_N)
+        assert np.array_equal(cs[-1], grid.dt / 6.0 * lam_N)
 
 
 class TestControlGradients:

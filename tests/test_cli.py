@@ -15,6 +15,12 @@ DATA_CSV = REPO / "data" / "michaelis_menten.csv"
 GOLDEN_CFG = REPO / "configs" / "michaelis_menten.cfg"
 
 
+# both agents frozen at their zero start: the follower's cap of one iteration
+# returns it, and an eps_tol above the leader's first residual (2.68 for this
+# problem) leaves the leader converged without a step
+FROZEN = {"max_inner": "1", "eps_tol": "10.0"}
+
+
 def write_config(path: Path, **overrides) -> Path:
     """Small, fast Michaelis-Menten configuration for CLI tests."""
     base = {
@@ -24,7 +30,7 @@ def write_config(path: Path, **overrides) -> Path:
         "validation_indices": "2,4,6",
         "loss_scale": "half",
         "alpha": "0.01", "beta": "0.1",
-        "gamma1": "0.01", "gamma2": "1.0",
+        "gamma1": "0.01",
         "eps_tol": "1e-5", "inner_tol": "1e-5",
         "z": "0.005", "mu": "100.0",
         "terminal_mode": "penalty",
@@ -114,21 +120,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="model"):
             parse_config(cfg)
 
-    def test_unknown_key_has_line(self, tmp_path):
-        cfg = write_config(tmp_path)
-        with open(cfg, "a") as fh:
-            fh.write("bogus_key = 1\n")
-        n_lines = len(cfg.read_text().splitlines())
-        with pytest.raises(ConfigError, match=f":{n_lines}:"):
-            parse_config(cfg)
+    def test_unknown_key_has_line(self, tmp_path, capsys):
+        # gamma2, u1_init and u2_init are retired keys
+        for key in ("bogus_key", "gamma2", "u1_init", "u2_init"):
+            cfg = write_config(tmp_path)
+            with open(cfg, "a") as fh:
+                fh.write(f"{key} = 1\n")
+            message = f":{len(cfg.read_text().splitlines())}: unknown key '{key}'"
+            with pytest.raises(ConfigError, match=message):
+                parse_config(cfg)
+            assert main(["fit", str(cfg)]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("alpha", "-0.5"), ("beta", "0"), ("gamma1", "1.5"), ("gamma2", "-1"),
+        ("alpha", "-0.5"), ("beta", "0"), ("gamma1", "1.5"),
         ("eps_tol", "0"), ("z", "-0.1"), ("mu", "-3"), ("N_t", "1"),
         ("T", "-2"), ("u_max", "0"), ("theta0", "1,not_a_number"),
         ("leader_mask", "1,2"), ("control", "fourier"),
         ("loss_scale", "double"), ("terminal_mode", "soft"),
-        ("train_indices", "0,1"), ("u1_init", "99"),
+        ("train_indices", "0,1"),
+        # retired keys, refused whatever their value
+        ("gamma2", "-1"), ("u1_init", "99"),
     ])
     def test_invariant_violations_rejected(self, tmp_path, key, value):
         cfg = write_config(tmp_path, **{key: value})
@@ -170,8 +182,7 @@ class TestParseConfig:
         parsed = parse_config(cfg)
         assert parsed.solver == SolverConfig()
         assert parsed.loss_scale is LossScale.HALF
-        assert (parsed.control_kind, parsed.u1_init, parsed.u2_init) == \
-            ("grid", 0.0, 0.0)
+        assert parsed.control_kind == "grid"
         assert (parsed.out_dir, parsed.seed) == (Path("out"), 0)
 
 
@@ -204,11 +215,15 @@ class TestRunFit:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_gamma_zero_not_converged(self, tmp_path):
-        cfg = write_config(tmp_path, gamma1="0.0", gamma2="0.0")
+        cfg = write_config(tmp_path, **FROZEN)
         out = tmp_path / "oz"
         assert run_fit(cfg, out) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
-        assert report["converged"] is False
+        assert report["converged"] is False  # the follower stopped at its cap
+        assert report["outer_iterations"] == 1
+        first = report["history"][0]
+        assert first["leader_grad_norm"] < float(FROZEN["eps_tol"])
+        assert first["gamma1_used"] == first["gamma2_used"] == 0.0
 
     def test_divergent_config_exit_3(self, tmp_path, capsys):
         # an extreme target makes the exponential model's flow overflow within
@@ -278,7 +293,7 @@ class TestRunSimulate:
             (out2 / "trajectory.csv").read_bytes()
 
     def test_matches_degenerate_fit_bitwise(self, tmp_path):
-        cfg = write_config(tmp_path, gamma1="0.0", gamma2="0.0")
+        cfg = write_config(tmp_path, **FROZEN)
         sim_out, fit_out = tmp_path / "sd", tmp_path / "fd"
         run_simulate(cfg, sim_out)
         run_fit(cfg, fit_out)

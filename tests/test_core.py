@@ -4,14 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
-                       SolverConfig, SplitSpec, constant_grid_control,
-                       make_time_grid, zero_grid_control)
+                       SolverConfig, SplitSpec, make_time_grid,
+                       zero_grid_control)
 from gradsteer.adjoint import (FollowerProblem, combined_stage_controls,
                                control_node_values, stage_control_values)
 from gradsteer.cli import parse_config
 from gradsteer.core import InvalidSetting
 
 from conftest import REPO
+
+
+def constant_control(grid, value):
+    """A grid control holding `value` at every node."""
+    return GridControl(grid, np.tile(np.asarray(value, dtype=float),
+                                     (grid.steps + 1, 1)))
 
 
 class TestTimeGrid:
@@ -42,7 +48,7 @@ class TestTimeGrid:
 class TestControlEvaluation:
     def test_grid_constant(self):
         grid = make_time_grid(2.0, 10)
-        u = constant_grid_control(grid, [3.0, -1.0])
+        u = constant_control(grid, [3.0, -1.0])
         assert np.allclose(control_node_values(u, grid), [3.0, -1.0])
         assert np.allclose(stage_control_values(u, grid), [3.0, -1.0])
 
@@ -92,8 +98,8 @@ class TestPartition:
     def test_mask_selection(self):
         grid = make_time_grid(1.0, 4)
         part = ControlPartition(np.array([1.0, 0.0]))
-        u1 = constant_grid_control(grid, [3.0, 3.0])
-        u2 = constant_grid_control(grid, [5.0, 5.0])
+        u1 = constant_control(grid, [3.0, 3.0])
+        u2 = constant_control(grid, [5.0, 5.0])
         assert np.allclose(combined_stage_controls(u1, u2, part, grid), [3.0, 5.0])
 
     def test_zero_controls(self):
@@ -120,8 +126,8 @@ class TestPartition:
         part = ControlPartition([1.0, 0.0])
         for d1, d2 in ((3, 3), (1, 1), (2, 1), (1, 2)):
             with pytest.raises(ValueError, match="dimension"):
-                combined_stage_controls(constant_grid_control(grid, [3.0] * d1),
-                                        constant_grid_control(grid, [5.0] * d2),
+                combined_stage_controls(constant_control(grid, [3.0] * d1),
+                                        constant_control(grid, [5.0] * d2),
                                         part, grid)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=6),
@@ -134,8 +140,8 @@ class TestPartition:
         grid = make_time_grid(1.0, 4)
         a = np.array(a_vals[:p])
         b = np.array(b_vals[:p])
-        out = combined_stage_controls(constant_grid_control(grid, a),
-                                      constant_grid_control(grid, b), part, grid)
+        out = combined_stage_controls(constant_control(grid, a),
+                                      constant_control(grid, b), part, grid)
         for j in range(p):
             expected = a[j] if mask_bits[j] else b[j]
             assert out[:, j] == pytest.approx(expected)
@@ -210,14 +216,10 @@ class TestDatasetAndSplit:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"alpha": 0.0}, {"beta": -1.0}, {"gamma1": 1.5}, {"gamma2": -0.1},
+        {"alpha": 0.0}, {"beta": -1.0}, {"gamma1": 1.5}, {"gamma1": 0.0},
         {"eps_tol": 0.0}, {"inner_tol": -1e-9}, {"z": -0.1}, {"mu": -1.0},
         {"max_outer": 0}, {"max_inner": 0}, {"u_max": 0.0},
     ])
     def test_invariants(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
-
-    def test_gamma_zero_allowed(self):
-        cfg = SolverConfig(gamma1=0.0, gamma2=0.0)
-        assert cfg.gamma1 == 0.0

@@ -6,9 +6,10 @@ from gradsteer import (BasisControl, ControlPartition, GridControl, LossScale,
                        zero_grid_control)
 from gradsteer.adjoint import (FollowerProblem, follower_backward,
                                follower_cost, follower_forward,
-                               follower_gradient_arrays, control_node_values)
+                               follower_gradient_arrays, control_node_values,
+                               node_costates)
 from gradsteer import follower
-from gradsteer.cli import parse_config
+from gradsteer.cli import _initial_control, parse_config
 from gradsteer.core import (basis_gram_matrix, sampled_basis_matrix,
                             trapezoid_weights)
 from gradsteer.follower import backtrack, msa_direction, solve_follower
@@ -46,8 +47,7 @@ class TestSolveFollower:
     def test_zero_is_optimal_when_unforced(self):
         prob = full_follower_problem(alpha=1e-8)
         res = solve(prob, zero_grid_control(prob.grid, 1),
-                    SolverConfig(inner_tol=1e-9, max_inner=50,
-                                 gamma2=1.0))
+                    SolverConfig(inner_tol=1e-9, max_inner=50))
         assert res.converged
         assert np.abs(control_node_values(res.u2_star, prob.grid)).max() < 1e-3
         assert res.J2_value < 1e-6
@@ -55,8 +55,7 @@ class TestSolveFollower:
     def test_monotone_history(self, mm_follower_problem):
         prob = mm_follower_problem
         res = solve(prob, zero_grid_control(prob.grid, 2),
-                    SolverConfig(inner_tol=1e-7, max_inner=60,
-                                 gamma2=1.0))
+                    SolverConfig(inner_tol=1e-7, max_inner=60))
         # an accepted step strictly lowers J2, so the last iterate is the best
         assert len(res.j2_history) > 1
         assert all(b < a for a, b in zip(res.j2_history, res.j2_history[1:]))
@@ -70,7 +69,7 @@ class TestSolveFollower:
         prob = full_follower_problem(alpha=0.5, beta=0.2, theta0=2.0)
         init = GridControl(prob.grid, np.full((prob.grid.steps + 1, 1), 0.5))
         res = solve(prob, init, SolverConfig(inner_tol=1e-3,
-                                             max_inner=100, gamma2=1.0))
+                                             max_inner=100))
         j2_init = follower_cost(prob, follower_forward(prob, init), init)
         assert res.J2_value <= j2_init
 
@@ -87,11 +86,11 @@ class TestSolveFollower:
     def test_optimality_certificate(self):
         prob = full_follower_problem(alpha=0.5, beta=0.5, theta0=1.0, n=800)
         res = solve(prob, zero_grid_control(prob.grid, 1),
-                    SolverConfig(inner_tol=1e-5, max_inner=200,
-                                 gamma2=0.9))
+                    SolverConfig(inner_tol=1e-5, max_inner=200))
         assert res.converged
+        p2 = node_costates(prob.grid, follower_backward(prob, res.trajectory))
         residual = (prob.beta * control_node_values(res.u2_star, prob.grid)
-                    + res.costate.costates) * prob.partition.follower_mask
+                    + p2) * prob.partition.follower_mask
         assert np.abs(residual).max() <= 1e-5
         assert res.grad_norm == np.abs(residual).max()
 
@@ -101,15 +100,6 @@ class TestSolveFollower:
                     SolverConfig(inner_tol=1e-7, max_inner=40))
         assert np.array_equal(res.u2_star.values[:, 0],
                               np.zeros(prob.grid.steps + 1))
-
-    def test_gamma_zero_returns_unchanged(self, mm_follower_problem):
-        prob = mm_follower_problem
-        init = zero_grid_control(prob.grid, 2)
-        res = solve(prob, init, SolverConfig(inner_tol=1e-12,
-                                             max_inner=50, gamma2=0.0))
-        assert res.inner_iterations == 1
-        assert res.u2_star is init
-        assert not res.progressed
 
     def test_cap_returns_before_line_search(self, mm_follower_problem,
                                             monkeypatch):
@@ -137,7 +127,7 @@ class TestSolveFollower:
         # and no positive step can decrease J2
         prob, init = clamped_follower_problem()
         res = solve(prob, init, SolverConfig(inner_tol=1e-10,
-                                             max_inner=20, gamma2=1.0))
+                                             max_inner=20))
         assert res.stalled
         assert not res.converged
         assert not res.progressed
@@ -151,7 +141,7 @@ class TestSolveFollower:
 class TestMsaStep:
     def test_grid_first_trial_is_hamiltonian_minimiser(
             self, mm_follower_problem, monkeypatch):
-        # gamma2 = 1 tries u2 <- -p2/beta on follower coordinates at once;
+        # the first trial is u2 <- -p2/beta on follower coordinates;
         # the leader's coordinate of u2 does not move
         prob = mm_follower_problem
         nodes = prob.grid.nodes
@@ -164,9 +154,9 @@ class TestMsaStep:
             return follower_forward(prob_, candidate)
 
         monkeypatch.setattr(follower, "follower_forward", counted)
-        solve(prob, init, SolverConfig(inner_tol=1e-12, max_inner=2,
-                                       gamma2=1.0))
-        p2 = follower_backward(prob, follower_forward(prob, init)).costates
+        solve(prob, init, SolverConfig(inner_tol=1e-12, max_inner=2))
+        p2 = node_costates(prob.grid,
+                           follower_backward(prob, follower_forward(prob, init)))
         expected = -p2[:, 1] / prob.beta
         assert 0.0 < np.abs(expected).max() < init.u_max  # no clipping
         first = trials[0].values
@@ -203,12 +193,7 @@ class TestShippedFirstSolve:
     def test_iterations_and_cost(self, name, max_iterations, j2_max,
                                  residual_max):
         cfg = parse_config(REPO / "configs" / name)
-        assert cfg.u1_init == cfg.u2_init == 0.0
-        if cfg.control_kind == "basis":
-            zero = BasisControl(cfg.grid, np.zeros((cfg.basis_size, 2)),
-                                cfg.solver.u_max)
-        else:
-            zero = zero_grid_control(cfg.grid, 2, cfg.solver.u_max)
+        zero = _initial_control(cfg)  # both agents' start
         s = cfg.solver
         prob = FollowerProblem(Objective(cfg.model, cfg.split.train(cfg.data),
                                          cfg.loss_scale),

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from gradsteer import (DivergenceError, integrate_backward, integrate_forward,
                        make_time_grid)
+from gradsteer.adjoint import node_costates
 from gradsteer.models import hvp_function
 
 from conftest import linear_objective, uncontrolled_rate
@@ -42,8 +43,9 @@ def test_backward_zero_field():
     grid = make_time_grid(1.0, 10)
     traj = integrate_forward(lambda s, y: np.zeros(1), np.zeros(1), grid)
     cs = integrate_backward(lambda theta, v: np.zeros(1), traj, np.zeros(1), 1.0)
-    assert np.array_equal(cs.sensitivities, np.zeros((21, 1)))
-    assert np.array_equal(cs.costates, np.zeros((11, 1)))
+    assert np.array_equal(cs, np.zeros((21, 1)))
+    assert not cs.flags.writeable
+    assert np.array_equal(node_costates(grid, cs), np.zeros((11, 1)))
 
 
 def test_backward_exponential():
@@ -52,10 +54,10 @@ def test_backward_exponential():
     grid = make_time_grid(1.0, 100)
     traj = integrate_forward(lambda s, y: -y, np.array([1.0]), grid)
     cs = integrate_backward(lambda theta, v: v, traj, np.array([1.0]), 0.0)
-    assert abs(cs.sensitivities.sum() - (1.0 - np.exp(-1.0))) < 1e-10
-    assert cs.sensitivities[-1, 0] == grid.dt / 6.0
+    assert abs(cs.sum() - (1.0 - np.exp(-1.0))) < 1e-10
+    assert cs[-1, 0] == grid.dt / 6.0
     interior = grid.nodes[1:-1]
-    assert np.abs(cs.costates[1:-1, 0] - np.exp(interior - 1.0)).max() < 1e-5
+    assert np.abs(node_costates(grid, cs)[1:-1, 0] - np.exp(interior - 1.0)).max() < 1e-5
 
 
 def test_backward_linear_adjoint_matrix_exponential():
@@ -79,7 +81,7 @@ def test_backward_linear_adjoint_matrix_exponential():
         t = grid.nodes[idx]
         exact = (alpha / 2.0) * a_inv @ (
             expm(-a_mat * t) - expm(a_mat * (t - 2 * T))) @ theta0
-        assert np.abs(cs.costates[idx] - exact).max() < 1e-6
+        assert np.abs(node_costates(grid, cs)[idx] - exact).max() < 1e-6
 
 
 def test_fourth_order_convergence():

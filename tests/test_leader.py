@@ -111,7 +111,7 @@ class TestSolveNested:
         fprob, u2 = clamped_follower_problem()
         validation = Dataset(np.zeros((1, 1)), np.zeros(1))
         config = SolverConfig(alpha=fprob.alpha, beta=fprob.beta,
-                              inner_tol=1e-10, max_inner=20, gamma2=1.0)
+                              inner_tol=1e-10, max_inner=20)
         report = solve_nested(config, fprob.objective, validation,
                               fprob.partition, fprob.theta0, fprob.grid,
                               zero_grid_control(fprob.grid, 1, u_max=0.01), u2)
@@ -122,15 +122,19 @@ class TestSolveNested:
         assert report.J2_value > 0.0
 
     def test_reduction_to_uncontrolled_flow(self, small_setup):
+        # both agents frozen at zero: the follower's cap of one iteration
+        # returns its start, and an eps_tol above the leader's first residual
+        # leaves the leader converged without a step
         objective, validation, grid, partition, theta0 = small_setup
-        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.0, gamma2=0.0,
-                              max_outer=5)
+        config = SolverConfig(alpha=0.01, beta=0.1, eps_tol=10.0,
+                              max_inner=1, max_outer=5)
         report = solve_nested(config, objective, validation, partition,
                               theta0, grid, *zero_controls(grid))
         plain = integrate_forward(uncontrolled_rate(objective), theta0, grid)
         assert report.theta_final.tobytes() == plain.terminal_state.tobytes()
-        assert not report.converged
-        assert report.outer_iterations == 1  # immediate mutual stagnation
+        assert report.history[0].leader_grad_norm < config.eps_tol
+        assert not report.converged  # the follower stopped at its cap
+        assert report.outer_iterations == 1
         # the full controlled trajectory replays the uncontrolled one bitwise
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
                               partition, report.u2, grid, theta0)
@@ -140,7 +144,7 @@ class TestSolveNested:
     def test_converged_certificates_lq(self):
         objective, validation, grid, partition, theta0 = \
             scalar_lq_problem(n=800)
-        config = SolverConfig(alpha=1.0, beta=1.0, gamma1=0.5, gamma2=0.5,
+        config = SolverConfig(alpha=1.0, beta=1.0, gamma1=0.5,
                               eps_tol=1e-6, inner_tol=1e-5, mu=0.0, z=0.0,
                               max_outer=3, max_inner=300)
         report = solve_nested(config, objective, validation, partition,
@@ -152,11 +156,11 @@ class TestSolveNested:
         # recompute the pointwise extremum residual from the logged controls
         fprob = FollowerProblem(objective, config.alpha, config.beta,
                                 partition, report.u1, grid, theta0)
-        from gradsteer.adjoint import follower_backward, follower_forward
-        traj = follower_forward(fprob, report.u2)
-        costate = follower_backward(fprob, traj)
+        from gradsteer.adjoint import follower_backward, node_costates
+        p2 = node_costates(grid, follower_backward(
+            fprob, follower_forward(fprob, report.u2)))
         residual = (config.beta * control_node_values(report.u2, grid)
-                    + costate.costates) * partition.follower_mask
+                    + p2) * partition.follower_mask
         assert np.abs(residual).max() <= config.inner_tol
 
     def test_basis_run_reports_converged(self):
@@ -165,7 +169,7 @@ class TestSolveNested:
         # gets there, and that is what both converged flags report
         objective, validation, grid, partition, theta0 = \
             scalar_lq_problem(n=800)
-        config = SolverConfig(alpha=1.0, beta=1.0, gamma1=0.5, gamma2=0.5,
+        config = SolverConfig(alpha=1.0, beta=1.0, gamma1=0.5,
                               eps_tol=1e-6, inner_tol=1e-5, mu=0.0, z=0.0,
                               max_outer=3, max_inner=300)
         zero = BasisControl(grid, np.zeros((4, 1)))
@@ -182,7 +186,7 @@ class TestSolveNested:
 
     def test_history_complete_and_replayable(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
-        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01, gamma2=1.0,
+        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01,
                               inner_tol=1e-6, mu=100.0, max_outer=4,
                               max_inner=80)
         report = solve_nested(config, objective, validation, partition,
@@ -204,7 +208,7 @@ class TestSolveNested:
 
     def test_determinism(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
-        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01, gamma2=1.0,
+        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01,
                               inner_tol=1e-5, mu=100.0, max_outer=3,
                               max_inner=50)
         a = solve_nested(config, objective, validation, partition, theta0,
@@ -234,7 +238,7 @@ class TestSolveNested:
         count(adjoint, "integrate_forward", "sweeps")
         count(follower, "update_control", "follower")
         count(leader, "update_control", "leader")
-        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01, gamma2=1.0,
+        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01,
                               inner_tol=1e-5, mu=100.0, max_outer=3,
                               max_inner=50)
         solve_nested(config, objective, validation, partition, theta0, grid,
@@ -247,7 +251,7 @@ class TestSolveNested:
         objective, validation, grid, partition, theta0 = small_setup
         u1 = zero_grid_control(grid, 2)
         u2 = zero_grid_control(grid, 2)
-        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01, gamma2=1.0,
+        config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01,
                               inner_tol=1e-5, mu=100.0, max_inner=60)
         traj = None
         for _ in range(3):
