@@ -9,15 +9,15 @@ from costate (adjoint) sweeps.
 
 __version__ = "0.1.0"
 
-from .core import (BasisControl, ControlPartition, Dataset, GridControl,
-                   HistoryRecord, RunReport, SolverConfig, SplitSpec,
-                   TerminalMode, TimeGrid, make_time_grid,
+from .core import (BasisControl, ControlGradient, ControlPartition, Dataset,
+                   GridControl, HistoryRecord, RunReport, SolverConfig,
+                   SplitSpec, TerminalMode, TimeGrid, make_time_grid,
                    zero_grid_control)
-from .models import (LossScale, ModelKind, ModelSpec, Objective,
-                     SingularityError, objective_gradient, objective_value,
-                     validation_phi, validation_phi_grad)
+from .models import (LossScale, ModelKind, Objective, SingularityError,
+                     objective_gradient, objective_value, validation_phi,
+                     validation_phi_grad)
 from .integrate import DivergenceError, integrate_backward, integrate_forward
-from .adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
+from .adjoint import (FollowerProblem, LeaderProblem,
                       control_gradient_follower, control_gradient_leader,
                       gradient_check)
 from .follower import FollowerResult, solve_follower
@@ -28,7 +28,7 @@ __all__ = [
     "BasisControl", "ControlGradient", "ControlPartition", "Dataset",
     "DivergenceError", "FollowerProblem", "FollowerResult", "GridControl",
     "HistoryRecord", "LeaderProblem", "LeaderStepResult", "LossScale",
-    "ModelKind", "ModelSpec", "Objective", "ResidualStats",
+    "ModelKind", "Objective", "ResidualStats",
     "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
     "TerminalMode", "TimeGrid", "control_gradient_follower",
     "control_gradient_leader", "gradient_check", "integrate_backward",

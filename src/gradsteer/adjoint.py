@@ -5,9 +5,11 @@ forward sweep and the trapezoid rule compute (see `integrate`).
 Conventions (fixed by the finite-difference exactness tests):
 
 * Hamiltonian = running cost + <costate, state velocity>.
-* A backward sweep returns dL/du at every RK4 stage; `node_costates` maps
-  that to node values p_j whose trapezoid pairing with a direction is the
-  derivative of the functional's state part along it.
+* A backward sweep returns dL/du at every RK4 stage. Each control class
+  (`core`) samples itself at those stages and turns the sensitivities into
+  its own-coordinate gradient; `core.node_costates` maps them to node values
+  p_j whose trapezoid pairing with a direction is the derivative of the
+  functional's state part along it.
 * With the follower's zero terminal costate, dH2/du2 = (beta*u2 + p2) on
   follower coordinates is the exact gradient of J2.
 * With the penalty terminal costate p1(T) = mu*(Phi(theta(T)) - z)*dPhi,
@@ -20,14 +22,13 @@ Conventions (fixed by the finite-difference exactness tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .core import (Array, BasisControl, ControlPartition, ControlSignal, Dataset,
-                   GridControl, SolverConfig, TerminalMode, TimeGrid,
-                   Trajectory, sampled_basis_matrix, trapezoid_weights,
-                   _frozen_array)
+from .core import (Array, ControlGradient, ControlPartition, ControlSignal,
+                   Dataset, GridControl, SolverConfig, TerminalMode, TimeGrid,
+                   Trajectory, trapezoid_weights, _frozen_array)
 from .integrate import integrate_backward, integrate_forward
 from .models import (Objective, gradient_function, hvp_function, validation_phi,
                      validation_phi_grad)
@@ -72,84 +73,25 @@ class LeaderProblem:
         object.__setattr__(self, "theta0", _frozen_array(self.theta0, "theta0"))
 
 
-@dataclass(frozen=True)
-class ControlGradient:
-    """Gradient in the shape of a control: pointwise values on grid nodes,
-    plus basis coefficients when the control is basis-represented."""
-
-    pointwise: Array
-    coefficients: Optional[Array] = None
-
-    @property
-    def norm_inf(self) -> float:
-        return float(np.abs(self.pointwise).max())
-
-    @property
-    def update_norm(self) -> float:
-        """The norm both agents' stopping tests use: coefficient norm for
-        basis controls (the pointwise residual cannot drop below the
-        representation error there), pointwise norm for grid controls."""
-        if self.coefficients is not None:
-            return float(np.abs(self.coefficients).max())
-        return self.norm_inf
-
-
 # ---------------------------------------------------------------------------
-# control sampling and quadrature
-
-def _require_own_grid(u: ControlSignal, grid: TimeGrid) -> None:
-    if u.grid != grid:
-        raise ValueError(
-            f"control sampled off its own grid: it has {u.grid.steps} steps "
-            f"over [0, {u.grid.horizon}], the requested grid {grid.steps} "
-            f"steps over [0, {grid.horizon}]")
-
-
-def control_node_values(u: ControlSignal, grid: TimeGrid) -> Array:
-    """Control at the grid's nodes, shape (steps + 1, p), clamped to
-    +-u_max. `grid` must be the control's own grid; any other raises
-    ValueError."""
-    _require_own_grid(u, grid)
-    if isinstance(u, BasisControl):
-        vals = sampled_basis_matrix(grid, u.n_functions, False) @ u.coefficients
-    else:
-        vals = u.values
-    return np.clip(vals, -u.u_max, u.u_max)
-
-
-def stage_control_values(u: ControlSignal, grid: TimeGrid) -> Array:
-    """Control at nodes and interval midpoints, shape (2*steps + 1, p),
-    clamped to +-u_max; a grid control's midpoint value is the mean of its
-    two nodes. `grid` must be the control's own grid; any other raises
-    ValueError."""
-    _require_own_grid(u, grid)
-    if isinstance(u, BasisControl):
-        out = sampled_basis_matrix(grid, u.n_functions, True) @ u.coefficients
-    else:
-        out = np.empty((2 * grid.steps + 1, u.dimension))
-        out[0::2] = u.values
-        out[1::2] = 0.5 * (u.values[:-1] + u.values[1:])
-    return np.clip(out, -u.u_max, u.u_max)
-
-
-def node_costates(grid: TimeGrid, sens: Array) -> Array:
-    """Node costates p_j of a backward sweep's stage sensitivities `sens`:
-    the transpose of stage_control_values' grid sampling (a midpoint is the
-    mean of its nodes) applied to them over the trapezoid weights, so that
-    p's trapezoid pairing with a node-sampled direction is the derivative."""
-    nodes = sens[0::2].copy()
-    nodes[:-1] += 0.5 * sens[1::2]
-    nodes[1:] += 0.5 * sens[1::2]
-    return nodes / trapezoid_weights(grid)[:, None]
-
+# the agents' combined controls, and the node pairing
 
 def combined_stage_controls(u1: ControlSignal, u2: ControlSignal,
                             partition: ControlPartition, grid: TimeGrid) -> Array:
+    """Leader and follower coordinates of u1 and u2 at every RK4 stage of
+    `grid`, which must be both controls' own grid; any other raises
+    ValueError."""
     if not u1.dimension == u2.dimension == partition.dimension:
         raise ValueError(f"control dimensions {u1.dimension} and {u2.dimension} "
                          f"do not match the partition's {partition.dimension}")
-    return (stage_control_values(u1, grid) * partition.leader_mask
-            + stage_control_values(u2, grid) * partition.follower_mask)
+    for u in (u1, u2):
+        if u.grid != grid:
+            raise ValueError(
+                f"control sampled off its own grid: it has {u.grid.steps} "
+                f"steps over [0, {u.grid.horizon}], the problem's grid "
+                f"{grid.steps} steps over [0, {grid.horizon}]")
+    return (u1.stage_values() * partition.leader_mask
+            + u2.stage_values() * partition.follower_mask)
 
 
 def grid_inner_product(grid: TimeGrid, a: Array, b: Array) -> float:
@@ -184,33 +126,16 @@ def follower_backward(prob: FollowerProblem, traj: Trajectory) -> Array:
 def follower_cost(prob: FollowerProblem, traj: Trajectory,
                   u2: ControlSignal) -> float:
     """J2 = integral of alpha/2 |theta|^2 + beta/2 |u2 on follower coords|^2."""
-    u2n = control_node_values(u2, prob.grid) * prob.partition.follower_mask
+    u2n = u2.node_values() * prob.partition.follower_mask
     running = (0.5 * prob.alpha * np.sum(traj.states * traj.states, axis=1)
                + 0.5 * prob.beta * np.sum(u2n * u2n, axis=1))
     return float(trapezoid_weights(prob.grid) @ running)
 
 
-def _package_gradient(grid: TimeGrid, like: ControlSignal, sens: Array,
-                      mask: Array, cost_grad) -> ControlGradient:
-    """Gradient on the `mask` coordinates of a functional whose running control
-    cost has node gradient `cost_grad` and whose state part has stage
-    sensitivities `sens`; a basis control's coefficients take its transposed
-    node and stage sampling."""
-    pointwise = (cost_grad + node_costates(grid, sens)) * mask
-    if isinstance(like, BasisControl):
-        cost = trapezoid_weights(grid)[:, None] * cost_grad * mask
-        coeffs = (sampled_basis_matrix(grid, like.n_functions, False).T @ cost
-                  + sampled_basis_matrix(grid, like.n_functions, True).T
-                  @ (sens * mask))
-        return ControlGradient(pointwise=pointwise, coefficients=coeffs)
-    return ControlGradient(pointwise=pointwise)
-
-
 def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
                              sens: Array) -> ControlGradient:
-    u2n = control_node_values(u2, prob.grid)
-    return _package_gradient(prob.grid, u2, sens, prob.partition.follower_mask,
-                             prob.beta * u2n)
+    return u2.gradient(sens, prob.partition.follower_mask,
+                       prob.beta * u2.node_values())
 
 
 def control_gradient_follower(prob: FollowerProblem,
@@ -246,18 +171,14 @@ def leader_backward(prob: LeaderProblem, traj: Trajectory) -> Array:
     return integrate_backward(hvp_function(prob.objective), traj, p_T, 1.0)
 
 
-def leader_running_cost(traj: Trajectory) -> float:
-    running = 0.5 * np.sum(traj.states * traj.states, axis=1)
-    return float(trapezoid_weights(traj.grid) @ running)
-
-
 def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, float]:
     """(line-search merit, J1, Phi at the endpoint).
 
     Penalty mode: J1 + (mu/2)(Phi - z)^2. Fixed-terminal mode: J1 - (Phi - z),
     the Lagrangian whose gradient that mode's costate produces.
     """
-    j1 = leader_running_cost(traj)
+    running = 0.5 * np.sum(traj.states * traj.states, axis=1)
+    j1 = float(trapezoid_weights(traj.grid) @ running)
     phi = leader_phi(prob, traj.terminal_state)
     if prob.terminal_mode is TerminalMode.PAPER_FIXED:
         return j1 - (phi - prob.z), j1, phi
@@ -266,8 +187,7 @@ def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, f
 
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
                            sens: Array) -> ControlGradient:
-    return _package_gradient(prob.grid, u1, sens, prob.partition.leader_mask,
-                             0.0)
+    return u1.gradient(sens, prob.partition.leader_mask, 0.0)
 
 
 def control_gradient_leader(prob: LeaderProblem,
@@ -282,15 +202,9 @@ def control_gradient_leader(prob: LeaderProblem,
 
 def update_control(u: ControlSignal, gradient: ControlGradient,
                    step: float) -> ControlSignal:
-    """One descent step u - step * gradient in u's own representation,
-    clamped to the amplitude bound."""
-    if isinstance(u, BasisControl):
-        if gradient.coefficients is None:
-            raise ValueError("basis control update needs coefficient gradient")
-        coeffs = u.coefficients - step * gradient.coefficients
-        return BasisControl(u.grid, coeffs, u.u_max)
-    values = np.clip(u.values - step * gradient.pointwise, -u.u_max, u.u_max)
-    return GridControl(u.grid, values, u.u_max)
+    """One descent step u - step * gradient in u's own coordinates, within
+    the amplitude bound."""
+    return u.update(gradient.own, step)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .adjoint import control_node_values, gradient_check, run_forward
+from .adjoint import gradient_check, run_forward
 from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
                    SolverConfig, SplitSpec, TerminalMode, TimeGrid,
                    make_time_grid, zero_grid_control)
 from .integrate import DivergenceError
 from .leader import residual_stats, solve_nested
-from .models import (LossScale, ModelKind, ModelSpec, Objective,
-                     SingularityError, _predict_batch)
+from .models import (LossScale, ModelKind, Objective, SingularityError,
+                     _predict_batch)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +98,7 @@ def ingest_csv(path) -> Dataset:
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelSpec
+    model: ModelKind
     data_path: Path
     data: Dataset                  # the CSV at data_path, read once
     split: SplitSpec
@@ -107,8 +107,7 @@ class RunConfig:
     grid: TimeGrid
     theta0: np.ndarray
     partition: ControlPartition
-    control_kind: str              # "grid" or "basis"
-    basis_size: int
+    basis_size: int                # coefficients per control, 0 for grid
     out_dir: Path
     seed: int
 
@@ -181,16 +180,14 @@ def parse_config(path) -> RunConfig:
 
     model_name, _ = get("model")
     try:
-        kind = ModelKind(model_name)
+        model = ModelKind(model_name)
     except ValueError:
         fail("model", f"unknown model {model_name!r}")
     theta0 = np.array(convert("theta0", many=True))
-    try:
-        model = ModelSpec(kind, param_dim=len(theta0))
-        # data files hold one input column, so the model must take scalars
-        Objective(model, Dataset(np.zeros((1, 1)), np.zeros(1)))
-    except ValueError as exc:
-        fail("theta0", str(exc))
+    # data files hold one input column, so a linear model has one parameter
+    n_params = 1 if model is ModelKind.LINEAR else 2
+    if len(theta0) != n_params:
+        fail("theta0", f"{model.value} takes {n_params} values, got {len(theta0)}")
 
     scale_name, _ = get("loss_scale")
     try:
@@ -233,20 +230,24 @@ def parse_config(path) -> RunConfig:
             fail(key, "sample indices are 1-based")
     try:
         split = SplitSpec(tuple(i - 1 for i in train), tuple(i - 1 for i in val))
+    except InvalidSetting as exc:
+        fail(exc.name, exc.rule)
     except ValueError as exc:
         fail("train_indices", str(exc))
 
     control_text, _ = get("control")
     parts = control_text.split()
-    if parts[0] not in ("grid", "basis"):
-        fail("control", f"must be 'grid' or 'basis K'; got {control_text!r}")
     basis_size = 0
     if parts[0] == "basis":
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+        try:
+            (count,) = parts[1:]
+            basis_size = int(count) if count.isdigit() else 0
+        except ValueError:  # no count, several, or a digit int() cannot read
+            pass
+        if basis_size < 1:
             fail("control", "basis needs a positive coefficient count, e.g. 'basis 12'")
-        basis_size = int(parts[1])
-    elif len(parts) != 1:
-        fail("control", f"unexpected trailing text in {control_text!r}")
+    elif parts != ["grid"]:
+        fail("control", f"must be 'grid' or 'basis K'; got {control_text!r}")
 
     seed = convert("seed", int)
     if seed < 0:
@@ -265,8 +266,8 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(model=model, data_path=data_path, data=data, split=split,
                      loss_scale=loss_scale, solver=solver, grid=grid,
-                     theta0=theta0, partition=partition, control_kind=parts[0],
-                     basis_size=basis_size, out_dir=Path(out_text), seed=seed)
+                     theta0=theta0, partition=partition, basis_size=basis_size,
+                     out_dir=Path(out_text), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +279,10 @@ def _load_problem(cfg: RunConfig):
 
 
 def _initial_control(cfg: RunConfig):
-    """The zero control of the configured kind; both agents start from it."""
+    """The zero control of the configured kind: both agents start from it,
+    and `simulate` integrates the flow it leaves uncontrolled."""
     p = cfg.partition.dimension
-    if cfg.control_kind == "basis":
+    if cfg.basis_size:
         return BasisControl(cfg.grid, np.zeros((cfg.basis_size, p)),
                             u_max=cfg.solver.u_max)
     return zero_grid_control(cfg.grid, p, cfg.solver.u_max)
@@ -323,7 +325,7 @@ def _svg_axes(parts: List[str], xlab: str, ylab: str) -> None:
                  f'{ylab}</text>')
 
 
-def write_fit_plot(path, data: Dataset, model: ModelSpec, theta) -> None:
+def write_fit_plot(path, data: Dataset, model: ModelKind, theta) -> None:
     """Scatter of the data with the fitted curve sampled at 200 points."""
     w = data.inputs[:, 0]
     v = data.outputs
@@ -381,10 +383,6 @@ def _write_node_table(path, grid: TimeGrid, **tables: np.ndarray) -> None:
             fh.write(",".join(repr(float(x)) for x in (t, *row)) + "\n")
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -394,15 +392,14 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     objective, validation = _load_problem(cfg)
 
-    zero = _initial_control(cfg)
     report = solve_nested(cfg.solver, objective, validation, cfg.partition,
-                          cfg.theta0, cfg.grid, u1_init=zero, u2_init=zero)
+                          cfg.theta0, _initial_control(cfg))
 
     stats = residual_stats(cfg.model, report.theta_final, cfg.data)
 
     payload = {
-        "timestamp": _timestamp(),
-        "model": cfg.model.kind.value,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "model": cfg.model.value,
         "loss_scale": cfg.loss_scale.value,
         "theta": [float(x) for x in report.theta_final],
         "converged": report.converged,
@@ -427,8 +424,7 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     _write_node_table(out / "trajectory.csv", cfg.grid,
                       theta=report.trajectory.states)
     _write_node_table(out / "controls.csv", cfg.grid,
-                      u1=control_node_values(report.u1, cfg.grid),
-                      u2=control_node_values(report.u2, cfg.grid))
+                      u1=report.u1.node_values(), u2=report.u2.node_values())
     write_fit_plot(out / "fit_plot.svg", cfg.data, cfg.model, report.theta_final)
     write_residuals_plot(out / "residuals_plot.svg", stats.residuals)
     print(f"theta = {[float(x) for x in report.theta_final]}, "
@@ -442,8 +438,8 @@ def run_simulate(config_path, out_dir: Optional[Path] = None) -> int:
     out = Path(out_dir) if out_dir is not None else cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     objective, _ = _load_problem(cfg)
-    no_control = np.zeros((2 * cfg.grid.steps + 1, cfg.partition.dimension))
-    traj = run_forward(objective, no_control, cfg.theta0, cfg.grid)
+    traj = run_forward(objective, _initial_control(cfg).stage_values(),
+                       cfg.theta0, cfg.grid)
     _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
     endpoint = [float(x) for x in traj.terminal_state]
     print(f"uncontrolled endpoint theta(T) = {endpoint}")

@@ -1,6 +1,10 @@
 """Shared domain types: datasets, time grids, control signals, partitions,
 trajectories, solver configuration and run reports.
 
+A ControlSignal samples itself at nodes and RK4 stages, turns a backward
+sweep's stage sensitivities into its own-coordinate gradient, steps, and
+solves its cost's metric: no caller branches on grid against basis controls.
+
 Everything here is immutable after construction (arrays are marked
 read-only), so values can be shared freely between threads.
 """
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,7 +71,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint train/validation index sets into a source dataset (0-based)."""
+    """Disjoint train/validation index sets into a source dataset (0-based),
+    each holding a sample at most once."""
 
     train_indices: Tuple[int, ...]
     validation_indices: Tuple[int, ...]
@@ -76,6 +81,12 @@ class SplitSpec:
         object.__setattr__(self, "train_indices", tuple(int(i) for i in self.train_indices))
         object.__setattr__(self, "validation_indices",
                            tuple(int(i) for i in self.validation_indices))
+        for key in ("train_indices", "validation_indices"):
+            seen = set()
+            for i in getattr(self, key):
+                if i in seen:
+                    raise InvalidSetting(key, f"sample {i + 1} is repeated")
+                seen.add(i)
         if set(self.train_indices) & set(self.validation_indices):
             raise ValueError("train and validation index sets overlap")
         if not self.train_indices or not self.validation_indices:
@@ -122,15 +133,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
-    def stage_times(self) -> Array:
-        """Nodes interleaved with interval midpoints, length 2*steps + 1."""
-        out = np.empty(2 * self.steps + 1)
-        out[0::2] = self.nodes
-        out[1::2] = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        out.flags.writeable = False
-        return out
-
 
 def trapezoid_weights(grid: TimeGrid) -> Array:
     w = np.full(grid.steps + 1, grid.dt)
@@ -139,13 +141,73 @@ def trapezoid_weights(grid: TimeGrid) -> Array:
     return w
 
 
+def stage_samples(nodes: Array) -> Array:
+    """Rows of `nodes` interleaved with their interval midpoints (the mean of
+    the two): 2n - 1 rows for n nodes, in the stage order of `integrate`."""
+    out = np.empty((2 * len(nodes) - 1,) + nodes.shape[1:])
+    out[0::2] = nodes
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return out
+
+
+def node_costates(grid: TimeGrid, sens: Array) -> Array:
+    """Node costates p_j of a backward sweep's stage sensitivities `sens`:
+    stage_samples' transpose over the trapezoid weights, so that p's
+    trapezoid pairing with a node-sampled direction is the derivative."""
+    nodes = sens[0::2].copy()
+    nodes[:-1] += 0.5 * sens[1::2]
+    nodes[1:] += 0.5 * sens[1::2]
+    return nodes / trapezoid_weights(grid)[:, None]
+
+
 def make_time_grid(horizon: float, steps: int) -> TimeGrid:
     """Uniform time grid covering [0, horizon] with the given step count."""
     return TimeGrid(horizon=float(horizon), steps=int(steps))
 
 
 @dataclass(frozen=True)
-class GridControl:
+class ControlGradient:
+    """Gradient in a control's shape: node values (`pointwise`), and the
+    control's own coordinates (`own`: node values, or basis coefficients)."""
+
+    pointwise: Array
+    own: Array
+
+    @property
+    def norm_inf(self) -> float:
+        return float(np.abs(self.pointwise).max())
+
+    @property
+    def update_norm(self) -> float:
+        """The stopping tests' norm, in own coordinates: a basis control's
+        pointwise residual cannot drop below its representation error."""
+        return float(np.abs(self.own).max())
+
+
+class ControlSignal:
+    """A control on its own TimeGrid `grid`, bounded by `u_max`. GridControl
+    and BasisControl supply `_samples` and `_own_gradient`, `update` (a step
+    in own coordinates) and `solve_metric` (of the control cost)."""
+
+    def node_values(self) -> Array:
+        """Control at the grid's nodes, (steps + 1, p), clamped to +-u_max."""
+        return np.clip(self._samples(False), -self.u_max, self.u_max)
+
+    def stage_values(self) -> Array:
+        """Control at the RK4 stages, (2*steps + 1, p), clamped to +-u_max."""
+        return np.clip(self._samples(True), -self.u_max, self.u_max)
+
+    def gradient(self, sens: Array, mask: Array, cost_grad) -> ControlGradient:
+        """Gradient on the `mask` coordinates of a functional whose running
+        control cost has node gradient `cost_grad` and whose state part has
+        stage sensitivities `sens`."""
+        pointwise = (cost_grad + node_costates(self.grid, sens)) * mask
+        return ControlGradient(pointwise, self._own_gradient(
+            pointwise, sens * mask, cost_grad * mask))
+
+
+@dataclass(frozen=True)
+class GridControl(ControlSignal):
     """Control stored as node values on a TimeGrid; piecewise-linear in time."""
 
     grid: TimeGrid
@@ -168,9 +230,24 @@ class GridControl:
     def dimension(self) -> int:
         return self.values.shape[1]
 
+    def _samples(self, stages: bool) -> Array:
+        return stage_samples(self.values) if stages else self.values
+
+    def _own_gradient(self, pointwise: Array, sens: Array, cost_grad) -> Array:
+        return pointwise  # node values are this control's own coordinates
+
+    def update(self, direction: Array, step: float) -> "GridControl":
+        """u - step * direction, clamped to the amplitude bound."""
+        values = np.clip(self.values - step * direction, -self.u_max, self.u_max)
+        return GridControl(self.grid, values, self.u_max)
+
+    def solve_metric(self, own: Array) -> Array:
+        """The control cost's metric is the identity on node values."""
+        return own
+
 
 @dataclass(frozen=True)
-class BasisControl:
+class BasisControl(ControlSignal):
     """Control as a finite basis expansion sum_k a_k * phi_k(t).
 
     phi_k are Legendre polynomials of degree k-1 rescaled to [0, T]; they are
@@ -197,8 +274,26 @@ class BasisControl:
     def n_functions(self) -> int:
         return self.coefficients.shape[0]
 
+    def _samples(self, stages: bool) -> Array:
+        return sampled_basis_matrix(self.grid, self.n_functions, stages) \
+            @ self.coefficients
 
-ControlSignal = Union[GridControl, BasisControl]
+    def _own_gradient(self, pointwise: Array, sens: Array, cost_grad) -> Array:
+        """Transposed (trapezoid-weighted) node and stage sampling."""
+        cost = trapezoid_weights(self.grid)[:, None] * cost_grad
+        return (sampled_basis_matrix(self.grid, self.n_functions, False).T @ cost
+                + sampled_basis_matrix(self.grid, self.n_functions, True).T @ sens)
+
+    def update(self, direction: Array, step: float) -> "BasisControl":
+        """Coefficients a - step * direction; sampling applies the bound."""
+        return BasisControl(self.grid, self.coefficients - step * direction,
+                            self.u_max)
+
+    def solve_metric(self, own: Array) -> Array:
+        """G^-1 own; the control cost is beta/2 * a^T G a in the Gram matrix
+        G of the node-sampled basis."""
+        return np.linalg.solve(basis_gram_matrix(self.grid, self.n_functions),
+                               own)
 
 
 def zero_grid_control(grid: TimeGrid, dimension: int, u_max: float = 10.0) -> GridControl:
@@ -210,7 +305,7 @@ def sampled_basis_matrix(grid: TimeGrid, n_functions: int, stages: bool) -> Arra
     """BasisControl's functions phi_1..phi_K (columns) at the grid's nodes
     (rows), or at its stage times when `stages` is set; read-only and
     cached, because basis-control sweeps sample it on every call."""
-    times = grid.stage_times if stages else grid.nodes
+    times = stage_samples(grid.nodes) if stages else grid.nodes
     out = np.polynomial.legendre.legvander(2.0 * times / grid.horizon - 1.0,
                                            n_functions - 1)
     out.flags.writeable = False

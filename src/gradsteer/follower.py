@@ -10,13 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from .adjoint import (ControlGradient, FollowerProblem, follower_backward,
                       follower_cost, follower_forward, follower_gradient_arrays,
                       update_control)
-from .core import ControlSignal, SolverConfig, Trajectory, basis_gram_matrix
+from .core import ControlSignal, SolverConfig, Trajectory
 from .integrate import DivergenceError
+from .models import SingularityError
 
 MAX_HALVINGS = 30
 
@@ -25,12 +24,12 @@ def backtrack(trial: Callable[[float], tuple], step: float,
               current: float) -> Optional[tuple]:
     """Try `trial` at step, step/2, ... (at most MAX_HALVINGS halvings) and
     return (step, candidate, value) for the first trial whose value is
-    strictly below `current`; a trial that diverges counts as rejected.
-    Returns None when no trial descends."""
+    strictly below `current`; a trial that diverges or meets the model's pole
+    counts as rejected. Returns None when no trial descends."""
     for _ in range(MAX_HALVINGS + 1):
         try:
             candidate, value = trial(step)
-        except DivergenceError:
+        except (DivergenceError, SingularityError):
             step *= 0.5
             continue
         if value < current:
@@ -42,16 +41,14 @@ def backtrack(trial: Callable[[float], tuple], step: float,
 def msa_direction(u2: ControlSignal, grad: ControlGradient,
                   beta: float) -> ControlGradient:
     """The follower's step in its Hamiltonian's own metric: a full step
-    (update_control with step 1) is the MSA update. On a grid control that is
-    grad/beta, so u2 moves to -p2/beta on follower coordinates. On a basis
-    control the coefficient gradient is preconditioned by the Gram matrix G
-    of the node-sampled basis, d = G^-1 grad / beta, the same minimiser taken
-    in coefficient space, where the control cost is beta/2 * a^T G a."""
-    if grad.coefficients is None:
-        return ControlGradient(pointwise=grad.pointwise / beta)
-    coeffs = np.linalg.solve(basis_gram_matrix(u2.grid, u2.n_functions),
-                             grad.coefficients) / beta
-    return ControlGradient(pointwise=grad.pointwise / beta, coefficients=coeffs)
+    (update_control with step 1) is the MSA update, d = M^-1 grad / beta for
+    the metric M of u2's control cost (u2.solve_metric). On a grid control M
+    is the identity, so u2 moves to -p2/beta on follower coordinates; on a
+    basis control M is the Gram matrix G of the node-sampled basis, the same
+    minimiser taken in coefficient space, where the cost is
+    beta/2 * a^T G a."""
+    return ControlGradient(grad.pointwise / beta,
+                           u2.solve_metric(grad.own) / beta)
 
 
 @dataclass(frozen=True)
@@ -71,15 +68,14 @@ class FollowerResult:
         return self.gamma_last > 0.0
 
 
-def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
+def solve_follower(prob: FollowerProblem, start: ControlSignal,
                    traj: Trajectory, config: SolverConfig) -> FollowerResult:
-    """Iterate sweeps and MSA steps (msa_direction) from u2_init, whose
-    forward sweep (with prob.u1) is `traj`, until the gradient's update_norm
-    drops below config.inner_tol: the pointwise extremum residual
-    (beta*u2 + p2 on follower coordinates) for a grid control, its
-    coefficient gradient for a basis control. `converged` reports that test;
-    `grad_norm` is the pointwise residual either way. Each accepted trial
-    hands on its own sweep; the result's `trajectory` is u2_star's.
+    """Iterate sweeps and MSA steps (msa_direction) from `start`, whose
+    forward sweep (with prob.u1) is `traj`, until the gradient's update_norm,
+    in u2's own coordinates, drops below config.inner_tol; `converged`
+    reports that test, and `grad_norm` is the pointwise extremum residual
+    (beta*u2 + p2 on follower coordinates). Each accepted trial hands on its
+    own sweep; the result's `trajectory` is u2_star's.
 
     The first trial takes the full MSA step, and `backtrack` halves it until
     J2 strictly decreases, so the returned (last) iterate is also the best.
@@ -88,7 +84,7 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
     MAX_HALVINGS halvings, the current iterate is returned with `stalled`
     set.
     """
-    u2 = u2_init
+    u2 = start
     j2 = follower_cost(prob, traj, u2)
     history = []
     gamma_last = 0.0
@@ -109,8 +105,6 @@ def solve_follower(prob: FollowerProblem, u2_init: ControlSignal,
         gnorm = grad.norm_inf
         history.append(j2)
         if grad.update_norm <= config.inner_tol:
-            # for a basis control the pointwise residual may stay above tol
-            # by the representation error
             return result(True)
         if it == config.max_inner:
             return result(False)

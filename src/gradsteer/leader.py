@@ -13,9 +13,9 @@ from .adjoint import (FollowerProblem, LeaderProblem, follower_cost,
                       leader_backward, leader_forward,
                       leader_gradient_arrays, leader_merit, update_control)
 from .core import (ControlPartition, ControlSignal, Dataset, HistoryRecord,
-                   RunReport, SolverConfig, TimeGrid, Trajectory)
+                   RunReport, SolverConfig, Trajectory)
 from .follower import backtrack, solve_follower
-from .models import ModelSpec, Objective, _predict_batch
+from .models import ModelKind, Objective, _predict_batch
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,9 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
     the follower response `prob.u2` held fixed, and a backtracked correction
     of step config.gamma1; the result's `trajectory` is the accepted trial's
     sweep, or `traj` when no step is taken. When the gradient's update_norm
-    (the pointwise residual for a grid control, the coefficient gradient for
-    a basis control) is already at or below config.eps_tol, the result is
-    `converged` and no step is attempted; a step that the shared `backtrack`
-    cannot make decrease the merit reports a stall.
+    is already at or below config.eps_tol, the result is `converged` and no
+    step is attempted; a step that the shared `backtrack` cannot make
+    decrease the merit reports a stall.
     """
     grad = leader_gradient_arrays(prob, u1, leader_backward(prob, traj))
     gnorm = grad.norm_inf
@@ -63,26 +62,25 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
 
 
 def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset,
-                 partition: ControlPartition, theta0, grid: TimeGrid,
-                 u1_init: ControlSignal, u2_init: ControlSignal) -> RunReport:
-    """Starting from u1_init and u2_init, alternate follower response solves
-    (warm-started) with leader steps until the leader step is `converged`
-    (the run is converged when that iteration's follower solve is too),
-    config.max_outer is reached, or the leader stalls in an outer iteration
-    where the follower took no step; every setting comes from
+                 partition: ControlPartition, theta0,
+                 start: ControlSignal) -> RunReport:
+    """Starting both agents from `start`, on its grid, alternate follower
+    response solves (warm-started) with leader steps until the leader step is
+    `converged` (the run is converged when that iteration's follower solve is
+    too), config.max_outer is reached, or the leader stalls in an outer
+    iteration where the follower took no step; every setting comes from
     `config`. A stalled follower solve is not an error: its last iterate,
     which is also its best, is the response the leader steps against. Each
     agent hands on the forward sweep of the pair it returns, so each pair is
     integrated once; the report's values and `trajectory` come from the
     final pair's sweep.
     """
-    theta0 = np.asarray(theta0, dtype=float)
     # the two problems hold the current pair: fprob.u1 and lprob.u2
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
-                            u1_init, grid, theta0)
-    lprob = LeaderProblem(objective, validation, config.z, config.mu,
-                          partition, u2_init, grid, theta0, config.terminal_mode)
-    traj = leader_forward(lprob, u1_init)
+                            start, start.grid, theta0)
+    lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
+                          start, start.grid, theta0, config.terminal_mode)
+    traj = leader_forward(lprob, start)
     history = []
     converged = False
     for _ in range(config.max_outer):
@@ -117,7 +115,7 @@ class ResidualStats:
     residuals: Tuple[float, ...]
 
 
-def residual_stats(model: ModelSpec, theta, data: Dataset) -> ResidualStats:
+def residual_stats(model: ModelKind, theta, data: Dataset) -> ResidualStats:
     """Residuals y - h(x) over a dataset, with sample (m-1 divisor) std."""
     theta = np.asarray(theta, dtype=float)
     eps = data.outputs - _predict_batch(model, theta, data.inputs)

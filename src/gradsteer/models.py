@@ -6,7 +6,7 @@ Built-in model kinds:
 
 * ``michaelis_menten``: h(w) = theta0 * w / (theta1 + w), 2 parameters,
   scalar input. Guarded against the pole at theta1 = -w.
-* ``linear``: h(x) = <theta, x>. Constant Hessian, used as an exact
+* ``linear``: h(x) = <theta, x>, one parameter per input. Constant Hessian, used as an exact
   fixture in adjoint tests and for linear-quadratic oracle problems.
 * ``exponential``: h(x) = theta0 * exp(theta1 * x), a smooth nonlinear
   2-parameter fixture.
@@ -51,32 +51,16 @@ class LossScale(Enum):
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    kind: ModelKind
-    param_dim: int = 2
-
-    def __post_init__(self):
-        if self.kind in (ModelKind.MICHAELIS_MENTEN, ModelKind.EXPONENTIAL):
-            if self.param_dim != 2:
-                raise ValueError(f"{self.kind.value} model has exactly 2 parameters")
-        if self.param_dim < 1:
-            raise ValueError("param_dim must be positive")
-
-
-@dataclass(frozen=True)
 class Objective:
     """Mean loss of a model over a dataset."""
 
-    model: ModelSpec
+    model: ModelKind
     dataset: Dataset
     loss_scale: LossScale = LossScale.HALF
 
     def __post_init__(self):
-        if self.model.kind is ModelKind.LINEAR:
-            if self.dataset.inputs.shape[1] != self.model.param_dim:
-                raise ValueError("linear model needs input dimension == param_dim")
-        elif self.dataset.inputs.shape[1] != 1:
-            raise ValueError(f"{self.model.kind.value} model takes scalar inputs")
+        if self.model is not ModelKind.LINEAR and self.dataset.inputs.shape[1] != 1:
+            raise ValueError(f"{self.model.value} model takes scalar inputs")
 
 
 def _mm_check(theta: Array, w: Array):
@@ -87,12 +71,12 @@ def _mm_check(theta: Array, w: Array):
     return d
 
 
-def _predict_batch(model: ModelSpec, theta: Array, inputs: Array) -> Array:
-    if model.kind is ModelKind.MICHAELIS_MENTEN:
+def _predict_batch(model: ModelKind, theta: Array, inputs: Array) -> Array:
+    if model is ModelKind.MICHAELIS_MENTEN:
         w = inputs[:, 0]
         d = _mm_check(theta, w)
         return theta[0] * w / d
-    if model.kind is ModelKind.LINEAR:
+    if model is ModelKind.LINEAR:
         return inputs @ theta
     w = inputs[:, 0]
     return theta[0] * np.exp(theta[1] * w)
@@ -108,7 +92,7 @@ def gradient_function(obj: Objective) -> Callable[[Array], Array]:
     outputs = obj.dataset.outputs
     m = float(len(outputs))
 
-    if obj.model.kind is ModelKind.MICHAELIS_MENTEN:
+    if obj.model is ModelKind.MICHAELIS_MENTEN:
         w = obj.dataset.inputs[:, 0]
 
         def grad(theta: Array) -> Array:
@@ -119,7 +103,7 @@ def gradient_function(obj: Objective) -> Callable[[Array], Array]:
 
         return grad
 
-    if obj.model.kind is ModelKind.LINEAR:
+    if obj.model is ModelKind.LINEAR:
         x = obj.dataset.inputs
 
         def grad(theta: Array) -> Array:
@@ -154,13 +138,13 @@ def hvp_function(obj: Objective) -> Callable[[Array, Array], Array]:
     the linear one."""
     scale = 2.0 * obj.loss_scale.factor / len(obj.dataset.outputs)
     outputs = obj.dataset.outputs
-    if obj.model.kind is ModelKind.LINEAR:
+    if obj.model is ModelKind.LINEAR:
         hessian = scale * (obj.dataset.inputs.T @ obj.dataset.inputs)
         return lambda theta, v: hessian @ v
 
     # (H00, H01, H11) / scale = sum_i g_i g_i^T + r_i Hess(prediction_i)
     w = obj.dataset.inputs[:, 0]
-    if obj.model.kind is ModelKind.MICHAELIS_MENTEN:
+    if obj.model is ModelKind.MICHAELIS_MENTEN:
         def entries(theta: Array):
             d = _mm_check(theta, w)
             q = w / d
@@ -183,12 +167,12 @@ def hvp_function(obj: Objective) -> Callable[[Array, Array], Array]:
     return hvp
 
 
-def validation_phi(model: ModelSpec, theta, validation: Dataset,
+def validation_phi(model: ModelKind, theta, validation: Dataset,
                    scale: LossScale = LossScale.HALF) -> float:
     """Mean loss over a validation dataset (the model quality measure)."""
     return objective_value(Objective(model, validation, scale), theta)
 
 
-def validation_phi_grad(model: ModelSpec, theta, validation: Dataset,
+def validation_phi_grad(model: ModelKind, theta, validation: Dataset,
                         scale: LossScale = LossScale.HALF) -> Array:
     return objective_gradient(Objective(model, validation, scale), theta)

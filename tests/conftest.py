@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
-                       ModelKind, ModelSpec, Objective, SplitSpec,
+                       ModelKind, Objective, SplitSpec,
                        make_time_grid, zero_grid_control)
 from gradsteer.adjoint import FollowerProblem
 from gradsteer.models import gradient_function
@@ -29,8 +29,8 @@ def split() -> SplitSpec:
 
 
 @pytest.fixture(scope="session")
-def mm_model() -> ModelSpec:
-    return ModelSpec(ModelKind.MICHAELIS_MENTEN)
+def mm_model() -> ModelKind:
+    return ModelKind.MICHAELIS_MENTEN
 
 
 @pytest.fixture(scope="session")
@@ -53,15 +53,10 @@ def partition_10() -> ControlPartition:
     return ControlPartition(np.array([1.0, 0.0]))
 
 
-def linear_objective(inputs, outputs, scale=LossScale.HALF,
-                     param_dim=None) -> Objective:
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    dim = param_dim if param_dim is not None else inputs.shape[1]
-    model = ModelSpec(ModelKind.LINEAR, param_dim=dim)
-    return Objective(model, Dataset(inputs, np.asarray(outputs, dtype=float)),
-                     scale)
+def linear_objective(inputs, outputs, scale=LossScale.HALF) -> Objective:
+    """Linear model, one parameter per input column."""
+    return Objective(ModelKind.LINEAR,
+                     Dataset(inputs, np.asarray(outputs, dtype=float)), scale)
 
 
 def uncontrolled_rate(objective: Objective):
@@ -73,7 +68,7 @@ def uncontrolled_rate(objective: Objective):
 def clamped_follower_problem():
     """Scalar follower problem whose control starts pinned at -u_max with the
     costate pushing it further out, so every trial step is clamped away."""
-    obj = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
+    obj = linear_objective(np.zeros((1, 1)), [0.0])
     grid = make_time_grid(1.0, 50)
     partition = ControlPartition(np.array([0.0]))
     prob = FollowerProblem(obj, 1.0, 0.01, partition,

@@ -137,14 +137,19 @@ class TestParseConfig:
         ("eps_tol", "0"), ("z", "-0.1"), ("mu", "-3"), ("N_t", "1"),
         ("T", "-2"), ("u_max", "0"), ("theta0", "1,not_a_number"),
         ("leader_mask", "1,2"), ("control", "fourier"),
+        ("control", "basis ²"),  # a digit that int() cannot read
         ("loss_scale", "double"), ("terminal_mode", "soft"),
         ("train_indices", "0,1"),
+        # index sets hold each sample once
+        ("train_indices", "1,1,3,5,7"), ("validation_indices", "2,4,4"),
         # retired keys, refused whatever their value
         ("gamma2", "-1"), ("u1_init", "99"),
     ])
     def test_invariant_violations_rejected(self, tmp_path, key, value):
+        # the message names the key, at the line that sets it
         cfg = write_config(tmp_path, **{key: value})
-        with pytest.raises(ConfigError):
+        line = cfg.read_text().splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ConfigError, match=f":{line}: .*{key}"):
             parse_config(cfg)
 
     def test_line_precise_message(self, tmp_path):
@@ -182,7 +187,7 @@ class TestParseConfig:
         parsed = parse_config(cfg)
         assert parsed.solver == SolverConfig()
         assert parsed.loss_scale is LossScale.HALF
-        assert parsed.control_kind == "grid"
+        assert parsed.basis_size == 0  # a grid control
         assert (parsed.out_dir, parsed.seed) == (Path("out"), 0)
 
 

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
                        SolverConfig, SplitSpec, make_time_grid,
                        zero_grid_control)
-from gradsteer.adjoint import (FollowerProblem, combined_stage_controls,
-                               control_node_values, stage_control_values)
+from gradsteer.adjoint import FollowerProblem, combined_stage_controls
 from gradsteer.cli import parse_config
 from gradsteer.core import InvalidSetting
 
@@ -49,16 +48,16 @@ class TestControlEvaluation:
     def test_grid_constant(self):
         grid = make_time_grid(2.0, 10)
         u = constant_control(grid, [3.0, -1.0])
-        assert np.allclose(control_node_values(u, grid), [3.0, -1.0])
-        assert np.allclose(stage_control_values(u, grid), [3.0, -1.0])
+        assert np.allclose(u.node_values(), [3.0, -1.0])
+        assert np.allclose(u.stage_values(), [3.0, -1.0])
 
     def test_basis_constant_term(self):
         grid = make_time_grid(1.5, 8)
         coeffs = np.zeros((3, 2))
         coeffs[0] = [1.0, 0.0]  # phi_1 is identically one
         u = BasisControl(grid, coeffs)
-        assert np.allclose(control_node_values(u, grid), [1.0, 0.0])
-        assert np.allclose(stage_control_values(u, grid), [1.0, 0.0])
+        assert np.allclose(u.node_values(), [1.0, 0.0])
+        assert np.allclose(u.stage_values(), [1.0, 0.0])
 
     def test_grid_midpoint_interpolation(self):
         grid = make_time_grid(1.0, 10)
@@ -66,14 +65,16 @@ class TestControlEvaluation:
         values[1] = [1.0, 1.0]
         u = GridControl(grid, values)
         # stage 1 is the midpoint of interval 0, between nodes 0 and 1
-        assert np.allclose(stage_control_values(u, grid)[1], [0.5, 0.5])
+        assert np.allclose(u.stage_values()[1], [0.5, 0.5])
 
     def test_off_grid_rejected(self):
         own, other = make_time_grid(1.0, 8), make_time_grid(1.0, 16)
+        part = ControlPartition([1.0, 0.0])
         for u in (zero_grid_control(own, 2), BasisControl(own, np.ones((3, 2)))):
-            for sample in (control_node_values, stage_control_values):
+            for pair in ((u, zero_grid_control(other, 2)),
+                         (zero_grid_control(other, 2), u)):
                 with pytest.raises(ValueError, match="8 steps.*16 steps"):
-                    sample(u, other)
+                    combined_stage_controls(*pair, part, other)
 
     def test_node_count_validated(self):
         grid = make_time_grid(1.0, 4)
@@ -90,8 +91,8 @@ class TestControlEvaluation:
     def test_basis_clamped_everywhere(self, coeffs):
         grid = make_time_grid(1.0, 16)
         u = BasisControl(grid, np.array(coeffs)[:, None], u_max=2.0)
-        assert np.abs(stage_control_values(u, grid)).max() <= 2.0
-        assert np.abs(control_node_values(u, grid)).max() <= 2.0
+        assert np.abs(u.stage_values()).max() <= 2.0
+        assert np.abs(u.node_values()).max() <= 2.0
 
 
 class TestPartition:

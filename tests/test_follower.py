@@ -6,14 +6,14 @@ from gradsteer import (BasisControl, ControlPartition, GridControl, LossScale,
                        zero_grid_control)
 from gradsteer.adjoint import (FollowerProblem, follower_backward,
                                follower_cost, follower_forward,
-                               follower_gradient_arrays, control_node_values,
-                               node_costates)
+                               follower_gradient_arrays)
 from gradsteer import follower
 from gradsteer.cli import _initial_control, parse_config
-from gradsteer.core import (basis_gram_matrix, sampled_basis_matrix,
-                            trapezoid_weights)
+from gradsteer.core import (basis_gram_matrix, node_costates,
+                            sampled_basis_matrix, trapezoid_weights)
 from gradsteer.follower import backtrack, msa_direction, solve_follower
 from gradsteer.integrate import DivergenceError
+from gradsteer.models import SingularityError
 
 from conftest import REPO, clamped_follower_problem, linear_objective
 
@@ -35,7 +35,7 @@ def solve(prob, u2_init, config):
 
 def full_follower_problem(alpha=1e-8, beta=0.1, theta0=1.0, T=1.0, n=100):
     """Scalar problem with zero training gradient: dynamics thetadot = u2."""
-    obj = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
+    obj = linear_objective(np.zeros((1, 1)), [0.0])
     grid = make_time_grid(T, n)
     partition = ControlPartition(np.array([0.0]))
     return FollowerProblem(obj, alpha, beta, partition,
@@ -49,7 +49,7 @@ class TestSolveFollower:
         res = solve(prob, zero_grid_control(prob.grid, 1),
                     SolverConfig(inner_tol=1e-9, max_inner=50))
         assert res.converged
-        assert np.abs(control_node_values(res.u2_star, prob.grid)).max() < 1e-3
+        assert np.abs(res.u2_star.node_values()).max() < 1e-3
         assert res.J2_value < 1e-6
 
     def test_monotone_history(self, mm_follower_problem):
@@ -89,7 +89,7 @@ class TestSolveFollower:
                     SolverConfig(inner_tol=1e-5, max_inner=200))
         assert res.converged
         p2 = node_costates(prob.grid, follower_backward(prob, res.trajectory))
-        residual = (prob.beta * control_node_values(res.u2_star, prob.grid)
+        residual = (prob.beta * res.u2_star.node_values()
                     + p2) * prob.partition.follower_mask
         assert np.abs(residual).max() <= 1e-5
         assert res.grad_norm == np.abs(residual).max()
@@ -172,14 +172,14 @@ class TestMsaStep:
         u2 = BasisControl(grid, coeffs)
         grad = follower_gradient_arrays(
             prob, u2, follower_backward(prob, follower_forward(prob, u2)))
-        d = msa_direction(u2, grad, prob.beta).coefficients
+        d = msa_direction(u2, grad, prob.beta).own
         gram = basis_gram_matrix(grid, k)
         assert gram is basis_gram_matrix(grid, k)
         assert not gram.flags.writeable
         basis = sampled_basis_matrix(grid, k, False)
         assert np.allclose(gram, basis.T @ (trapezoid_weights(grid)[:, None]
                                             * basis), rtol=1e-14, atol=0.0)
-        target = grad.coefficients / prob.beta
+        target = grad.own / prob.beta
         assert np.abs(gram @ d - target).max() <= 1e-12 * np.abs(target).max()
         assert np.all(d[:, 0] == 0.0)  # the leader's column stays put
 
@@ -219,6 +219,20 @@ class TestBacktrack:
 
         assert backtrack(trial, 1.0, 1.0) == (0.25, "candidate", 0.5)
         assert steps == [1.0, 0.5, 0.25]
+
+    def test_pole_counts_as_rejection(self):
+        # a trial whose sweep meets the model's pole is rejected like a
+        # divergent one, and the halved step is tried next
+        steps = []
+
+        def trial(step):
+            steps.append(step)
+            if step == 1.0:
+                raise SingularityError([1.0, -0.5], 0.5)
+            return "candidate", 0.5
+
+        assert backtrack(trial, 1.0, 1.0) == (0.5, "candidate", 0.5)
+        assert steps == [1.0, 0.5]
 
     def test_no_descent_returns_none_after_cap(self):
         steps = []

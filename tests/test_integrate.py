@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from gradsteer import (DivergenceError, integrate_backward, integrate_forward,
                        make_time_grid)
-from gradsteer.adjoint import node_costates
+from gradsteer.core import node_costates
 from gradsteer.models import hvp_function
 
 from conftest import linear_objective, uncontrolled_rate

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
-                       LossScale, ModelKind, ModelSpec, Objective,
+                       LossScale, Objective,
                        SolverConfig, make_time_grid, residual_stats,
                        solve_nested, zero_grid_control)
 from gradsteer import adjoint, follower, leader
 from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
-                               control_node_values, follower_cost,
+                               follower_backward, follower_cost,
                                follower_forward, leader_forward, leader_merit)
+from gradsteer.core import node_costates
 from gradsteer.follower import solve_follower
 from gradsteer.integrate import integrate_forward
 from gradsteer.leader import leader_step
@@ -29,7 +30,7 @@ def small_setup(table_data, split, mm_model):
 
 def scalar_lq_problem(k=1.0, alpha=1.0, beta=1.0, T=1.0, n=200, theta0=1.0):
     """Follower-only linear-quadratic instance: thetadot = -k theta + u2."""
-    obj = linear_objective(np.array([[np.sqrt(k)]]), [0.0], param_dim=1)
+    obj = linear_objective(np.array([[np.sqrt(k)]]), [0.0])
     validation = Dataset(np.array([[0.0]]), np.array([0.0]))
     grid = make_time_grid(T, n)
     partition = ControlPartition(np.array([0.0]))
@@ -41,16 +42,11 @@ def step(prob, u1, config):
     return leader_step(prob, u1, leader_forward(prob, u1), config)
 
 
-def zero_controls(grid, p=2):
-    """Zero initial leader and follower controls for solve_nested."""
-    return zero_grid_control(grid, p), zero_grid_control(grid, p)
-
-
 class TestLeaderStep:
     def test_zero_gradient_leaves_control(self):
         # zero-data linear model resting at the origin with mu 0: the running
         # cost and the terminal costate vanish, so the costate is zero
-        objective = linear_objective(np.zeros((1, 2)), [0.0], param_dim=2)
+        objective = linear_objective(np.zeros((1, 2)), [0.0])
         validation = Dataset(np.zeros((1, 2)), np.zeros(1))
         grid = make_time_grid(1.0, 20)
         partition = ControlPartition(np.array([1.0, 0.0]))
@@ -86,7 +82,7 @@ class TestLeaderStep:
         # the leader's control starts at -u_max and its costate is positive
         # (mu = 0, theta > 0, zero training gradient), so every trial step is
         # clamped back onto the current control and none decreases the merit
-        objective = linear_objective(np.zeros((1, 1)), [0.0], param_dim=1)
+        objective = linear_objective(np.zeros((1, 1)), [0.0])
         grid = make_time_grid(1.0, 50)
         partition = ControlPartition(np.array([1.0]))
         prob = LeaderProblem(objective, Dataset(np.zeros((1, 1)), np.zeros(1)),
@@ -105,16 +101,16 @@ class TestLeaderStep:
 
 class TestSolveNested:
     def test_stalling_follower_returns_report(self):
-        # the follower stalls on its first iteration; the leader owns no
-        # coordinate, so its residual is zero and the run ends after one
-        # outer iteration with the follower's last (initial) iterate
+        # both agents start from the follower's pinned control; the follower
+        # stalls on its first iteration, and the leader owns no coordinate,
+        # so its residual is zero and the run ends after one outer iteration
+        # with the follower's last (initial) iterate
         fprob, u2 = clamped_follower_problem()
         validation = Dataset(np.zeros((1, 1)), np.zeros(1))
         config = SolverConfig(alpha=fprob.alpha, beta=fprob.beta,
                               inner_tol=1e-10, max_inner=20)
         report = solve_nested(config, fprob.objective, validation,
-                              fprob.partition, fprob.theta0, fprob.grid,
-                              zero_grid_control(fprob.grid, 1, u_max=0.01), u2)
+                              fprob.partition, fprob.theta0, u2)
         assert report.u2 is u2
         assert report.outer_iterations == 1
         assert not report.converged
@@ -129,7 +125,7 @@ class TestSolveNested:
         config = SolverConfig(alpha=0.01, beta=0.1, eps_tol=10.0,
                               max_inner=1, max_outer=5)
         report = solve_nested(config, objective, validation, partition,
-                              theta0, grid, *zero_controls(grid))
+                              theta0, zero_grid_control(grid, 2))
         plain = integrate_forward(uncontrolled_rate(objective), theta0, grid)
         assert report.theta_final.tobytes() == plain.terminal_state.tobytes()
         assert report.history[0].leader_grad_norm < config.eps_tol
@@ -148,7 +144,7 @@ class TestSolveNested:
                               eps_tol=1e-6, inner_tol=1e-5, mu=0.0, z=0.0,
                               max_outer=3, max_inner=300)
         report = solve_nested(config, objective, validation, partition,
-                              theta0, grid, *zero_controls(grid, p=1))
+                              theta0, zero_grid_control(grid, 1))
         assert report.converged
         last = report.history[-1]
         assert last.leader_grad_norm <= config.eps_tol
@@ -156,10 +152,9 @@ class TestSolveNested:
         # recompute the pointwise extremum residual from the logged controls
         fprob = FollowerProblem(objective, config.alpha, config.beta,
                                 partition, report.u1, grid, theta0)
-        from gradsteer.adjoint import follower_backward, node_costates
         p2 = node_costates(grid, follower_backward(
             fprob, follower_forward(fprob, report.u2)))
-        residual = (config.beta * control_node_values(report.u2, grid)
+        residual = (config.beta * report.u2.node_values()
                     + p2) * partition.follower_mask
         assert np.abs(residual).max() <= config.inner_tol
 
@@ -180,7 +175,7 @@ class TestSolveNested:
         assert fres.converged
         assert fres.grad_norm > 10 * config.inner_tol
         report = solve_nested(config, objective, validation, partition,
-                              theta0, grid, zero, zero)
+                              theta0, zero)
         assert report.converged
         assert report.history[-1].follower_grad_norm > 10 * config.inner_tol
 
@@ -190,7 +185,7 @@ class TestSolveNested:
                               inner_tol=1e-6, mu=100.0, max_outer=4,
                               max_inner=80)
         report = solve_nested(config, objective, validation, partition,
-                              theta0, grid, *zero_controls(grid))
+                              theta0, zero_grid_control(grid, 2))
         assert len(report.history) == report.outer_iterations
         # replay: logged controls reproduce logged final costs
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
@@ -212,9 +207,9 @@ class TestSolveNested:
                               inner_tol=1e-5, mu=100.0, max_outer=3,
                               max_inner=50)
         a = solve_nested(config, objective, validation, partition, theta0,
-                         grid, *zero_controls(grid))
+                         zero_grid_control(grid, 2))
         b = solve_nested(config, objective, validation, partition, theta0,
-                         grid, *zero_controls(grid))
+                         zero_grid_control(grid, 2))
         assert np.array_equal(a.theta_final, b.theta_final)
         assert a.history == b.history
         assert np.array_equal(a.u1.values, b.u1.values)
@@ -241,8 +236,8 @@ class TestSolveNested:
         config = SolverConfig(alpha=0.01, beta=0.1, gamma1=0.01,
                               inner_tol=1e-5, mu=100.0, max_outer=3,
                               max_inner=50)
-        solve_nested(config, objective, validation, partition, theta0, grid,
-                     *zero_controls(grid))
+        solve_nested(config, objective, validation, partition, theta0,
+                     zero_grid_control(grid, 2))
         assert calls["follower"] > 0 and calls["leader"] > 0
         assert calls["sweeps"] == 1 + calls["follower"] + calls["leader"]
 

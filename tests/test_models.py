@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradsteer import (Dataset, LossScale, ModelKind, ModelSpec, Objective,
+from gradsteer import (Dataset, LossScale, ModelKind, Objective,
                        SingularityError, objective_gradient, objective_value,
                        validation_phi, validation_phi_grad)
 from gradsteer.models import _predict_batch, hvp_function
@@ -106,14 +106,14 @@ class TestObjectiveGradient:
         for _ in range(5):
             w = rng.uniform(0.05, 1.0, size=6)
             v = rng.uniform(0.2, 4.0, size=6)
-            cases.append(Objective(ModelSpec(ModelKind.MICHAELIS_MENTEN),
+            cases.append(Objective(ModelKind.MICHAELIS_MENTEN,
                                    Dataset(w[:, None], v)))
-            cases.append(Objective(ModelSpec(ModelKind.EXPONENTIAL),
+            cases.append(Objective(ModelKind.EXPONENTIAL,
                                    Dataset(w[:, None] - 0.5, v)))
             cases.append(linear_objective(rng.normal(size=(6, 3)),
-                                          rng.normal(size=6), param_dim=3))
+                                          rng.normal(size=6)))
         for obj in cases:
-            p = obj.model.param_dim
+            p = 2 if obj.model is not ModelKind.LINEAR else 3
             theta = rng.uniform(0.3, 2.0, size=p)
             step = 1e-6 * (1.0 + np.linalg.norm(theta))
             fd = finite_diff_gradient(lambda th: objective_value(obj, th),
@@ -148,7 +148,7 @@ class TestHvp:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(7, 3))
         y = rng.normal(size=7)
-        obj = linear_objective(x, y, param_dim=3)
+        obj = linear_objective(x, y)
         hessian = x.T @ x / 7.0  # half scale
         theta = rng.normal(size=3)
         hvp = hvp_function(obj)
@@ -171,7 +171,7 @@ class TestHvp:
         assert np.allclose(hvp_function(obj)(theta, v), dense @ v, rtol=1e-4)
 
     def test_exponential_against_dense_fd_hessian(self):
-        obj = Objective(ModelSpec(ModelKind.EXPONENTIAL),
+        obj = Objective(ModelKind.EXPONENTIAL,
                         Dataset(np.array([[0.5], [1.5]]), np.array([1.0, 2.0])),
                         LossScale.ONE)
         theta = np.array([0.8, 0.3])
