@@ -5,6 +5,8 @@ forward sweep and the trapezoid rule compute (see `integrate`).
 Conventions (fixed by the finite-difference exactness tests):
 
 * Hamiltonian = running cost + <costate, state velocity>.
+* A forward sweep integrates theta' = u1 + u2 - grad J0(theta), each control
+  on its own agent's coordinates, from the problem's theta0 on its grid.
 * A backward sweep returns dL/du at every RK4 stage. Each control class
   (`core`) samples itself at those stages and turns the sensitivities into
   its own-coordinate gradient; `core.node_costates` maps them to node values
@@ -100,22 +102,12 @@ def grid_inner_product(grid: TimeGrid, a: Array, b: Array) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sweeps
-
-def run_forward(objective: Objective, stage_u: Array, theta0: Array,
-                grid: TimeGrid) -> Trajectory:
-    """Controlled descent flow thetadot = -grad J0(theta) + stage_u[s]."""
-    grad = gradient_function(objective)
-    return integrate_forward(lambda s, theta: stage_u[s] - grad(theta),
-                             theta0, grid)
-
-
-# ---------------------------------------------------------------------------
 # follower functional: J2, sweeps, gradient
 
 def follower_forward(prob: FollowerProblem, u2: ControlSignal) -> Trajectory:
     stage = combined_stage_controls(prob.u1, u2, prob.partition, prob.grid)
-    return run_forward(prob.objective, stage, prob.theta0, prob.grid)
+    return integrate_forward(gradient_function(prob.objective), stage,
+                             prob.theta0, prob.grid)
 
 
 def follower_backward(prob: FollowerProblem, traj: Trajectory) -> Array:
@@ -150,7 +142,8 @@ def control_gradient_follower(prob: FollowerProblem,
 
 def leader_forward(prob: LeaderProblem, u1: ControlSignal) -> Trajectory:
     stage = combined_stage_controls(u1, prob.u2, prob.partition, prob.grid)
-    return run_forward(prob.objective, stage, prob.theta0, prob.grid)
+    return integrate_forward(gradient_function(prob.objective), stage,
+                             prob.theta0, prob.grid)
 
 
 def leader_phi(prob: LeaderProblem, theta_T: Array) -> float:

@@ -12,23 +12,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from .adjoint import gradient_check, run_forward
+from .adjoint import gradient_check
 from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
-                   SolverConfig, SplitSpec, TerminalMode, TimeGrid,
-                   make_time_grid, zero_grid_control)
-from .integrate import DivergenceError
+                   SolverConfig, SplitSpec, TimeGrid, make_time_grid,
+                   zero_grid_control)
+from .integrate import DivergenceError, integrate_forward
 from .leader import residual_stats, solve_nested
 from .models import (LossScale, ModelKind, Objective, SingularityError,
-                     _predict_batch)
+                     _predict_batch, gradient_function)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,52 +166,35 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"{path}:{lineno}: {key}: {msg}")
 
     def convert(key: str, kind: type = float, many: bool = False):
-        """The key's value as a float or int, or as a comma-separated list
-        of them; floats must be finite."""
+        """The key's value as a float, an int or a member of an Enum `kind`,
+        or as a comma-separated list of numbers; floats must be finite."""
         text, _ = get(key)
-        article, noun = ("a", "number") if kind is float else ("an", "integer")
         try:
             vals = [kind(c) for c in text.split(",")] if many else [kind(text)]
         except ValueError:
+            if issubclass(kind, Enum):
+                fail(key, f"must be one of {', '.join(m.value for m in kind)}; "
+                          f"got {text!r}")
+            article, noun = ("a", "number") if kind is float else ("an", "integer")
             fail(key, f"not a comma-separated {noun} list: {text!r}" if many
                  else f"not {article} {noun}: {text!r}")
         if kind is float and not all(np.isfinite(vals)):
             fail(key, "must be finite")
         return vals if many else vals[0]
 
-    model_name, _ = get("model")
-    try:
-        model = ModelKind(model_name)
-    except ValueError:
-        fail("model", f"unknown model {model_name!r}")
+    model = convert("model", ModelKind)
+    loss_scale = convert("loss_scale", LossScale)
     theta0 = np.array(convert("theta0", many=True))
     # data files hold one input column, so a linear model has one parameter
     n_params = 1 if model is ModelKind.LINEAR else 2
     if len(theta0) != n_params:
         fail("theta0", f"{model.value} takes {n_params} values, got {len(theta0)}")
 
-    scale_name, _ = get("loss_scale")
+    # SolverConfig (each field read as the type of its default) and TimeGrid
+    # check their own ranges; a violation is reported at its key's line
     try:
-        loss_scale = LossScale(scale_name)
-    except ValueError:
-        fail("loss_scale", f"must be one of half, one; got {scale_name!r}")
-
-    mode_name, _ = get("terminal_mode")
-    try:
-        terminal_mode = TerminalMode(mode_name)
-    except ValueError:
-        fail("terminal_mode", f"must be one of penalty, paper_fixed; got {mode_name!r}")
-
-    # SolverConfig and TimeGrid check their own ranges; a violation is
-    # reported at the line of the key it names
-    try:
-        solver = SolverConfig(
-            **{key: convert(key) for key in ("alpha", "beta", "gamma1",
-                                            "eps_tol", "inner_tol", "z", "mu",
-                                            "u_max")},
-            max_outer=convert("max_outer", int),
-            max_inner=convert("max_inner", int),
-            terminal_mode=terminal_mode)
+        solver = SolverConfig(**{f.name: convert(f.name, type(f.default))
+                                 for f in fields(SolverConfig)})
         grid = make_time_grid(convert("T"), convert("N_t", int))
     except InvalidSetting as exc:
         fail(_GRID_KEYS.get(exc.name, exc.name), exc.rule)
@@ -273,9 +257,14 @@ def parse_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # problem assembly
 
-def _load_problem(cfg: RunConfig):
+def _prepare(config_path, out_dir: Optional[Path]):
+    """(config, output directory, training objective, validation set) of a
+    command; the output directory, `out_dir` or the config's, is created."""
+    cfg = parse_config(config_path)
+    out = Path(out_dir) if out_dir is not None else cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     objective = Objective(cfg.model, cfg.split.train(cfg.data), cfg.loss_scale)
-    return objective, cfg.split.validation(cfg.data)
+    return cfg, out, objective, cfg.split.validation(cfg.data)
 
 
 def _initial_control(cfg: RunConfig):
@@ -387,11 +376,7 @@ def _write_node_table(path, grid: TimeGrid, **tables: np.ndarray) -> None:
 # commands
 
 def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
-    cfg = parse_config(config_path)
-    out = Path(out_dir) if out_dir is not None else cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    objective, validation = _load_problem(cfg)
-
+    cfg, out, objective, validation = _prepare(config_path, out_dir)
     report = solve_nested(cfg.solver, objective, validation, cfg.partition,
                           cfg.theta0, _initial_control(cfg))
 
@@ -410,13 +395,7 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
         "z": cfg.solver.z,
         "residuals": {"mean": stats.mean, "std": stats.std,
                       "values": list(stats.residuals)},
-        "history": [
-            {"J1": h.j1, "J2": h.j2, "Phi": h.phi,
-             "leader_grad_norm": h.leader_grad_norm,
-             "follower_grad_norm": h.follower_grad_norm,
-             "gamma1_used": h.gamma1_used, "gamma2_used": h.gamma2_used}
-            for h in report.history
-        ],
+        "history": [asdict(h) for h in report.history],
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -434,12 +413,10 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
 
 def run_simulate(config_path, out_dir: Optional[Path] = None) -> int:
     """Integrate the plain (uncontrolled) training gradient flow."""
-    cfg = parse_config(config_path)
-    out = Path(out_dir) if out_dir is not None else cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    objective, _ = _load_problem(cfg)
-    traj = run_forward(objective, _initial_control(cfg).stage_values(),
-                       cfg.theta0, cfg.grid)
+    cfg, out, objective, _ = _prepare(config_path, out_dir)
+    traj = integrate_forward(gradient_function(objective),
+                             _initial_control(cfg).stage_values(), cfg.theta0,
+                             cfg.grid)
     _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
     endpoint = [float(x) for x in traj.terminal_state]
     print(f"uncontrolled endpoint theta(T) = {endpoint}")
@@ -451,11 +428,12 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     """Adjoint-vs-finite-difference certification on the configured problem
     and its own grid. The adjoint differentiates the discrete RK4 sweep, so
     the two agree to rounding and difference truncation at any step size.
+    It perturbs grid controls even on a `basis K` config, where it certifies
+    the grid-control gradient of the same problem: the basis coefficient
+    gradient is checked only by the test TestControlGradients::
+    test_basis_coefficient_gradient.
     """
-    cfg = parse_config(config_path)
-    out = Path(out_dir) if out_dir is not None else cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    objective, validation = _load_problem(cfg)
+    cfg, out, objective, validation = _prepare(config_path, out_dir)
     records = gradient_check(objective, validation, cfg.partition, cfg.theta0,
                              cfg.grid, cfg.solver, seed=cfg.seed,
                              n_directions=20, corruption=corruption)
@@ -505,6 +483,9 @@ def main(argv=None) -> int:
         return run_gradcheck(args.config, args.out)
     except (ConfigError, CsvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an output directory or file that cannot be made
+        print(f"error: {exc.filename}: {exc.strerror.lower()}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, SingularityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

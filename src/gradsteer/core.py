@@ -221,8 +221,6 @@ class GridControl(ControlSignal):
         if values.shape[0] != self.grid.steps + 1:
             raise ValueError("need one value vector per grid node")
         object.__setattr__(self, "values", _frozen_array(values, "control values"))
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
         if np.abs(self.values).max() > self.u_max + 1e-12:
             raise ValueError("control values exceed the amplitude bound")
 
@@ -263,8 +261,6 @@ class BasisControl(ControlSignal):
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
         object.__setattr__(self, "coefficients", _frozen_array(coeffs, "coefficients"))
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
 
     @property
     def dimension(self) -> int:
@@ -350,21 +346,13 @@ class ControlPartition:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a time grid, as integrate_forward produces them: `states`
-    at the nodes, and `stages[j]` the states of RK4 stages 2-4 of step j,
-    which the backward sweep differentiates at."""
+    """A forward sweep, made only by integrate_forward, which marks its
+    arrays read-only: finite `states` at the nodes, and `stages[j]` the states
+    of RK4 stages 2-4 of step j, which the backward sweep differentiates at."""
 
     grid: TimeGrid
     states: Array
     stages: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _frozen_array(self.states, "states"))
-        object.__setattr__(self, "stages", _frozen_array(self.stages, "stages"))
-        if self.states.shape[0] != self.grid.steps + 1:
-            raise ValueError("state count must equal node count")
-        if self.stages.shape != (self.grid.steps, 3) + self.states.shape[1:]:
-            raise ValueError("need three stage states per step")
 
     @property
     def terminal_state(self) -> Array:
@@ -416,13 +404,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """One outer iteration: cost values, extremum residual norms, and the
-    steps the two line searches accepted (gamma2_used is the follower's
-    last accepted fraction of its MSA step; 0 means no step)."""
+    """One outer iteration of report.json's `history`, under the report's
+    names: costs, extremum residual norms, and the accepted line-search steps
+    (gamma2_used: the follower's last accepted MSA step fraction; 0 if none)."""
 
-    j1: float
-    j2: float
-    phi: float
+    J1: float
+    J2: float
+    Phi: float
     leader_grad_norm: float
     follower_grad_norm: float
     gamma1_used: float

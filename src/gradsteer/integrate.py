@@ -1,11 +1,11 @@
-"""Fixed-step classical Runge-Kutta integration of the forward state ODE,
-and the exact adjoint of that discrete scheme (discretise, then optimise).
+"""Fixed-step classical RK4 of the controlled training flow theta' = u -
+grad J(theta), and the exact adjoint of that discrete scheme.
 
-A rate is called as `rate(s, y)` with a stage index, not a time: stage 2j is
-node j and stage 2j + 1 the midpoint of interval j. A forward step from node
-j visits stages 2j, 2j+1, 2j+1, 2j+2 and keeps the states of stages 2-4;
-`integrate_backward` runs the transposed step along them (Hager 2000, Numer.
-Math. 87), exact for the forward sweep's numbers at any step size.
+The control u enters by stage: stage 2j is node j and stage 2j + 1 the
+midpoint of interval j. A forward step from node j reads u at stages 2j,
+2j+1, 2j+1 and 2j+2 and keeps the states of stages 2-4; `integrate_backward`
+runs the transposed step along them (Hager 2000, Numer. Math. 87), exact for
+the forward sweep's numbers at any step size.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ import numpy as np
 
 from .core import Array, TimeGrid, Trajectory, trapezoid_weights
 
-Rate = Callable[[int, Array], Array]
-
 
 class DivergenceError(RuntimeError):
     """A state or costate stopped being finite during integration."""
 
-    def __init__(self, t: float, step: int, what: str = "state"):
+    def __init__(self, t: float, step: int, what: str):
         self.t = t
         self.step = step
         self.what = what
@@ -31,9 +29,12 @@ class DivergenceError(RuntimeError):
 
 # overflow shows up as a non-finite value, which the loops report themselves
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def integrate_forward(rate: Rate, y0, grid: TimeGrid) -> Trajectory:
-    """RK4 from t=0 to t=T: node states, and step j's stage 2-4 states."""
-    y = np.array(y0, dtype=float)
+def integrate_forward(grad: Callable[[Array], Array], stage_u, theta0,
+                      grid: TimeGrid) -> Trajectory:
+    """RK4 of theta' = stage_u[s] - grad(theta) from theta0 over `grid`, with
+    stage_u indexed by stage: node states, and step j's stage 2-4 states,
+    both read-only."""
+    y = np.array(theta0, dtype=float)
     n = grid.steps
     h = grid.dt
     half = 0.5 * h
@@ -43,18 +44,20 @@ def integrate_forward(rate: Rate, y0, grid: TimeGrid) -> Trajectory:
     states[0] = y
     for j in range(n):
         s = 2 * j
-        k1 = rate(s, y)
+        k1 = stage_u[s] - grad(y)
         y2 = y + half * k1
-        k2 = rate(s + 1, y2)
+        k2 = stage_u[s + 1] - grad(y2)
         y3 = y + half * k2
-        k3 = rate(s + 1, y3)
+        k3 = stage_u[s + 1] - grad(y3)
         y4 = y + h * k3
-        k4 = rate(s + 2, y4)
+        k4 = stage_u[s + 2] - grad(y4)
         stages[j] = y2, y3, y4
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.all(np.isfinite(y)):
             raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
         states[j + 1] = y
+    states.flags.writeable = False
+    stages.flags.writeable = False
     return Trajectory(grid=grid, states=states, stages=stages)
 
 
@@ -62,8 +65,8 @@ def integrate_forward(rate: Rate, y0, grid: TimeGrid) -> Trajectory:
 def integrate_backward(hvp: Callable[[Array, Array], Array], traj: Trajectory,
                        p_T, forcing: float) -> Array:
     """dL/du at all 2N + 1 stages of `traj`, a read-only (2N + 1, p) array;
-    `traj` is a sweep of the rate u - grad J(theta) with hvp(theta, v) =
-    Hess(J)(theta) @ v, and L = sum_j w_j forcing/2 |theta_j|^2 + (a
+    `traj` is a forward sweep of theta' = u - grad J(theta) with hvp(theta, v)
+    = Hess(J)(theta) @ v, and L = sum_j w_j forcing/2 |theta_j|^2 + (a
     terminal term of gradient p_T), w the trapezoid weights. Runs lambda_j =
     dL/dtheta_j through the transposed RK4 steps from lambda_N = p_T + w_N *
     forcing * theta_N."""

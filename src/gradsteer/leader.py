@@ -89,7 +89,7 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
         lres = leader_step(lprob, fprob.u1, fres.trajectory, config)
         fprob, traj = replace(fprob, u1=lres.u1), lres.trajectory
         history.append(HistoryRecord(
-            j1=lres.j1, j2=fres.J2_value, phi=lres.phi,
+            J1=lres.j1, J2=fres.J2_value, Phi=lres.phi,
             leader_grad_norm=lres.grad_norm,
             follower_grad_norm=fres.grad_norm,
             gamma1_used=lres.gamma_used, gamma2_used=fres.gamma_last))

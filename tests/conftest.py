@@ -7,7 +7,6 @@ from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
                        ModelKind, Objective, SplitSpec,
                        make_time_grid, zero_grid_control)
 from gradsteer.adjoint import FollowerProblem
-from gradsteer.models import gradient_function
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -59,10 +58,9 @@ def linear_objective(inputs, outputs, scale=LossScale.HALF) -> Objective:
                      Dataset(inputs, np.asarray(outputs, dtype=float)), scale)
 
 
-def uncontrolled_rate(objective: Objective):
-    """Stage-indexed rate of the plain training gradient flow."""
-    grad = gradient_function(objective)
-    return lambda s, theta: -grad(theta)
+def zero_stages(grid, dimension: int = 1):
+    """Stage values of the zero control, for integrate_forward."""
+    return np.zeros((2 * grid.steps + 1, dimension))
 
 
 def clamped_follower_problem():

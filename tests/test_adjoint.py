@@ -10,9 +10,10 @@ from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
                                follower_backward, follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
                                leader_merit, leader_terminal_costate,
-                               run_forward, smooth_random_signal,
+                               smooth_random_signal,
                                update_control)
 from gradsteer.core import node_costates
+from gradsteer.integrate import integrate_forward
 from gradsteer.models import (gradient_function, objective_gradient,
                               validation_phi_grad)
 
@@ -155,11 +156,14 @@ class TestCostateRates:
         prob = FollowerProblem(obj, 0.7, BETA, partition_10,
                                zero_grid_control(grid, 2), grid, rng.normal(size=2))
         u2 = zero_grid_control(grid, 2)
+        grad = gradient_function(obj)
 
         def j2(stage):
-            return follower_cost(prob, run_forward(obj, stage, prob.theta0, grid), u2)
+            traj = integrate_forward(grad, stage, prob.theta0, grid)
+            return follower_cost(prob, traj, u2)
 
-        cs = follower_backward(prob, run_forward(obj, stage_u, prob.theta0, grid))
+        cs = follower_backward(
+            prob, integrate_forward(grad, stage_u, prob.theta0, grid))
         assert np.allclose(cs, stage_fd(j2, stage_u),
                            rtol=1e-8, atol=1e-12)
 
@@ -170,11 +174,13 @@ class TestCostateRates:
                                                   mm_validation, 8)
         no_cost = zero_grid_control(fprob.grid, 2)  # J2's state part only
 
+        grad = gradient_function(mm_train_half)
+
         def j2(stage):
-            traj = run_forward(mm_train_half, stage, fprob.theta0, fprob.grid)
+            traj = integrate_forward(grad, stage, fprob.theta0, fprob.grid)
             return follower_cost(fprob, traj, no_cost)
 
-        traj = run_forward(mm_train_half, stage_u, fprob.theta0, fprob.grid)
+        traj = integrate_forward(grad, stage_u, fprob.theta0, fprob.grid)
         cs = follower_backward(fprob, traj)
         fd = stage_fd(j2, stage_u)
         assert np.abs(cs - fd).max() <= 1e-7 * np.abs(fd).max()
@@ -185,11 +191,13 @@ class TestCostateRates:
         _, lprob, _, stage_u = two_step_problems(mm_train_half,
                                                  mm_validation, 13)
 
+        grad = gradient_function(mm_train_half)
+
         def merit(stage):
-            traj = run_forward(mm_train_half, stage, lprob.theta0, lprob.grid)
+            traj = integrate_forward(grad, stage, lprob.theta0, lprob.grid)
             return leader_merit(lprob, traj)[0]
 
-        traj = run_forward(mm_train_half, stage_u, lprob.theta0, lprob.grid)
+        traj = integrate_forward(grad, stage_u, lprob.theta0, lprob.grid)
         cs = leader_backward(lprob, traj)
         fd = stage_fd(merit, stage_u)
         assert np.abs(cs - fd).max() <= 1e-7 * np.abs(fd).max()

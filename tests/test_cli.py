@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,20 @@ def write_config(path: Path, **overrides) -> Path:
     lines = [f"{k} = {v}" for k, v in base.items() if v is not None]
     cfg = path / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cfg
+
+
+def shipped_config(tmp_path: Path, name: str, **overrides) -> Path:
+    """The shipped config `name` with an absolute data path and the given
+    keys set."""
+    text = (REPO / "configs" / name).read_text(encoding="utf-8")
+    overrides["data"] = DATA_CSV
+    for key, value in overrides.items():
+        text, n = re.subn(rf"^{key}\s*=[^#\n]*", f"{key} = {value}", text,
+                          flags=re.M)
+        assert n == 1
+    cfg = tmp_path / name
+    cfg.write_text(text, encoding="utf-8")
     return cfg
 
 
@@ -244,8 +259,10 @@ class TestRunFit:
 
 
 class TestGoldenFit:
-    # frozen report values of the small config for both control kinds; a
-    # change to the solver's arithmetic or its order of operations moves them
+    # frozen report values of the small config for both control kinds (3
+    # outer iterations), and of the two shipped configs at max_outer = 2, the
+    # benchmark's fit workloads; a change to the solver's arithmetic or its
+    # order of operations moves them
     GOLDEN = {
         "grid": ([3.8650927085490725, 0.01732237487656885],
                  0.003699321835916024, 5.636879272023238,
@@ -253,19 +270,29 @@ class TestGoldenFit:
         "basis 4": ([3.871569981772874, 0.017407093610953713],
                     0.0035369548142296712, 5.657508702399101,
                     0.05657525251234326),
+        "michaelis_menten.cfg": ([3.8619272680909313, 0.0172809738552032],
+                                 0.00756286000889196, 11.005770567857388,
+                                 0.11005847612067621),
+        "michaelis_menten_basis.cfg": (
+            [3.872077946796343, 0.01741332794586015],
+            0.007048954309958246, 11.050988229130693, 0.11051065266903815),
     }
 
-    @pytest.mark.parametrize("control", sorted(GOLDEN))
-    def test_report_values(self, tmp_path, control):
-        theta, phi, j1, j2 = self.GOLDEN[control]
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_report_values(self, tmp_path, case):
+        theta, phi, j1, j2 = self.GOLDEN[case]
+        if case.endswith(".cfg"):
+            config, outer = shipped_config(tmp_path, case, max_outer=2), 2
+        else:
+            config, outer = write_config(tmp_path, control=case), 3
         out = tmp_path / "o"
-        assert run_fit(write_config(tmp_path, control=control), out) == EXIT_OK
+        assert run_fit(config, out) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["theta"] == pytest.approx(theta, rel=1e-12)
         assert report["Phi"] == pytest.approx(phi, rel=1e-12)
         assert report["J1"] == pytest.approx(j1, rel=1e-12)
         assert report["J2"] == pytest.approx(j2, rel=1e-12)
-        assert report["outer_iterations"] == 3
+        assert report["outer_iterations"] == outer
         assert report["converged"] is False
 
 
@@ -329,12 +356,7 @@ class TestRunGradcheck:
         # the shipped reference config on its own grid (N_t = 2000, mu = 1e5):
         # seed 3 draws the controls and directions that an adjoint of the
         # continuous costate equation got wrong by more than the tolerance
-        text = GOLDEN_CFG.read_text(encoding="utf-8")
-        text = text.replace("../data/michaelis_menten.csv", str(DATA_CSV))
-        text = text.replace("seed = 0", "seed = 3")
-        assert "seed = 3" in text and str(DATA_CSV) in text
-        cfg = tmp_path / "reference.cfg"
-        cfg.write_text(text, encoding="utf-8")
+        cfg = shipped_config(tmp_path, GOLDEN_CFG.name, seed=3)
         assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
             == EXIT_OK
 
@@ -393,6 +415,26 @@ class TestMain:
                    if ln.startswith("theta0"))
         assert main(["fit", str(cfg)]) == EXIT_CONFIG
         assert f"{cfg}:{idx + 1}: theta0: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "gradcheck"])
+    @pytest.mark.parametrize("case", ["existing file", "under a file",
+                                      "directory output"])
+    def test_unusable_output_path_exit(self, tmp_path, capsys, command, case):
+        # --out names a file, or a path under one, or the command's output
+        # file is a directory: a config error that names the path, not a
+        # traceback
+        cfg = write_config(tmp_path, N_t="50", **FROZEN)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {"existing file": blocker, "under a file": blocker / "out",
+               "directory output": tmp_path / "o"}[case]
+        target = out
+        if case == "directory output":
+            target = out / ("gradcheck.csv" if command == "gradcheck"
+                            else "trajectory.csv")
+            target.mkdir(parents=True)
+        assert main(["--out", str(out), command, str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {target}: ")
 
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path, N_t="200", T="0.5", max_outer="1")

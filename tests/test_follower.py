@@ -214,7 +214,7 @@ class TestBacktrack:
         def trial(step):
             steps.append(step)
             if step > 0.25:
-                raise DivergenceError(0.5, 3)
+                raise DivergenceError(0.5, 3, "state")
             return "candidate", 0.5
 
         assert backtrack(trial, 1.0, 1.0) == (0.25, "candidate", 0.5)

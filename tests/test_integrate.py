@@ -5,43 +5,51 @@ from scipy.linalg import expm
 from gradsteer import (DivergenceError, integrate_backward, integrate_forward,
                        make_time_grid)
 from gradsteer.core import node_costates
-from gradsteer.models import hvp_function
+from gradsteer.models import gradient_function, hvp_function
 
-from conftest import linear_objective, uncontrolled_rate
+from conftest import linear_objective, zero_stages
+
+
+def decay(y):
+    # the gradient of J(y) = |y|^2 / 2, so the uncontrolled flow is y' = -y
+    return y
 
 
 def test_zero_field_constant_trajectory():
     grid = make_time_grid(2.0, 20)
     y0 = np.array([1.5, -0.25])
-    traj = integrate_forward(lambda s, y: np.zeros(2), y0, grid)
+    traj = integrate_forward(lambda y: np.zeros(2), zero_stages(grid, 2), y0,
+                             grid)
     for row in traj.states:
         assert np.array_equal(row, y0)
 
 
 def test_exponential_decay_endpoint():
     grid = make_time_grid(1.0, 100)
-    traj = integrate_forward(lambda s, y: -y, np.array([1.0]), grid)
+    traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     assert abs(traj.terminal_state[0] - np.exp(-1.0)) < 1e-8
 
 
 def test_mm_flow_step_doubling(mm_train_one):
-    rate = uncontrolled_rate(mm_train_one)
+    grad = gradient_function(mm_train_one)
     theta0 = np.array([3.9, 0.0178])
-    end_a = integrate_forward(rate, theta0, make_time_grid(1.5, 2000))
-    end_b = integrate_forward(rate, theta0, make_time_grid(1.5, 4000))
+    grid_a, grid_b = make_time_grid(1.5, 2000), make_time_grid(1.5, 4000)
+    end_a = integrate_forward(grad, zero_stages(grid_a, 2), theta0, grid_a)
+    end_b = integrate_forward(grad, zero_stages(grid_b, 2), theta0, grid_b)
     assert np.abs(end_a.terminal_state - end_b.terminal_state).max() < 1e-7
 
 
 def test_forward_anchors_initial_state():
     grid = make_time_grid(1.0, 10)
     y0 = np.array([0.3, 0.7])
-    traj = integrate_forward(lambda s, y: -y, y0, grid)
+    traj = integrate_forward(decay, zero_stages(grid, 2), y0, grid)
     assert np.array_equal(traj.states[0], y0)
 
 
 def test_backward_zero_field():
     grid = make_time_grid(1.0, 10)
-    traj = integrate_forward(lambda s, y: np.zeros(1), np.zeros(1), grid)
+    traj = integrate_forward(lambda y: np.zeros(1), zero_stages(grid),
+                             np.zeros(1), grid)
     cs = integrate_backward(lambda theta, v: np.zeros(1), traj, np.zeros(1), 1.0)
     assert np.array_equal(cs, np.zeros((21, 1)))
     assert not cs.flags.writeable
@@ -52,7 +60,7 @@ def test_backward_exponential():
     # L = theta(T) on thetadot = u - theta: the costate is p(t) = e^{t - T},
     # and the sensitivities sum to dtheta(T)/du for a constant u, 1 - e^{-1}
     grid = make_time_grid(1.0, 100)
-    traj = integrate_forward(lambda s, y: -y, np.array([1.0]), grid)
+    traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     cs = integrate_backward(lambda theta, v: v, traj, np.array([1.0]), 0.0)
     assert abs(cs.sum() - (1.0 - np.exp(-1.0))) < 1e-10
     assert cs[-1, 0] == grid.dt / 6.0
@@ -74,7 +82,8 @@ def test_backward_linear_adjoint_matrix_exponential():
     alpha = 0.35
     T = 1.0
     grid = make_time_grid(T, 200)
-    traj = integrate_forward(uncontrolled_rate(obj), theta0, grid)
+    traj = integrate_forward(gradient_function(obj), zero_stages(grid, 2),
+                             theta0, grid)
     cs = integrate_backward(hvp_function(obj), traj, np.zeros(2), alpha)
     a_inv = np.linalg.inv(a_mat)
     for idx in (1, 50, 120, 199):
@@ -88,8 +97,9 @@ def test_fourth_order_convergence():
     # endpoint error shrinks by >= 12x per step halving over three refinements
     errors = []
     for n in (10, 20, 40, 80):
-        traj = integrate_forward(lambda s, y: -y, np.array([1.0]),
-                                 make_time_grid(1.0, n))
+        grid = make_time_grid(1.0, n)
+        traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]),
+                                 grid)
         errors.append(abs(traj.terminal_state[0] - np.exp(-1.0)))
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 12.0
@@ -97,9 +107,9 @@ def test_fourth_order_convergence():
 
 def test_determinism():
     grid = make_time_grid(1.0, 64)
-    rate = lambda s, y: np.sin(y) - 0.3 * y
-    a = integrate_forward(rate, np.array([0.9, -0.4]), grid)
-    b = integrate_forward(rate, np.array([0.9, -0.4]), grid)
+    grad = lambda y: 0.3 * y - np.sin(y)
+    a = integrate_forward(grad, zero_stages(grid, 2), np.array([0.9, -0.4]), grid)
+    b = integrate_forward(grad, zero_stages(grid, 2), np.array([0.9, -0.4]), grid)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.stages, b.stages)
 
@@ -107,7 +117,8 @@ def test_determinism():
 def test_divergence_detected():
     grid = make_time_grid(1.0, 10)
     with pytest.raises(DivergenceError) as err:
-        integrate_forward(lambda s, y: y * y, np.array([50.0]), grid)
+        integrate_forward(lambda y: -y * y, zero_stages(grid), np.array([50.0]),
+                          grid)
     assert err.value.t <= 1.0
     assert err.value.what == "state"
 
@@ -115,7 +126,7 @@ def test_divergence_detected():
 def test_backward_divergence_detected():
     # a Hessian of 1e300 overflows the costate in the first backward step
     grid = make_time_grid(1.0, 10)
-    traj = integrate_forward(lambda s, y: -y, np.array([1.0]), grid)
+    traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     with pytest.raises(DivergenceError) as err:
         integrate_backward(lambda theta, v: 1e300 * v, traj, np.array([1.0]),
                            0.0)
@@ -131,12 +142,17 @@ def test_stage_indices_visited():
     grid = make_time_grid(1.0, 3)
     seen, states = [], []
 
-    def rate(s, y):
-        seen.append(s)
-        states.append(y.copy())
-        return np.sin(y) - 0.3 * y
+    class StageLog:
+        # the control's stage values, logging the stage index each read asks for
+        def __getitem__(self, s):
+            seen.append(s)
+            return np.zeros(1)
 
-    traj = integrate_forward(rate, np.array([0.9]), grid)
+    def grad(y):
+        states.append(y.copy())
+        return 0.3 * y - np.sin(y)
+
+    traj = integrate_forward(grad, StageLog(), np.array([0.9]), grid)
     assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
     for j in range(grid.steps):
         assert np.array_equal(states[4 * j], traj.states[j])

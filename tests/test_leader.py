@@ -13,9 +13,10 @@ from gradsteer.core import node_costates
 from gradsteer.follower import solve_follower
 from gradsteer.integrate import integrate_forward
 from gradsteer.leader import leader_step
+from gradsteer.models import gradient_function
 
 from conftest import (THETA_REPORTED, clamped_follower_problem,
-                      linear_objective, uncontrolled_rate)
+                      linear_objective, zero_stages)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,8 @@ class TestSolveNested:
                               max_inner=1, max_outer=5)
         report = solve_nested(config, objective, validation, partition,
                               theta0, zero_grid_control(grid, 2))
-        plain = integrate_forward(uncontrolled_rate(objective), theta0, grid)
+        plain = integrate_forward(gradient_function(objective),
+                                  zero_stages(grid, 2), theta0, grid)
         assert report.theta_final.tobytes() == plain.terminal_state.tobytes()
         assert report.history[0].leader_grad_norm < config.eps_tol
         assert not report.converged  # the follower stopped at its cap
