@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (BasisControl, ControlGradient, ControlPartition, Dataset,
                    GridControl, HistoryRecord, RunReport, SolverConfig,
-                   SplitSpec, TerminalMode, TimeGrid, make_time_grid,
-                   zero_grid_control)
+                   SplitSpec, TerminalMode, TimeGrid, zero_grid_control)
 from .models import (LossScale, ModelKind, Objective, SingularityError,
                      objective_gradient, objective_value, validation_phi,
                      validation_phi_grad)
@@ -32,7 +31,7 @@ __all__ = [
     "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
     "TerminalMode", "TimeGrid", "control_gradient_follower",
     "control_gradient_leader", "gradient_check", "integrate_backward",
-    "integrate_forward", "leader_step", "make_time_grid",
+    "integrate_forward", "leader_step",
     "objective_gradient", "objective_value", "residual_stats",
     "solve_follower", "solve_nested", "validation_phi",
     "validation_phi_grad", "zero_grid_control",

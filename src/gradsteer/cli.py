@@ -24,8 +24,7 @@ from . import __version__
 from .adjoint import gradient_check
 from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
-                   SolverConfig, SplitSpec, TimeGrid, make_time_grid,
-                   zero_grid_control)
+                   SolverConfig, SplitSpec, TimeGrid, zero_grid_control)
 from .integrate import DivergenceError, integrate_forward
 from .leader import residual_stats, solve_nested
 from .models import (LossScale, ModelKind, Objective, SingularityError,
@@ -41,57 +40,53 @@ LEADER_CHECK_TOL = 1e-5
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class CsvError(ValueError):
-    pass
+    """A config or data file that cannot be used; the message starts with
+    the file's path, and its line where one is at fault."""
 
 
 # ---------------------------------------------------------------------------
 # dataset files
 
-def _read_text(path: Path, error: type) -> str:
+def _read_text(path: Path) -> str:
     """The file's UTF-8 text; a path that cannot be read as such (missing,
-    a directory, other bytes) raises `error` with a `path:` message."""
+    a directory, other bytes) raises ConfigError with a `path:` message."""
     try:
         return path.read_text(encoding="utf-8")
     except (FileNotFoundError, NotADirectoryError):
-        raise error(f"{path}: no such file") from None
+        raise ConfigError(f"{path}: no such file") from None
     except OSError as exc:  # a directory, a file without read permission
-        raise error(f"{path}: {exc.strerror.lower()}") from None
+        raise ConfigError(f"{path}: {exc.strerror.lower()}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def ingest_csv(path) -> Dataset:
     """Read a two-column `w,v` CSV into a dataset, in file order."""
     path = Path(path)
-    inputs: List[float] = []
-    outputs: List[float] = []
-    lines = _read_text(path, CsvError).splitlines()
+    rows: List[Tuple[float, float]] = []
+    lines = _read_text(path).splitlines()
     if not lines:
-        raise CsvError(f"{path}: empty file")
+        raise ConfigError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
     if header != ["w", "v"]:
-        raise CsvError(f"{path}:1: expected header 'w,v', got {lines[0]!r}")
+        raise ConfigError(f"{path}:1: expected header 'w,v', got {lines[0]!r}")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 2:
-            raise CsvError(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
+            raise ConfigError(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
         try:
             w, v = float(cells[0]), float(cells[1])
         except ValueError:
-            raise CsvError(f"{path}:{lineno}: non-numeric row {line!r}") from None
+            raise ConfigError(f"{path}:{lineno}: non-numeric row {line!r}") from None
         if not (np.isfinite(w) and np.isfinite(v)):
-            raise CsvError(f"{path}:{lineno}: non-finite value in row {line!r}")
-        inputs.append(w)
-        outputs.append(v)
-    if not inputs:
-        raise CsvError(f"{path}: no samples")
-    return Dataset(np.array(inputs)[:, None], np.array(outputs))
+            raise ConfigError(f"{path}:{lineno}: non-finite value in row {line!r}")
+        rows.append((w, v))
+    if not rows:
+        raise ConfigError(f"{path}: no samples")
+    table = np.array(rows)
+    return Dataset(table[:, :1], table[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +123,7 @@ _GRID_KEYS = {"horizon": "T", "steps": "N_t"}
 
 def _parse_pairs(path: Path) -> Dict[str, Tuple[str, int]]:
     pairs: Dict[str, Tuple[str, int]] = {}
-    for lineno, raw in enumerate(_read_text(path, ConfigError).split("\n"),
-                                 start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -162,8 +156,7 @@ def parse_config(path) -> RunConfig:
         return _DEFAULTS[key], 0
 
     def fail(key: str, msg: str):
-        lineno = pairs[key][1] if key in pairs else 0
-        raise ConfigError(f"{path}:{lineno}: {key}: {msg}")
+        raise ConfigError(f"{path}:{get(key)[1]}: {key}: {msg}")
 
     def convert(key: str, kind: type = float, many: bool = False):
         """The key's value as a float, an int or a member of an Enum `kind`,
@@ -190,57 +183,39 @@ def parse_config(path) -> RunConfig:
     if len(theta0) != n_params:
         fail("theta0", f"{model.value} takes {n_params} values, got {len(theta0)}")
 
-    # SolverConfig (each field read as the type of its default) and TimeGrid
-    # check their own ranges; a violation is reported at its key's line
+    leader_mask = convert("leader_mask", many=True)
+    if len(leader_mask) != len(theta0):
+        fail("leader_mask", "length must match theta0")
+    train = convert("train_indices", int, many=True)
+    val = convert("validation_indices", int, many=True)
+
+    # each type checks its own ranges (SolverConfig's fields read as the type
+    # of their defaults); a violation is reported at its key's line
     try:
         solver = SolverConfig(**{f.name: convert(f.name, type(f.default))
                                  for f in fields(SolverConfig)})
-        grid = make_time_grid(convert("T"), convert("N_t", int))
+        grid = TimeGrid(convert("T"), convert("N_t", int))
+        partition = ControlPartition(leader_mask)
+        # config files count samples from 1; an index below 1 is refused
+        # with the other out-of-range ones, by check_bounds below
+        split = SplitSpec([i - 1 for i in train], [i - 1 for i in val])
     except InvalidSetting as exc:
         fail(_GRID_KEYS.get(exc.name, exc.name), exc.rule)
 
-    leader_mask = np.array(convert("leader_mask", many=True))
-    if len(leader_mask) != len(theta0):
-        fail("leader_mask", "length must match theta0")
-    try:
-        partition = ControlPartition(leader_mask)
-    except ValueError as exc:
-        fail("leader_mask", str(exc))
-
-    train = convert("train_indices", int, many=True)
-    val = convert("validation_indices", int, many=True)
-    for key, idx in (("train_indices", train), ("validation_indices", val)):
-        if any(i < 1 for i in idx):
-            fail(key, "sample indices are 1-based")
-    try:
-        split = SplitSpec(tuple(i - 1 for i in train), tuple(i - 1 for i in val))
-    except InvalidSetting as exc:
-        fail(exc.name, exc.rule)
-    except ValueError as exc:
-        fail("train_indices", str(exc))
-
     control_text, _ = get("control")
-    parts = control_text.split()
+    words = control_text.split()
     basis_size = 0
-    if parts[0] == "basis":
-        try:
-            (count,) = parts[1:]
-            basis_size = int(count) if count.isdigit() else 0
-        except ValueError:  # no count, several, or a digit int() cannot read
-            pass
-        if basis_size < 1:
-            fail("control", "basis needs a positive coefficient count, e.g. 'basis 12'")
-    elif parts != ["grid"]:
-        fail("control", f"must be 'grid' or 'basis K'; got {control_text!r}")
+    if words[0] == "basis" and len(words) == 2 and words[1].isdecimal():
+        basis_size = int(words[1])
+    if basis_size < 1 and words != ["grid"]:
+        fail("control", "must be 'grid' or 'basis K' with K a positive "
+                        f"integer, e.g. 'basis 12'; got {control_text!r}")
 
     seed = convert("seed", int)
     if seed < 0:
         fail("seed", "must be at least 0")
 
-    data_text, _ = get("data")
-    data_path = Path(data_text)
-    if not data_path.is_absolute():
-        data_path = path.parent / data_path
+    data_path = path.parent / get("data")[0]  # an absolute path stays as it is
     data = ingest_csv(data_path)
     try:
         split.check_bounds(data)
@@ -284,34 +259,32 @@ _SVG_W, _SVG_H = 640, 480
 _MARGIN = 56
 
 
-def _svg_open(title: str) -> List[str]:
-    return [
+def _scaler(lo: float, hi: float, out_lo: float, out_hi: float):
+    span = hi - lo if hi > lo else 1.0
+    return lambda v: out_lo + (v - lo) / span * (out_hi - out_lo)
+
+
+def _write_svg(path, title: str, xlab: str, ylab: str,
+               body: List[str]) -> None:
+    """An SVG page at `path`: the title, a white page, both axes with their
+    labels, then the plot's own marks `body`, one element per line."""
+    x0, y0 = _MARGIN, _SVG_H - _MARGIN
+    x1, y1 = _SVG_W - _MARGIN, _MARGIN
+    frame = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<title>{title}</title>',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{_SVG_H - 12}" '
+        f'text-anchor="middle" font-size="14">{xlab}</text>',
+        f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+        f'font-size="14" transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">'
+        f'{ylab}</text>',
     ]
-
-
-def _scaler(lo: float, hi: float, out_lo: float, out_hi: float):
-    span = hi - lo if hi > lo else 1.0
-
-    def to_px(v: float) -> float:
-        return out_lo + (v - lo) / span * (out_hi - out_lo)
-
-    return to_px
-
-
-def _svg_axes(parts: List[str], xlab: str, ylab: str) -> None:
-    x0, y0 = _MARGIN, _SVG_H - _MARGIN
-    x1, y1 = _SVG_W - _MARGIN, _MARGIN
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{_SVG_H - 12}" '
-                 f'text-anchor="middle" font-size="14">{xlab}</text>')
-    parts.append(f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-                 f'font-size="14" transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">'
-                 f'{ylab}</text>')
+    Path(path).write_text("\n".join(frame + body + ["</svg>"]) + "\n",
+                          encoding="utf-8")
 
 
 def write_fit_plot(path, data: Dataset, model: ModelKind, theta) -> None:
@@ -324,38 +297,31 @@ def write_fit_plot(path, data: Dataset, model: ModelKind, theta) -> None:
     yhi = max(v.max(), vs.max())
     to_x = _scaler(w.min(), w.max(), _MARGIN, _SVG_W - _MARGIN)
     to_y = _scaler(ylo, yhi, _SVG_H - _MARGIN, _MARGIN)
-    parts = _svg_open("data and fitted curve")
-    _svg_axes(parts, "input", "output")
     points = " ".join(f"{to_x(a):.2f},{to_y(b):.2f}" for a, b in zip(ws, vs))
-    parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb2" '
-                 f'stroke-width="1.5"/>')
+    body = [f'<polyline points="{points}" fill="none" stroke="#1f6fb2" '
+            f'stroke-width="1.5"/>']
     for a, b in zip(w, v):
-        parts.append(f'<circle cx="{to_x(a):.2f}" cy="{to_y(b):.2f}" r="4" '
-                     f'fill="#c23b22"/>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+        body.append(f'<circle cx="{to_x(a):.2f}" cy="{to_y(b):.2f}" r="4" '
+                    f'fill="#c23b22"/>')
+    _write_svg(path, "data and fitted curve", "input", "output", body)
 
 
 def write_residuals_plot(path, residuals) -> None:
     """Residual per sample index, with a zero reference line."""
     eps = np.asarray(residuals, dtype=float)
-    idx = np.arange(1, len(eps) + 1)
     lim = max(float(np.abs(eps).max()), 1e-12) * 1.15
     to_x = _scaler(0.5, len(eps) + 0.5, _MARGIN, _SVG_W - _MARGIN)
     to_y = _scaler(-lim, lim, _SVG_H - _MARGIN, _MARGIN)
-    parts = _svg_open("residuals per sample")
-    _svg_axes(parts, "sample index", "residual")
     zero_y = to_y(0.0)
-    parts.append(f'<line x1="{_MARGIN}" y1="{zero_y:.2f}" '
-                 f'x2="{_SVG_W - _MARGIN}" y2="{zero_y:.2f}" '
-                 f'stroke="#888888" stroke-dasharray="4 3"/>')
-    for i, e in zip(idx, eps):
+    body = [f'<line x1="{_MARGIN}" y1="{zero_y:.2f}" '
+            f'x2="{_SVG_W - _MARGIN}" y2="{zero_y:.2f}" '
+            f'stroke="#888888" stroke-dasharray="4 3"/>']
+    for i, e in enumerate(eps, start=1):
         x, y = to_x(float(i)), to_y(float(e))
-        parts.append(f'<line x1="{x:.2f}" y1="{zero_y:.2f}" x2="{x:.2f}" '
-                     f'y2="{y:.2f}" stroke="#1f6fb2"/>')
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#c23b22"/>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+        body.append(f'<line x1="{x:.2f}" y1="{zero_y:.2f}" x2="{x:.2f}" '
+                    f'y2="{y:.2f}" stroke="#1f6fb2"/>')
+        body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#c23b22"/>')
+    _write_svg(path, "residuals per sample", "sample index", "residual", body)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +447,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return run_simulate(args.config, args.out)
         return run_gradcheck(args.config, args.out)
-    except (ConfigError, CsvError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # an output directory or file that cannot be made

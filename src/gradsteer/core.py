@@ -32,8 +32,10 @@ def _frozen_array(values, shape_hint: str) -> Array:
 
 
 class InvalidSetting(ValueError):
-    """A solver, grid or split setting outside its allowed range; `name` is
-    the field and `rule` the condition it breaks."""
+    """A solver, grid, partition or split setting outside its allowed range;
+    `rule` is the condition it breaks and `name` the field that breaks it,
+    which for SolverConfig, ControlPartition and SplitSpec is also its
+    config key."""
 
     def __init__(self, name: str, rule: str):
         super().__init__(f"{name} {rule}")
@@ -71,8 +73,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint train/validation index sets into a source dataset (0-based),
-    each holding a sample at most once."""
+    """Disjoint, non-empty train/validation index sets into a source dataset
+    (0-based), each holding a sample at most once."""
 
     train_indices: Tuple[int, ...]
     validation_indices: Tuple[int, ...]
@@ -82,15 +84,17 @@ class SplitSpec:
         object.__setattr__(self, "validation_indices",
                            tuple(int(i) for i in self.validation_indices))
         for key in ("train_indices", "validation_indices"):
-            seen = set()
-            for i in getattr(self, key):
-                if i in seen:
+            indices = getattr(self, key)
+            if not indices:
+                raise InvalidSetting(key, "must name at least one sample")
+            for n, i in enumerate(indices):
+                if i in indices[:n]:
                     raise InvalidSetting(key, f"sample {i + 1} is repeated")
-                seen.add(i)
-        if set(self.train_indices) & set(self.validation_indices):
-            raise ValueError("train and validation index sets overlap")
-        if not self.train_indices or not self.validation_indices:
-            raise ValueError("both splits must be non-empty")
+        # a sample in both sets is refused where it is named second
+        for i in self.validation_indices:
+            if i in self.train_indices:
+                raise InvalidSetting("validation_indices",
+                                     f"sample {i + 1} is also in train_indices")
 
     def check_bounds(self, dataset: Dataset) -> None:
         """Raise InvalidSetting(key, rule) for the first index outside the
@@ -158,11 +162,6 @@ def node_costates(grid: TimeGrid, sens: Array) -> Array:
     nodes[:-1] += 0.5 * sens[1::2]
     nodes[1:] += 0.5 * sens[1::2]
     return nodes / trapezoid_weights(grid)[:, None]
-
-
-def make_time_grid(horizon: float, steps: int) -> TimeGrid:
-    """Uniform time grid covering [0, horizon] with the given step count."""
-    return TimeGrid(horizon=float(horizon), steps=int(steps))
 
 
 @dataclass(frozen=True)
@@ -330,9 +329,9 @@ class ControlPartition:
     def __post_init__(self):
         lm = np.array(self.leader_mask, dtype=float)  # a copy: frozen below
         if lm.ndim != 1:
-            raise ValueError("mask must be 1-d")
+            raise InvalidSetting("leader_mask", "must be 1-d")
         if not np.all(np.isin(lm, (0.0, 1.0))):
-            raise ValueError("mask must be binary")
+            raise InvalidSetting("leader_mask", "must be binary")
         fm = 1.0 - lm
         lm.flags.writeable = False
         fm.flags.writeable = False

@@ -5,7 +5,7 @@ import pytest
 
 from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
                        ModelKind, Objective, SplitSpec,
-                       make_time_grid, zero_grid_control)
+                       TimeGrid, zero_grid_control)
 from gradsteer.adjoint import FollowerProblem
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,7 +67,7 @@ def clamped_follower_problem():
     """Scalar follower problem whose control starts pinned at -u_max with the
     costate pushing it further out, so every trial step is clamped away."""
     obj = linear_objective(np.zeros((1, 1)), [0.0])
-    grid = make_time_grid(1.0, 50)
+    grid = TimeGrid(1.0, 50)
     partition = ControlPartition(np.array([0.0]))
     prob = FollowerProblem(obj, 1.0, 0.01, partition,
                            zero_grid_control(grid, 1, u_max=0.01), grid,

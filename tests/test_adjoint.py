@@ -3,7 +3,7 @@ import pytest
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
                        LossScale, Objective, SolverConfig, TerminalMode,
-                       gradient_check, make_time_grid, zero_grid_control)
+                       gradient_check, TimeGrid, zero_grid_control)
 from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
                                combined_stage_controls,
                                control_gradient_follower, control_gradient_leader,
@@ -27,7 +27,7 @@ def small_mm(table_data, split, mm_model):
     """Fast, integration-stable configuration of the enzyme problem."""
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
     validation = split.validation(table_data)
-    grid = make_time_grid(0.5, 400)
+    grid = TimeGrid(0.5, 400)
     partition = ControlPartition(np.array([1.0, 0.0]))
     theta0 = np.array([3.9, 0.0178])
     return objective, validation, grid, partition, theta0
@@ -72,7 +72,7 @@ def stage_fd(functional, stage_u, step=1e-4):
 def two_step_problems(objective, validation, seed):
     """Follower and leader problems on a 2-step grid, random controls and
     their combined stage controls."""
-    grid = make_time_grid(0.004, 2)
+    grid = TimeGrid(0.004, 2)
     partition = ControlPartition(np.array([1.0, 0.0]))
     rng = np.random.default_rng(seed)
     u1 = GridControl(grid, rng.normal(size=(3, 2)))
@@ -139,7 +139,7 @@ class TestCostateRates:
 
     def test_zero_everything(self, partition_10):
         obj = linear_objective(np.zeros((1, 2)), [0.0])
-        grid = make_time_grid(1.0, 2)
+        grid = TimeGrid(1.0, 2)
         prob = FollowerProblem(obj, ALPHA, BETA, partition_10,
                                zero_grid_control(grid, 2), grid, np.zeros(2))
         cs = follower_backward(prob, follower_forward(prob, prob.u1))
@@ -151,7 +151,7 @@ class TestCostateRates:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(6, 2))
         obj = linear_objective(x, rng.normal(size=6))
-        grid = make_time_grid(0.5, 2)
+        grid = TimeGrid(0.5, 2)
         stage_u = rng.normal(size=(5, 2))
         prob = FollowerProblem(obj, 0.7, BETA, partition_10,
                                zero_grid_control(grid, 2), grid, rng.normal(size=2))
@@ -248,7 +248,7 @@ class TestControlGradients:
     def test_zero_problem_zero_gradient(self):
         # zero-data linear model from the origin: costate and control both zero
         obj = linear_objective(np.zeros((1, 2)), [0.0])
-        grid = make_time_grid(1.0, 20)
+        grid = TimeGrid(1.0, 20)
         partition = ControlPartition(np.array([1.0, 0.0]))
         prob = FollowerProblem(obj, ALPHA, BETA, partition,
                                zero_grid_control(grid, 2), grid, np.zeros(2))
@@ -353,7 +353,7 @@ class TestControlGradients:
 
 class TestUpdateControl:
     def test_mask_invariance_grid(self):
-        grid = make_time_grid(1.0, 10)
+        grid = TimeGrid(1.0, 10)
         u = GridControl(grid, np.ones((11, 2)))
         step = np.ones((11, 2)) * np.array([0.0, 1.0])
         g = ControlGradient(pointwise=step, own=step)
@@ -362,7 +362,7 @@ class TestUpdateControl:
         assert np.allclose(out.values[:, 1], 0.5)
 
     def test_clamping(self):
-        grid = make_time_grid(1.0, 10)
+        grid = TimeGrid(1.0, 10)
         u = GridControl(grid, np.zeros((11, 1)), u_max=2.0)
         step = -np.ones((11, 1)) * 100.0
         g = ControlGradient(pointwise=step, own=step)
@@ -382,7 +382,7 @@ class TestCheckProtocol:
         cfg = SolverConfig(alpha=0.5, beta=0.5, mu=10.0, z=0.0)
         for n in (40, 160, 640):
             records = gradient_check(obj, validation, partition, np.zeros(2),
-                                     make_time_grid(1.0, n), cfg, seed=1,
+                                     TimeGrid(1.0, n), cfg, seed=1,
                                      n_directions=4)
             assert max(r["rel_error"] for r in records) <= 1e-8, n
 

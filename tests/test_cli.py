@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradsteer import LossScale, SolverConfig
-from gradsteer.cli import (ConfigError, CsvError, EXIT_CONFIG, EXIT_DIVERGED,
+from gradsteer.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED,
                            EXIT_GRADCHECK, EXIT_OK, ingest_csv, main,
                            parse_config, run_fit, run_gradcheck, run_simulate)
 
@@ -73,32 +73,32 @@ class TestIngestCsv:
         assert data.outputs[0] == 3.6360
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CsvError, match="no such file"):
+        with pytest.raises(ConfigError, match="no such file"):
             ingest_csv(tmp_path / "nope.csv")
 
     def test_no_samples(self, tmp_path):
         f = tmp_path / "empty.csv"
         f.write_text("w,v\n")
-        with pytest.raises(CsvError, match="no samples"):
+        with pytest.raises(ConfigError, match="no samples"):
             ingest_csv(f)
 
     def test_bad_header(self, tmp_path):
         f = tmp_path / "h.csv"
         f.write_text("a,b\n1,2\n")
-        with pytest.raises(CsvError, match="h.csv:1"):
+        with pytest.raises(ConfigError, match="h.csv:1"):
             ingest_csv(f)
 
     def test_non_numeric_row_names_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("w,v\n0.1,abc\n")
-        with pytest.raises(CsvError, match="bad.csv:2"):
+        with pytest.raises(ConfigError, match="bad.csv:2"):
             ingest_csv(f)
 
     @pytest.mark.parametrize("row", ["0.5,nan", "0.7,inf", "-inf,1.0"])
     def test_non_finite_cell_names_line(self, tmp_path, capsys, row):
         f = tmp_path / "nf.csv"
         f.write_text(f"w,v\n0.1,0.2\n{row}\n0.3,0.4\n")
-        with pytest.raises(CsvError, match=f"nf.csv:3: non-finite"):
+        with pytest.raises(ConfigError, match=f"nf.csv:3: non-finite"):
             ingest_csv(f)
         cfg = write_config(tmp_path, data=str(f), train_indices="1",
                            validation_indices="2")
@@ -108,7 +108,7 @@ class TestIngestCsv:
     def test_wrong_column_count(self, tmp_path):
         f = tmp_path / "cols.csv"
         f.write_text("w,v\n0.1,0.2,0.3\n")
-        with pytest.raises(CsvError, match="2 columns"):
+        with pytest.raises(ConfigError, match="2 columns"):
             ingest_csv(f)
 
     def test_roundtrip_exact(self, tmp_path, table_data):
@@ -175,6 +175,14 @@ class TestParseConfig:
         cfg.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=f":{idx + 1}: alpha"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("control,size", [
+        ("grid", 0), ("basis 12", 12),
+        ("basis  12", 12),  # words split on any run of whitespace
+    ])
+    def test_control_values(self, tmp_path, control, size):
+        cfg = write_config(tmp_path, control=control)
+        assert parse_config(cfg).basis_size == size
 
     def test_grid_rule_names_its_key(self, tmp_path):
         cfg = write_config(tmp_path, N_t="1")
@@ -298,13 +306,10 @@ class TestGoldenFit:
 
 class TestRunSimulate:
     def test_linear_decay(self, tmp_path):
+        # training on (w, v) = (1, 0) gives theta' = -theta, so 50 RK4 steps
+        # of dt = 0.02 multiply theta0 = 2 by R(-0.02)^50, where R is RK4's
+        # stability polynomial
         csv = tmp_path / "lin.csv"
-        csv.write_text("w,v\n1.0,0.0\n")
-        cfg = write_config(tmp_path, model="linear", data=str(csv),
-                           train_indices="1", validation_indices=None,
-                           theta0="2.0", leader_mask="0", T="1.0", N_t="50")
-        # validation_indices removed; re-add a legal split on one sample? not
-        # possible with a single row, so build a 2-row file instead
         csv.write_text("w,v\n1.0,0.0\n1.0,0.0\n")
         cfg = write_config(tmp_path, model="linear", data=str(csv),
                            train_indices="1", validation_indices="2",
@@ -314,7 +319,9 @@ class TestRunSimulate:
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert rows[0] == "t,theta_1"
         last = float(rows[-1].split(",")[1])
-        assert abs(last) < 2.0  # decays toward zero
+        z = -0.02
+        r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        assert last == pytest.approx(2.0 * r**50, rel=1e-14)
 
     def test_repeatable(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -403,6 +410,15 @@ class TestMain:
         assert main(["simulate", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{cfg}:{line + 1}: validation_indices: sample 9 " in err
+
+    def test_split_overlap_at_second_set(self, tmp_path, capsys):
+        # a sample in both sets is reported at the set that names it second
+        cfg = write_config(tmp_path, train_indices="1,2",
+                           validation_indices="2,3")
+        line = cfg.read_text().splitlines().index("validation_indices = 2,3")
+        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line + 1}: validation_indices: sample 2 " in err
 
     @pytest.mark.parametrize("overrides", [
         {"theta0": "nan, 0.02"},

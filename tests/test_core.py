@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
-                       SolverConfig, SplitSpec, make_time_grid,
+                       SolverConfig, SplitSpec, TimeGrid,
                        zero_grid_control)
 from gradsteer.adjoint import FollowerProblem, combined_stage_controls
 from gradsteer.cli import parse_config
@@ -21,14 +21,14 @@ def constant_control(grid, value):
 
 class TestTimeGrid:
     def test_nodes_small(self):
-        grid = make_time_grid(1.5, 3)
+        grid = TimeGrid(1.5, 3)
         assert np.array_equal(grid.nodes, [0.0, 0.5, 1.0, 1.5])
 
     def test_dt(self):
-        assert make_time_grid(1.5, 150).dt == 0.01
+        assert TimeGrid(1.5, 150).dt == 0.01
 
     def test_endpoint_exact(self):
-        grid = make_time_grid(1.5, 150)
+        grid = TimeGrid(1.5, 150)
         assert grid.nodes[0] == 0.0
         assert grid.nodes[-1] == 1.5
         assert np.all(np.diff(grid.nodes) > 0)
@@ -36,23 +36,23 @@ class TestTimeGrid:
     @pytest.mark.parametrize("T,n", [(0.0, 10), (-1.0, 10), (1.0, 1), (1.0, 0)])
     def test_invalid_arguments(self, T, n):
         with pytest.raises(ValueError):
-            make_time_grid(T, n)
+            TimeGrid(T, n)
 
     def test_nodes_immutable(self):
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
             grid.nodes[0] = 1.0
 
 
 class TestControlEvaluation:
     def test_grid_constant(self):
-        grid = make_time_grid(2.0, 10)
+        grid = TimeGrid(2.0, 10)
         u = constant_control(grid, [3.0, -1.0])
         assert np.allclose(u.node_values(), [3.0, -1.0])
         assert np.allclose(u.stage_values(), [3.0, -1.0])
 
     def test_basis_constant_term(self):
-        grid = make_time_grid(1.5, 8)
+        grid = TimeGrid(1.5, 8)
         coeffs = np.zeros((3, 2))
         coeffs[0] = [1.0, 0.0]  # phi_1 is identically one
         u = BasisControl(grid, coeffs)
@@ -60,7 +60,7 @@ class TestControlEvaluation:
         assert np.allclose(u.stage_values(), [1.0, 0.0])
 
     def test_grid_midpoint_interpolation(self):
-        grid = make_time_grid(1.0, 10)
+        grid = TimeGrid(1.0, 10)
         values = np.zeros((11, 2))
         values[1] = [1.0, 1.0]
         u = GridControl(grid, values)
@@ -68,7 +68,7 @@ class TestControlEvaluation:
         assert np.allclose(u.stage_values()[1], [0.5, 0.5])
 
     def test_off_grid_rejected(self):
-        own, other = make_time_grid(1.0, 8), make_time_grid(1.0, 16)
+        own, other = TimeGrid(1.0, 8), TimeGrid(1.0, 16)
         part = ControlPartition([1.0, 0.0])
         for u in (zero_grid_control(own, 2), BasisControl(own, np.ones((3, 2)))):
             for pair in ((u, zero_grid_control(other, 2)),
@@ -77,19 +77,19 @@ class TestControlEvaluation:
                     combined_stage_controls(*pair, part, other)
 
     def test_node_count_validated(self):
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
             GridControl(grid, np.zeros((4, 2)))
 
     def test_amplitude_validated_at_construction(self):
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
             GridControl(grid, np.full((5, 1), 99.0), u_max=1.0)
 
     @given(st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_basis_clamped_everywhere(self, coeffs):
-        grid = make_time_grid(1.0, 16)
+        grid = TimeGrid(1.0, 16)
         u = BasisControl(grid, np.array(coeffs)[:, None], u_max=2.0)
         assert np.abs(u.stage_values()).max() <= 2.0
         assert np.abs(u.node_values()).max() <= 2.0
@@ -97,14 +97,14 @@ class TestControlEvaluation:
 
 class TestPartition:
     def test_mask_selection(self):
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         part = ControlPartition(np.array([1.0, 0.0]))
         u1 = constant_control(grid, [3.0, 3.0])
         u2 = constant_control(grid, [5.0, 5.0])
         assert np.allclose(combined_stage_controls(u1, u2, part, grid), [3.0, 5.0])
 
     def test_zero_controls(self):
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         part = ControlPartition([1.0, 0.0])
         z = zero_grid_control(grid, 2)
         assert np.array_equal(combined_stage_controls(z, z, part, grid),
@@ -115,6 +115,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             ControlPartition(np.array([0.5, 0.0]))
 
+    def test_mask_rule_names_its_key(self):
+        with pytest.raises(InvalidSetting) as err:
+            ControlPartition([1.0, 2.0])
+        assert (err.value.name, err.value.rule) == ("leader_mask",
+                                                     "must be binary")
+
     def test_follower_mask_is_complement(self):
         part = ControlPartition([1.0, 0.0, 1.0])
         assert np.array_equal(part.follower_mask, [0.0, 1.0, 0.0])
@@ -123,7 +129,7 @@ class TestPartition:
 
     def test_dimension_mismatch(self):
         # 1-coordinate controls would broadcast against the 2-coordinate masks
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         part = ControlPartition([1.0, 0.0])
         for d1, d2 in ((3, 3), (1, 1), (2, 1), (1, 2)):
             with pytest.raises(ValueError, match="dimension"):
@@ -138,7 +144,7 @@ class TestPartition:
     def test_completeness(self, mask_bits, a_vals, b_vals):
         p = len(mask_bits)
         part = ControlPartition(np.array(mask_bits, dtype=float))
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         a = np.array(a_vals[:p])
         b = np.array(b_vals[:p])
         out = combined_stage_controls(constant_control(grid, a),
@@ -152,7 +158,7 @@ class TestCallerArraysStayWriteable:
     # each value type freezes its own copy, never the array it was given
 
     def test_constructors_copy(self):
-        grid = make_time_grid(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         x, y = np.ones((3, 1)), np.arange(3.0)
         values, coeffs = np.zeros((5, 2)), np.zeros((3, 2))
         mask = np.array([1.0, 0.0])
@@ -207,6 +213,17 @@ class TestDatasetAndSplit:
             SplitSpec(train, val).check_bounds(table_data)
         assert err.value.name == key
         assert err.value.rule == f"sample {sample} is outside the 7 rows"
+
+    @pytest.mark.parametrize("train,val,key,rule", [
+        ((0, 1), (2, 1), "validation_indices",
+         "sample 2 is also in train_indices"),
+        ((), (1,), "train_indices", "must name at least one sample"),
+        ((0,), (), "validation_indices", "must name at least one sample"),
+    ])
+    def test_split_rule_names_its_key(self, train, val, key, rule):
+        with pytest.raises(InvalidSetting) as err:
+            SplitSpec(train, val)
+        assert (err.value.name, err.value.rule) == (key, rule)
 
     def test_split_selects(self, table_data):
         spec = SplitSpec((0, 2), (1,))

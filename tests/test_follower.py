@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradsteer import (BasisControl, ControlPartition, GridControl, LossScale,
-                       Objective, SolverConfig, make_time_grid,
+                       Objective, SolverConfig, TimeGrid,
                        zero_grid_control)
 from gradsteer.adjoint import (FollowerProblem, follower_backward,
                                follower_cost, follower_forward,
@@ -21,7 +21,7 @@ from conftest import REPO, clamped_follower_problem, linear_objective
 @pytest.fixture(scope="module")
 def mm_follower_problem(table_data, split, mm_model):
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
-    grid = make_time_grid(0.5, 400)
+    grid = TimeGrid(0.5, 400)
     partition = ControlPartition(np.array([1.0, 0.0]))
     return FollowerProblem(objective, 0.01, 0.1, partition,
                            zero_grid_control(grid, 2), grid,
@@ -36,7 +36,7 @@ def solve(prob, u2_init, config):
 def full_follower_problem(alpha=1e-8, beta=0.1, theta0=1.0, T=1.0, n=100):
     """Scalar problem with zero training gradient: dynamics thetadot = u2."""
     obj = linear_objective(np.zeros((1, 1)), [0.0])
-    grid = make_time_grid(T, n)
+    grid = TimeGrid(T, n)
     partition = ControlPartition(np.array([0.0]))
     return FollowerProblem(obj, alpha, beta, partition,
                            zero_grid_control(grid, 1), grid,

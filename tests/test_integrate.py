@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from gradsteer import (DivergenceError, integrate_backward, integrate_forward,
-                       make_time_grid)
+                       TimeGrid)
 from gradsteer.core import node_costates
 from gradsteer.models import gradient_function, hvp_function
 
@@ -16,7 +16,7 @@ def decay(y):
 
 
 def test_zero_field_constant_trajectory():
-    grid = make_time_grid(2.0, 20)
+    grid = TimeGrid(2.0, 20)
     y0 = np.array([1.5, -0.25])
     traj = integrate_forward(lambda y: np.zeros(2), zero_stages(grid, 2), y0,
                              grid)
@@ -25,7 +25,7 @@ def test_zero_field_constant_trajectory():
 
 
 def test_exponential_decay_endpoint():
-    grid = make_time_grid(1.0, 100)
+    grid = TimeGrid(1.0, 100)
     traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     assert abs(traj.terminal_state[0] - np.exp(-1.0)) < 1e-8
 
@@ -33,21 +33,21 @@ def test_exponential_decay_endpoint():
 def test_mm_flow_step_doubling(mm_train_one):
     grad = gradient_function(mm_train_one)
     theta0 = np.array([3.9, 0.0178])
-    grid_a, grid_b = make_time_grid(1.5, 2000), make_time_grid(1.5, 4000)
+    grid_a, grid_b = TimeGrid(1.5, 2000), TimeGrid(1.5, 4000)
     end_a = integrate_forward(grad, zero_stages(grid_a, 2), theta0, grid_a)
     end_b = integrate_forward(grad, zero_stages(grid_b, 2), theta0, grid_b)
     assert np.abs(end_a.terminal_state - end_b.terminal_state).max() < 1e-7
 
 
 def test_forward_anchors_initial_state():
-    grid = make_time_grid(1.0, 10)
+    grid = TimeGrid(1.0, 10)
     y0 = np.array([0.3, 0.7])
     traj = integrate_forward(decay, zero_stages(grid, 2), y0, grid)
     assert np.array_equal(traj.states[0], y0)
 
 
 def test_backward_zero_field():
-    grid = make_time_grid(1.0, 10)
+    grid = TimeGrid(1.0, 10)
     traj = integrate_forward(lambda y: np.zeros(1), zero_stages(grid),
                              np.zeros(1), grid)
     cs = integrate_backward(lambda theta, v: np.zeros(1), traj, np.zeros(1), 1.0)
@@ -59,7 +59,7 @@ def test_backward_zero_field():
 def test_backward_exponential():
     # L = theta(T) on thetadot = u - theta: the costate is p(t) = e^{t - T},
     # and the sensitivities sum to dtheta(T)/du for a constant u, 1 - e^{-1}
-    grid = make_time_grid(1.0, 100)
+    grid = TimeGrid(1.0, 100)
     traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     cs = integrate_backward(lambda theta, v: v, traj, np.array([1.0]), 0.0)
     assert abs(cs.sum() - (1.0 - np.exp(-1.0))) < 1e-10
@@ -81,7 +81,7 @@ def test_backward_linear_adjoint_matrix_exponential():
     theta0 = np.array([0.8, -0.6])
     alpha = 0.35
     T = 1.0
-    grid = make_time_grid(T, 200)
+    grid = TimeGrid(T, 200)
     traj = integrate_forward(gradient_function(obj), zero_stages(grid, 2),
                              theta0, grid)
     cs = integrate_backward(hvp_function(obj), traj, np.zeros(2), alpha)
@@ -97,7 +97,7 @@ def test_fourth_order_convergence():
     # endpoint error shrinks by >= 12x per step halving over three refinements
     errors = []
     for n in (10, 20, 40, 80):
-        grid = make_time_grid(1.0, n)
+        grid = TimeGrid(1.0, n)
         traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]),
                                  grid)
         errors.append(abs(traj.terminal_state[0] - np.exp(-1.0)))
@@ -106,7 +106,7 @@ def test_fourth_order_convergence():
 
 
 def test_determinism():
-    grid = make_time_grid(1.0, 64)
+    grid = TimeGrid(1.0, 64)
     grad = lambda y: 0.3 * y - np.sin(y)
     a = integrate_forward(grad, zero_stages(grid, 2), np.array([0.9, -0.4]), grid)
     b = integrate_forward(grad, zero_stages(grid, 2), np.array([0.9, -0.4]), grid)
@@ -115,7 +115,7 @@ def test_determinism():
 
 
 def test_divergence_detected():
-    grid = make_time_grid(1.0, 10)
+    grid = TimeGrid(1.0, 10)
     with pytest.raises(DivergenceError) as err:
         integrate_forward(lambda y: -y * y, zero_stages(grid), np.array([50.0]),
                           grid)
@@ -125,7 +125,7 @@ def test_divergence_detected():
 
 def test_backward_divergence_detected():
     # a Hessian of 1e300 overflows the costate in the first backward step
-    grid = make_time_grid(1.0, 10)
+    grid = TimeGrid(1.0, 10)
     traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     with pytest.raises(DivergenceError) as err:
         integrate_backward(lambda theta, v: 1e300 * v, traj, np.array([1.0]),
@@ -139,7 +139,7 @@ def test_stage_indices_visited():
     # stage 2j is node j, stage 2j + 1 the midpoint of interval j; the stored
     # stage states are the ones the forward step evaluated, and the backward
     # step differentiates at them in reverse, ending at the node state
-    grid = make_time_grid(1.0, 3)
+    grid = TimeGrid(1.0, 3)
     seen, states = [], []
 
     class StageLog:

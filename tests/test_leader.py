@@ -3,7 +3,7 @@ import pytest
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
                        LossScale, Objective,
-                       SolverConfig, make_time_grid, residual_stats,
+                       SolverConfig, TimeGrid, residual_stats,
                        solve_nested, zero_grid_control)
 from gradsteer import adjoint, follower, leader
 from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
@@ -23,7 +23,7 @@ from conftest import (THETA_REPORTED, clamped_follower_problem,
 def small_setup(table_data, split, mm_model):
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
     validation = split.validation(table_data)
-    grid = make_time_grid(0.5, 400)
+    grid = TimeGrid(0.5, 400)
     partition = ControlPartition(np.array([1.0, 0.0]))
     theta0 = np.array([3.9, 0.0178])
     return objective, validation, grid, partition, theta0
@@ -33,7 +33,7 @@ def scalar_lq_problem(k=1.0, alpha=1.0, beta=1.0, T=1.0, n=200, theta0=1.0):
     """Follower-only linear-quadratic instance: thetadot = -k theta + u2."""
     obj = linear_objective(np.array([[np.sqrt(k)]]), [0.0])
     validation = Dataset(np.array([[0.0]]), np.array([0.0]))
-    grid = make_time_grid(T, n)
+    grid = TimeGrid(T, n)
     partition = ControlPartition(np.array([0.0]))
     return obj, validation, grid, partition, np.array([float(theta0)])
 
@@ -49,7 +49,7 @@ class TestLeaderStep:
         # cost and the terminal costate vanish, so the costate is zero
         objective = linear_objective(np.zeros((1, 2)), [0.0])
         validation = Dataset(np.zeros((1, 2)), np.zeros(1))
-        grid = make_time_grid(1.0, 20)
+        grid = TimeGrid(1.0, 20)
         partition = ControlPartition(np.array([1.0, 0.0]))
         prob = LeaderProblem(objective, validation, 0.005, 0.0, partition,
                              zero_grid_control(grid, 2), grid, np.zeros(2))
@@ -84,7 +84,7 @@ class TestLeaderStep:
         # (mu = 0, theta > 0, zero training gradient), so every trial step is
         # clamped back onto the current control and none decreases the merit
         objective = linear_objective(np.zeros((1, 1)), [0.0])
-        grid = make_time_grid(1.0, 50)
+        grid = TimeGrid(1.0, 50)
         partition = ControlPartition(np.array([1.0]))
         prob = LeaderProblem(objective, Dataset(np.zeros((1, 1)), np.zeros(1)),
                              0.0, 0.0, partition, zero_grid_control(grid, 1),
