@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (BasisControl, ControlGradient, ControlPartition, Dataset,
                    GridControl, HistoryRecord, RunReport, SolverConfig,
-                   SplitSpec, TerminalMode, TimeGrid, zero_grid_control)
+                   SplitSpec, TimeGrid, zero_grid_control)
 from .models import (LossScale, ModelKind, Objective, SingularityError,
                      objective_gradient, objective_value, validation_phi,
                      validation_phi_grad)
@@ -29,7 +29,7 @@ __all__ = [
     "HistoryRecord", "LeaderProblem", "LeaderStepResult", "LossScale",
     "ModelKind", "Objective", "ResidualStats",
     "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
-    "TerminalMode", "TimeGrid", "control_gradient_follower",
+    "TimeGrid", "control_gradient_follower",
     "control_gradient_leader", "gradient_check", "integrate_backward",
     "integrate_forward", "leader_step",
     "objective_gradient", "objective_value", "residual_stats",

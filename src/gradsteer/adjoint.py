@@ -16,8 +16,7 @@ Conventions (fixed by the finite-difference exactness tests):
   follower coordinates is the exact gradient of J2.
 * With the penalty terminal costate p1(T) = mu*(Phi(theta(T)) - z)*dPhi,
   dH1/du1 = p1 on leader coordinates is the exact frozen-follower gradient
-  of  J1 + (mu/2)*(Phi - z)^2.  The fixed-terminal mode instead uses
-  p1(T) = -dPhi, which differentiates the Lagrangian J1 - (Phi - z).
+  of  J1 + (mu/2)*(Phi - z)^2.
 * Descent steps are u <- u - gamma * dH/du.
 """
 
@@ -29,8 +28,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import (Array, ControlGradient, ControlPartition, ControlSignal,
-                   Dataset, GridControl, SolverConfig, TerminalMode, TimeGrid,
-                   Trajectory, trapezoid_weights, _frozen_array)
+                   Dataset, GridControl, SolverConfig, TimeGrid, Trajectory,
+                   trapezoid_weights, _frozen_array)
 from .integrate import integrate_backward, integrate_forward
 from .models import (Objective, gradient_function, hvp_function, validation_phi,
                      validation_phi_grad)
@@ -69,7 +68,6 @@ class LeaderProblem:
     u2: ControlSignal
     grid: TimeGrid
     theta0: Array
-    terminal_mode: TerminalMode = TerminalMode.PENALTY
 
     def __post_init__(self):
         object.__setattr__(self, "theta0", _frozen_array(self.theta0, "theta0"))
@@ -154,8 +152,6 @@ def leader_phi(prob: LeaderProblem, theta_T: Array) -> float:
 def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
     dphi = validation_phi_grad(prob.objective.model, theta_T, prob.validation,
                                prob.objective.loss_scale)
-    if prob.terminal_mode is TerminalMode.PAPER_FIXED:
-        return -dphi
     return prob.mu * (leader_phi(prob, theta_T) - prob.z) * dphi
 
 
@@ -165,16 +161,10 @@ def leader_backward(prob: LeaderProblem, traj: Trajectory) -> Array:
 
 
 def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, float]:
-    """(line-search merit, J1, Phi at the endpoint).
-
-    Penalty mode: J1 + (mu/2)(Phi - z)^2. Fixed-terminal mode: J1 - (Phi - z),
-    the Lagrangian whose gradient that mode's costate produces.
-    """
+    """(line-search merit J1 + (mu/2)(Phi - z)^2, J1, Phi at the endpoint)."""
     running = 0.5 * np.sum(traj.states * traj.states, axis=1)
     j1 = float(trapezoid_weights(traj.grid) @ running)
     phi = leader_phi(prob, traj.terminal_state)
-    if prob.terminal_mode is TerminalMode.PAPER_FIXED:
-        return j1 - (phi - prob.z), j1, phi
     return j1 + 0.5 * prob.mu * (phi - prob.z) ** 2, j1, phi
 
 
@@ -236,7 +226,7 @@ def gradient_check(objective: Objective, validation: Dataset,
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                             u1, grid, theta0)
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
-                          u2, grid, theta0, config.terminal_mode)
+                          u2, grid, theta0)
 
     g2 = control_gradient_follower(fprob, u2).pointwise + corruption
     g1 = control_gradient_leader(lprob, u1).pointwise + corruption

@@ -210,6 +210,12 @@ def parse_config(path) -> RunConfig:
     if basis_size < 1 and words != ["grid"]:
         fail("control", "must be 'grid' or 'basis K' with K a positive "
                         f"integer, e.g. 'basis 12'; got {control_text!r}")
+    # the follower's step solves with the Gram matrix of the node-sampled
+    # basis; K polynomials of degree below K are linearly dependent at the
+    # grid's N_t + 1 distinct nodes, so that matrix singular, iff K > N_t + 1
+    if basis_size > grid.steps + 1:
+        fail("control", f"the {basis_size} basis functions are linearly "
+                        f"dependent at the grid's {grid.steps + 1} nodes")
 
     seed = convert("seed", int)
     if seed < 0:

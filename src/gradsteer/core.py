@@ -12,7 +12,6 @@ read-only), so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -358,11 +357,6 @@ class Trajectory:
         return self.states[-1]
 
 
-class TerminalMode(Enum):
-    PENALTY = "penalty"
-    PAPER_FIXED = "paper_fixed"
-
-
 # (fields, condition, rule) for every SolverConfig check
 _SOLVER_RULES = (
     (("alpha", "beta", "eps_tol", "inner_tol", "u_max"), lambda v: v > 0,
@@ -392,7 +386,6 @@ class SolverConfig:
     max_outer: int = 2000
     max_inner: int = 500
     u_max: float = 10.0
-    terminal_mode: TerminalMode = TerminalMode.PENALTY
 
     def __post_init__(self):
         for names, ok, rule in _SOLVER_RULES:

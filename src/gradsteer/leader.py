@@ -79,7 +79,7 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                             start, start.grid, theta0)
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
-                          start, start.grid, theta0, config.terminal_mode)
+                          start, start.grid, theta0)
     traj = leader_forward(lprob, start)
     history = []
     converged = False

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
-                       LossScale, Objective, SolverConfig, TerminalMode,
-                       gradient_check, TimeGrid, zero_grid_control)
+                       LossScale, Objective, SolverConfig, gradient_check,
+                       TimeGrid, zero_grid_control)
 from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
                                combined_stage_controls,
                                control_gradient_follower, control_gradient_leader,
@@ -15,7 +15,7 @@ from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
 from gradsteer.core import node_costates
 from gradsteer.integrate import integrate_forward
 from gradsteer.models import (gradient_function, objective_gradient,
-                              validation_phi_grad)
+                              validation_phi, validation_phi_grad)
 
 from conftest import linear_objective
 
@@ -222,16 +222,22 @@ class TestTerminalConditions:
         lam_N = terminal_lambda(grid, p_T, 1.0, traj.terminal_state)
         assert np.array_equal(cs[-1], grid.dt / 6.0 * lam_N)
 
-    def test_paper_fixed_boundary(self, small_mm):
+    def test_penalty_nonzero_residual(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
-        prob = LeaderProblem(objective, validation, 0.005, 50.0, partition,
-                             zero_grid_control(grid, 2), grid, theta0,
-                             terminal_mode=TerminalMode.PAPER_FIXED)
+        z, mu = 0.005, 50.0
+        prob = LeaderProblem(objective, validation, z, mu, partition,
+                             zero_grid_control(grid, 2), grid, theta0)
         traj = leader_forward(prob, zero_grid_control(grid, 2))
+        theta_T = traj.terminal_state
+        phi = validation_phi(objective.model, theta_T, validation,
+                             objective.loss_scale)
+        dphi = validation_phi_grad(objective.model, theta_T, validation,
+                                   objective.loss_scale)
+        p_T = leader_terminal_costate(prob, theta_T)
+        assert np.array_equal(p_T, mu * (phi - z) * dphi)
+        assert np.all(p_T != 0.0)
         cs = leader_backward(prob, traj)
-        p_T = -validation_phi_grad(objective.model, traj.terminal_state,
-                                   validation, objective.loss_scale)
-        lam_N = terminal_lambda(grid, p_T, 1.0, traj.terminal_state)
+        lam_N = terminal_lambda(grid, p_T, 1.0, theta_T)
         assert np.array_equal(cs[-1], grid.dt / 6.0 * lam_N)
 
     def test_follower_terminal_is_zero(self, small_mm):
@@ -293,26 +299,6 @@ class TestControlGradients:
                 / (2 * h)
             adj = grid_inner_product(grid, g.pointwise, d)
             assert fd == pytest.approx(adj, rel=1e-7)
-
-    def test_leader_directional_derivative_paper_fixed(self, small_mm):
-        # fixed-terminal mode differentiates J1 - (Phi - z)
-        objective, validation, grid, partition, theta0 = small_mm
-        u1 = GridControl(grid, smooth(grid, 2, 61, 0.1))
-        u2 = GridControl(grid, smooth(grid, 2, 62, 0.1))
-        prob = LeaderProblem(objective, validation, 0.005, 0.0, partition,
-                             u2, grid, theta0,
-                             terminal_mode=TerminalMode.PAPER_FIXED)
-        g = control_gradient_leader(prob, u1)
-
-        def merit_at(values):
-            return leader_merit(prob, leader_forward(
-                prob, GridControl(grid, values)))[0]
-
-        h = 1e-5
-        d = smooth(grid, 2, 63) * partition.leader_mask
-        fd = (merit_at(u1.values + h * d) - merit_at(u1.values - h * d)) / (2 * h)
-        assert fd == pytest.approx(grid_inner_product(grid, g.pointwise, d),
-                                   rel=1e-7)
 
     def test_mask_locality(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsteer import LossScale, SolverConfig
+from gradsteer import LossScale, SolverConfig, TimeGrid
 from gradsteer.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED,
                            EXIT_GRADCHECK, EXIT_OK, ingest_csv, main,
                            parse_config, run_fit, run_gradcheck, run_simulate)
+from gradsteer.core import basis_gram_matrix
 
 from conftest import REPO, TABLE_V, TABLE_W
 
@@ -34,7 +35,6 @@ def write_config(path: Path, **overrides) -> Path:
         "gamma1": "0.01",
         "eps_tol": "1e-5", "inner_tol": "1e-5",
         "z": "0.005", "mu": "100.0",
-        "terminal_mode": "penalty",
         "T": "0.75", "N_t": "400",
         "u_max": "10.0",
         "theta0": "3.9, 0.0178",
@@ -136,8 +136,9 @@ class TestParseConfig:
             parse_config(cfg)
 
     def test_unknown_key_has_line(self, tmp_path, capsys):
-        # gamma2, u1_init and u2_init are retired keys
-        for key in ("bogus_key", "gamma2", "u1_init", "u2_init"):
+        # gamma2, u1_init, u2_init and terminal_mode are retired keys
+        for key in ("bogus_key", "gamma2", "u1_init", "u2_init",
+                    "terminal_mode"):
             cfg = write_config(tmp_path)
             with open(cfg, "a") as fh:
                 fh.write(f"{key} = 1\n")
@@ -153,12 +154,11 @@ class TestParseConfig:
         ("T", "-2"), ("u_max", "0"), ("theta0", "1,not_a_number"),
         ("leader_mask", "1,2"), ("control", "fourier"),
         ("control", "basis ²"),  # a digit that int() cannot read
-        ("loss_scale", "double"), ("terminal_mode", "soft"),
-        ("train_indices", "0,1"),
+        ("loss_scale", "double"), ("train_indices", "0,1"),
         # index sets hold each sample once
         ("train_indices", "1,1,3,5,7"), ("validation_indices", "2,4,4"),
         # retired keys, refused whatever their value
-        ("gamma2", "-1"), ("u1_init", "99"),
+        ("gamma2", "-1"), ("u1_init", "99"), ("terminal_mode", "penalty"),
     ])
     def test_invariant_violations_rejected(self, tmp_path, key, value):
         # the message names the key, at the line that sets it
@@ -183,6 +183,27 @@ class TestParseConfig:
     def test_control_values(self, tmp_path, control, size):
         cfg = write_config(tmp_path, control=control)
         assert parse_config(cfg).basis_size == size
+
+    @pytest.mark.parametrize("size", [12, 10])
+    def test_dependent_basis_rejected(self, tmp_path, capsys, size):
+        # more functions than the 9 nodes of N_t = 8: the follower's Gram
+        # matrix is singular, so the config is refused at its control line
+        assert np.linalg.matrix_rank(basis_gram_matrix(TimeGrid(1.5, 8), size)) == 9
+        control = f"basis {size}"
+        cfg = shipped_config(tmp_path, "michaelis_menten_basis.cfg", N_t=8,
+                             control=control)
+        line = cfg.read_text().splitlines().index(f"control = {control}") + 1
+        message = f":{line}: control: .* linearly dependent at the grid's 9 nodes"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        assert main(["fit", str(cfg)]) == EXIT_CONFIG
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_basis_up_to_node_count_accepted(self, tmp_path):
+        assert np.linalg.matrix_rank(basis_gram_matrix(TimeGrid(1.5, 8), 9)) == 9
+        cfg = shipped_config(tmp_path, "michaelis_menten_basis.cfg", N_t=8,
+                             control="basis 9")
+        assert parse_config(cfg).basis_size == 9
 
     def test_grid_rule_names_its_key(self, tmp_path):
         cfg = write_config(tmp_path, N_t="1")
