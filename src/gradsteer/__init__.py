@@ -13,12 +13,9 @@ from .core import (BasisControl, ControlGradient, ControlPartition, Dataset,
                    GridControl, HistoryRecord, RunReport, SolverConfig,
                    SplitSpec, TimeGrid, zero_grid_control)
 from .models import (LossScale, ModelKind, Objective, SingularityError,
-                     objective_gradient, objective_value, validation_phi,
-                     validation_phi_grad)
+                     objective_value, validation_phi)
 from .integrate import DivergenceError, integrate_backward, integrate_forward
-from .adjoint import (FollowerProblem, LeaderProblem,
-                      control_gradient_follower, control_gradient_leader,
-                      gradient_check)
+from .adjoint import FollowerProblem, LeaderProblem, gradient_check
 from .follower import FollowerResult, solve_follower
 from .leader import (LeaderStepResult, ResidualStats, leader_step,
                      residual_stats, solve_nested)
@@ -29,10 +26,7 @@ __all__ = [
     "HistoryRecord", "LeaderProblem", "LeaderStepResult", "LossScale",
     "ModelKind", "Objective", "ResidualStats",
     "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
-    "TimeGrid", "control_gradient_follower",
-    "control_gradient_leader", "gradient_check", "integrate_backward",
-    "integrate_forward", "leader_step",
-    "objective_gradient", "objective_value", "residual_stats",
-    "solve_follower", "solve_nested", "validation_phi",
-    "validation_phi_grad", "zero_grid_control",
+    "TimeGrid", "gradient_check", "integrate_backward", "integrate_forward",
+    "leader_step", "objective_value", "residual_stats", "solve_follower",
+    "solve_nested", "validation_phi", "zero_grid_control",
 ]

@@ -31,8 +31,7 @@ from .core import (Array, ControlGradient, ControlPartition, ControlSignal,
                    Dataset, GridControl, SolverConfig, TimeGrid, Trajectory,
                    trapezoid_weights, _frozen_array)
 from .integrate import integrate_backward, integrate_forward
-from .models import (Objective, gradient_function, hvp_function, validation_phi,
-                     validation_phi_grad)
+from .models import Objective, gradient_function, hvp_function, validation_phi
 
 FD_STEP = 1e-5  # central-difference step of gradient_check
 SIGNAL_MODES = 4  # cosine modes of gradient_check's random signals
@@ -128,13 +127,6 @@ def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
                        prob.beta * u2.node_values())
 
 
-def control_gradient_follower(prob: FollowerProblem,
-                              u2: ControlSignal) -> ControlGradient:
-    """dH2/du2 along the current sweep pair (runs both sweeps)."""
-    traj = follower_forward(prob, u2)
-    return follower_gradient_arrays(prob, u2, follower_backward(prob, traj))
-
-
 # ---------------------------------------------------------------------------
 # leader functional: merit, sweeps, gradient
 
@@ -150,8 +142,8 @@ def leader_phi(prob: LeaderProblem, theta_T: Array) -> float:
 
 
 def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
-    dphi = validation_phi_grad(prob.objective.model, theta_T, prob.validation,
-                               prob.objective.loss_scale)
+    dphi = gradient_function(Objective(prob.objective.model, prob.validation,
+                                       prob.objective.loss_scale))(theta_T)
     return prob.mu * (leader_phi(prob, theta_T) - prob.z) * dphi
 
 
@@ -171,13 +163,6 @@ def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, f
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
                            sens: Array) -> ControlGradient:
     return u1.gradient(sens, prob.partition.leader_mask, 0.0)
-
-
-def control_gradient_leader(prob: LeaderProblem,
-                            u1: ControlSignal) -> ControlGradient:
-    """dH1/du1 = leader-masked costate (no explicit control cost in H1)."""
-    traj = leader_forward(prob, u1)
-    return leader_gradient_arrays(prob, u1, leader_backward(prob, traj))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +213,12 @@ def gradient_check(objective: Objective, validation: Dataset,
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
                           u2, grid, theta0)
 
-    g2 = control_gradient_follower(fprob, u2).pointwise + corruption
-    g1 = control_gradient_leader(lprob, u1).pointwise + corruption
+    # both problems integrate the pair (u1, u2), so one forward sweep serves
+    # both backward sweeps
+    traj = follower_forward(fprob, u2)
+    sens2, sens1 = follower_backward(fprob, traj), leader_backward(lprob, traj)
+    g2 = follower_gradient_arrays(fprob, u2, sens2).pointwise + corruption
+    g1 = leader_gradient_arrays(lprob, u1, sens1).pointwise + corruption
 
     def j2_at(values: Array) -> float:
         cand = GridControl(grid, values, config.u_max)

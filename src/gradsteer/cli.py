@@ -24,7 +24,8 @@ from . import __version__
 from .adjoint import gradient_check
 from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
-                   SolverConfig, SplitSpec, TimeGrid, zero_grid_control)
+                   SolverConfig, SplitSpec, TimeGrid, basis_gram_matrix,
+                   zero_grid_control)
 from .integrate import DivergenceError, integrate_forward
 from .leader import residual_stats, solve_nested
 from .models import (LossScale, ModelKind, Objective, SingularityError,
@@ -212,9 +213,16 @@ def parse_config(path) -> RunConfig:
                         f"integer, e.g. 'basis 12'; got {control_text!r}")
     # the follower's step solves with the Gram matrix of the node-sampled
     # basis; K polynomials of degree below K are linearly dependent at the
-    # grid's N_t + 1 distinct nodes, so that matrix singular, iff K > N_t + 1
+    # grid's N_t + 1 distinct nodes, so that matrix singular, iff K > N_t + 1.
+    # Below that bound it can still be singular in floating point, so it is
+    # refused at matrix_rank's default tolerance, with the 1-norm condition
+    # number: cond_1 * K * eps >= 1
     if basis_size > grid.steps + 1:
         fail("control", f"the {basis_size} basis functions are linearly "
+                        f"dependent at the grid's {grid.steps + 1} nodes")
+    if basis_size and (np.linalg.cond(basis_gram_matrix(grid, basis_size), 1)
+                       * basis_size * np.finfo(float).eps >= 1):
+        fail("control", f"the {basis_size} basis functions are numerically "
                         f"dependent at the grid's {grid.steps + 1} nodes")
 
     seed = convert("seed", int)

@@ -128,10 +128,6 @@ def objective_value(obj: Objective, theta) -> float:
     return obj.loss_scale.factor * (r @ r) / float(len(obj.dataset.outputs))
 
 
-def objective_gradient(obj: Objective, theta) -> Array:
-    return gradient_function(obj)(np.asarray(theta, dtype=float))
-
-
 def hvp_function(obj: Objective) -> Callable[[Array, Array], Array]:
     """Bind the dataset once; returns theta, v -> (Hessian J)(theta) @ v from
     the closed-form Hessian: 2x2 for the two-parameter models, constant for
@@ -171,8 +167,3 @@ def validation_phi(model: ModelKind, theta, validation: Dataset,
                    scale: LossScale = LossScale.HALF) -> float:
     """Mean loss over a validation dataset (the model quality measure)."""
     return objective_value(Objective(model, validation, scale), theta)
-
-
-def validation_phi_grad(model: ModelKind, theta, validation: Dataset,
-                        scale: LossScale = LossScale.HALF) -> Array:
-    return objective_gradient(Objective(model, validation, scale), theta)

@@ -6,6 +6,7 @@ import pytest
 from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
                        ModelKind, Objective, SplitSpec,
                        TimeGrid, zero_grid_control)
+from gradsteer import adjoint
 from gradsteer.adjoint import FollowerProblem
 
 REPO = Path(__file__).resolve().parent.parent
@@ -73,3 +74,16 @@ def clamped_follower_problem():
                            zero_grid_control(grid, 1, u_max=0.01), grid,
                            np.array([1.0]))
     return prob, GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)
+
+
+def sweep_gradient(prob, u):
+    """The control gradient of prob's agent at u along one forward and one
+    backward sweep: dH2/du2 for a FollowerProblem, dH1/du1 for a
+    LeaderProblem."""
+    if isinstance(prob, FollowerProblem):
+        traj = adjoint.follower_forward(prob, u)
+        return adjoint.follower_gradient_arrays(
+            prob, u, adjoint.follower_backward(prob, traj))
+    traj = adjoint.leader_forward(prob, u)
+    return adjoint.leader_gradient_arrays(prob, u,
+                                          adjoint.leader_backward(prob, traj))

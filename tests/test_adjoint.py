@@ -4,20 +4,19 @@ import pytest
 from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
                        LossScale, Objective, SolverConfig, gradient_check,
                        TimeGrid, zero_grid_control)
+from gradsteer import adjoint
 from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
-                               combined_stage_controls,
-                               control_gradient_follower, control_gradient_leader,
-                               follower_backward, follower_cost, follower_forward,
+                               combined_stage_controls, follower_backward,
+                               follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
                                leader_merit, leader_terminal_costate,
                                smooth_random_signal,
                                update_control)
 from gradsteer.core import node_costates
 from gradsteer.integrate import integrate_forward
-from gradsteer.models import (gradient_function, objective_gradient,
-                              validation_phi, validation_phi_grad)
+from gradsteer.models import gradient_function, validation_phi
 
-from conftest import linear_objective
+from conftest import linear_objective, sweep_gradient
 
 ALPHA, BETA = 0.01, 0.1
 
@@ -106,7 +105,7 @@ class TestHamiltonians:
         u2 = rng.normal(size=2)
         got = hamiltonian_follower(mm_train_half, theta, p2, u1, u2,
                                    partition_10, ALPHA, BETA)
-        velocity = (-objective_gradient(mm_train_half, theta)
+        velocity = (-gradient_function(mm_train_half)(theta)
                     + u1 * partition_10.leader_mask
                     + u2 * partition_10.follower_mask)
         u2m = u2 * partition_10.follower_mask
@@ -125,7 +124,7 @@ class TestHamiltonians:
         theta = np.array([2.2, 0.6])
         p1, u1, u2 = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
         got = hamiltonian_leader(mm_train_half, theta, p1, u1, u2, partition_10)
-        velocity = (-objective_gradient(mm_train_half, theta)
+        velocity = (-gradient_function(mm_train_half)(theta)
                     + u1 * partition_10.leader_mask
                     + u2 * partition_10.follower_mask)
         assert got == pytest.approx(velocity @ p1 + 0.5 * theta @ theta,
@@ -231,8 +230,8 @@ class TestTerminalConditions:
         theta_T = traj.terminal_state
         phi = validation_phi(objective.model, theta_T, validation,
                              objective.loss_scale)
-        dphi = validation_phi_grad(objective.model, theta_T, validation,
-                                   objective.loss_scale)
+        dphi = gradient_function(Objective(objective.model, validation,
+                                           objective.loss_scale))(theta_T)
         p_T = leader_terminal_costate(prob, theta_T)
         assert np.array_equal(p_T, mu * (phi - z) * dphi)
         assert np.all(p_T != 0.0)
@@ -258,7 +257,7 @@ class TestControlGradients:
         partition = ControlPartition(np.array([1.0, 0.0]))
         prob = FollowerProblem(obj, ALPHA, BETA, partition,
                                zero_grid_control(grid, 2), grid, np.zeros(2))
-        g = control_gradient_follower(prob, zero_grid_control(grid, 2))
+        g = sweep_gradient(prob, zero_grid_control(grid, 2))
         assert g.norm_inf == 0.0
 
     def test_follower_directional_derivative(self, small_mm):
@@ -267,7 +266,7 @@ class TestControlGradients:
         u2 = GridControl(grid, smooth(grid, 2, 22, 0.1))
         prob = FollowerProblem(objective, ALPHA, BETA, partition, u1, grid,
                                theta0)
-        g = control_gradient_follower(prob, u2)
+        g = sweep_gradient(prob, u2)
 
         def j2_at(values):
             cand = GridControl(grid, values)
@@ -286,7 +285,7 @@ class TestControlGradients:
         u2 = GridControl(grid, smooth(grid, 2, 42, 0.1))
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                              u2, grid, theta0)
-        g = control_gradient_leader(prob, u1)
+        g = sweep_gradient(prob, u1)
 
         def merit_at(values):
             return leader_merit(prob, leader_forward(
@@ -306,12 +305,12 @@ class TestControlGradients:
         u2 = GridControl(grid, smooth(grid, 2, 72, 0.2))
         fprob = FollowerProblem(objective, ALPHA, BETA, partition, u1, grid,
                                 theta0)
-        gf = control_gradient_follower(fprob, u2)
+        gf = sweep_gradient(fprob, u2)
         assert np.array_equal(gf.pointwise * partition.leader_mask,
                               np.zeros_like(gf.pointwise))
         lprob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
                               u2, grid, theta0)
-        gl = control_gradient_leader(lprob, u1)
+        gl = sweep_gradient(lprob, u1)
         assert np.array_equal(gl.pointwise * partition.follower_mask,
                               np.zeros_like(gl.pointwise))
 
@@ -323,7 +322,7 @@ class TestControlGradients:
         u2 = BasisControl(grid, coeffs)
         prob = FollowerProblem(objective, ALPHA, BETA, partition,
                                zero_grid_control(grid, 2), grid, theta0)
-        g = control_gradient_follower(prob, u2)
+        g = sweep_gradient(prob, u2)
         assert g.own.shape == (k, 2)
 
         def j2_at(c):
@@ -379,3 +378,28 @@ class TestCheckProtocol:
                                  grid, cfg, seed=2, n_directions=2,
                                  corruption=1e-2)
         assert any(r["rel_error"] > 1e-3 for r in records)
+
+    def test_one_sweep_pair_for_the_base_controls(self, small_mm,
+                                                 monkeypatch):
+        # the base pair is integrated once and both backward sweeps run on
+        # it; each direction then costs two forward sweeps per functional
+        objective, validation, grid, partition, theta0 = small_mm
+        calls = {"integrate_forward": 0, "integrate_backward": 0}
+
+        def count(name):
+            original = getattr(adjoint, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(adjoint, name, counted)
+
+        count("integrate_forward")
+        count("integrate_backward")
+        cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0)
+        k = 3
+        gradient_check(objective, validation, partition, theta0, grid, cfg,
+                       seed=0, n_directions=k)
+        assert calls == {"integrate_forward": 1 + 4 * k,
+                         "integrate_backward": 2}

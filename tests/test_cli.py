@@ -205,6 +205,26 @@ class TestParseConfig:
                              control="basis 9")
         assert parse_config(cfg).basis_size == 9
 
+    def test_numerically_dependent_basis_rejected(self, tmp_path, capsys):
+        # 38 functions at the 41 nodes of N_t = 40 pass the K <= N_t + 1
+        # rule, but their Gram matrix is rank-deficient in floating point
+        assert np.linalg.matrix_rank(basis_gram_matrix(TimeGrid(1.5, 40), 38)) < 38
+        cfg = shipped_config(tmp_path, "michaelis_menten_basis.cfg", N_t=40,
+                             control="basis 38")
+        line = cfg.read_text().splitlines().index("control = basis 38") + 1
+        message = (f":{line}: control: the 38 basis functions are numerically "
+                   "dependent at the grid's 41 nodes")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        assert main(["fit", str(cfg)]) == EXIT_CONFIG
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_numerically_independent_basis_accepted(self, tmp_path):
+        assert np.linalg.matrix_rank(basis_gram_matrix(TimeGrid(1.5, 40), 37)) == 37
+        cfg = shipped_config(tmp_path, "michaelis_menten_basis.cfg", N_t=40,
+                             control="basis 37")
+        assert parse_config(cfg).basis_size == 37
+
     def test_grid_rule_names_its_key(self, tmp_path):
         cfg = write_config(tmp_path, N_t="1")
         idx = cfg.read_text().splitlines().index("N_t = 1")

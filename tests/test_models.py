@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from gradsteer import (Dataset, LossScale, ModelKind, Objective,
-                       SingularityError, objective_gradient, objective_value,
-                       validation_phi, validation_phi_grad)
-from gradsteer.models import _predict_batch, hvp_function
+                       SingularityError, objective_value, validation_phi)
+from gradsteer.models import _predict_batch, gradient_function, hvp_function
 
 from conftest import TABLE_V, TABLE_W, THETA_REPORTED, linear_objective
 
@@ -93,12 +92,12 @@ class TestObjectiveGradient:
         w = np.array([0.1, 0.4, 0.9])
         v = theta[0] * w / (theta[1] + w)
         obj = Objective(mm_model, Dataset(w[:, None], v))
-        assert np.allclose(objective_gradient(obj, theta), 0.0, atol=1e-15)
+        assert np.allclose(gradient_function(obj)(theta), 0.0, atol=1e-15)
 
     def test_hand_derived_single_sample(self, mm_model):
         obj = Objective(mm_model, Dataset(np.array([[1.0]]), np.array([0.0])))
-        assert np.allclose(objective_gradient(obj, [1.0, 1.0]), [0.25, -0.125],
-                           rtol=1e-14)
+        assert np.allclose(gradient_function(obj)(np.array([1.0, 1.0])),
+                           [0.25, -0.125], rtol=1e-14)
 
     def test_finite_difference_all_models(self):
         rng = np.random.default_rng(42)
@@ -118,7 +117,7 @@ class TestObjectiveGradient:
             step = 1e-6 * (1.0 + np.linalg.norm(theta))
             fd = finite_diff_gradient(lambda th: objective_value(obj, th),
                                       theta, step)
-            grad = objective_gradient(obj, theta)
+            grad = gradient_function(obj)(theta)
             assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_gradient_consistency_many_draws(self, mm_model):
@@ -134,7 +133,7 @@ class TestObjectiveGradient:
             step = 1e-6 * (1.0 + np.linalg.norm(theta))
             fd = finite_diff_gradient(lambda th: objective_value(obj, th),
                                       theta, step)
-            grad = objective_gradient(obj, theta)
+            grad = gradient_function(obj)(theta)
             denom = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad - fd) / denom < 1e-5
 
@@ -160,13 +159,13 @@ class TestHvp:
     def test_mm_against_dense_fd_hessian(self, mm_model):
         obj = Objective(mm_model, Dataset(np.array([[1.0]]), np.array([0.0])))
         theta = np.array([1.0, 1.0])
+        grad = gradient_function(obj)
         h = 1e-5
         dense = np.empty((2, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            dense[:, j] = (objective_gradient(obj, theta + e)
-                           - objective_gradient(obj, theta - e)) / (2 * h)
+            dense[:, j] = (grad(theta + e) - grad(theta - e)) / (2 * h)
         v = np.array([1.0, 0.0])
         assert np.allclose(hvp_function(obj)(theta, v), dense @ v, rtol=1e-4)
 
@@ -175,13 +174,13 @@ class TestHvp:
                         Dataset(np.array([[0.5], [1.5]]), np.array([1.0, 2.0])),
                         LossScale.ONE)
         theta = np.array([0.8, 0.3])
+        grad = gradient_function(obj)
         h = 1e-5
         dense = np.empty((2, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            dense[:, j] = (objective_gradient(obj, theta + e)
-                           - objective_gradient(obj, theta - e)) / (2 * h)
+            dense[:, j] = (grad(theta + e) - grad(theta - e)) / (2 * h)
         for v in np.eye(2):
             assert np.allclose(hvp_function(obj)(theta, v), dense @ v,
                                rtol=1e-7)
@@ -205,14 +204,15 @@ class TestValidationPhi:
         v = theta[0] * w / (theta[1] + w)
         ds = Dataset(w[:, None], v)
         assert validation_phi(mm_model, theta, ds) == 0.0
-        assert np.allclose(validation_phi_grad(mm_model, theta, ds), 0.0)
+        assert np.allclose(gradient_function(Objective(mm_model, ds))(theta),
+                           0.0)
 
     def test_gradient_finite_difference(self, mm_model, mm_validation):
         theta = np.array([3.5, 0.05])
         step = 1e-6 * (1.0 + np.linalg.norm(theta))
         fd = finite_diff_gradient(
             lambda th: validation_phi(mm_model, th, mm_validation), theta, step)
-        grad = validation_phi_grad(mm_model, theta, mm_validation)
+        grad = gradient_function(Objective(mm_model, mm_validation))(theta)
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-10)
 
     def test_reported_parameters_near_target(self, mm_model, mm_validation):
