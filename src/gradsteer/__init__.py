@@ -17,16 +17,14 @@ from .models import (LossScale, ModelKind, Objective, SingularityError,
 from .integrate import DivergenceError, integrate_backward, integrate_forward
 from .adjoint import FollowerProblem, LeaderProblem, gradient_check
 from .follower import FollowerResult, solve_follower
-from .leader import (LeaderStepResult, ResidualStats, leader_step,
-                     residual_stats, solve_nested)
+from .leader import LeaderStepResult, leader_step, solve_nested
 
 __all__ = [
     "BasisControl", "ControlGradient", "ControlPartition", "Dataset",
     "DivergenceError", "FollowerProblem", "FollowerResult", "GridControl",
     "HistoryRecord", "LeaderProblem", "LeaderStepResult", "LossScale",
-    "ModelKind", "Objective", "ResidualStats",
-    "RunReport", "SingularityError", "SolverConfig", "SplitSpec",
-    "TimeGrid", "gradient_check", "integrate_backward", "integrate_forward",
-    "leader_step", "objective_value", "residual_stats", "solve_follower",
+    "ModelKind", "Objective", "RunReport", "SingularityError", "SolverConfig",
+    "SplitSpec", "TimeGrid", "gradient_check", "integrate_backward",
+    "integrate_forward", "leader_step", "objective_value", "solve_follower",
     "solve_nested", "validation_phi", "zero_grid_control",
 ]

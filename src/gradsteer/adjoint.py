@@ -28,10 +28,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import (Array, ControlGradient, ControlPartition, ControlSignal,
-                   Dataset, GridControl, SolverConfig, TimeGrid, Trajectory,
+                   GridControl, SolverConfig, TimeGrid, Trajectory,
                    trapezoid_weights, _frozen_array)
-from .integrate import integrate_backward, integrate_forward
-from .models import Objective, gradient_function, hvp_function, validation_phi
+from .integrate import DivergenceError, integrate_backward, integrate_forward
+from .models import Objective, gradient_function, hvp_function, objective_value
 
 FD_STEP = 1e-5  # central-difference step of gradient_check
 SIGNAL_MODES = 4  # cosine modes of gradient_check's random signals
@@ -55,17 +55,16 @@ class FollowerProblem:
 
 @dataclass(frozen=True)
 class LeaderProblem:
-    """Steering-side problem: drive the terminal validation value to z with
-    the follower response held fixed. The running cost is |theta|^2 / 2.
-    """
+    """Steering-side problem: drive Phi(theta(T)), the `validation`
+    objective's value, to z with the follower response u2 held fixed, on
+    u2's grid. The running cost is |theta|^2 / 2."""
 
     objective: Objective
-    validation: Dataset
+    validation: Objective
     z: float
     mu: float
     partition: ControlPartition
     u2: ControlSignal
-    grid: TimeGrid
     theta0: Array
 
     def __post_init__(self):
@@ -112,13 +111,23 @@ def follower_backward(prob: FollowerProblem, traj: Trajectory) -> Array:
                               np.zeros(traj.states.shape[1]), prob.alpha)
 
 
+def _finite_cost(value: float, grid: TimeGrid) -> float:
+    """`value`, or DivergenceError when it is not finite. The costs are
+    computed with overflow warnings off, so an overflow arrives here as an
+    infinity or a NaN."""
+    if not np.isfinite(value):
+        raise DivergenceError(grid.horizon, grid.steps, "cost")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def follower_cost(prob: FollowerProblem, traj: Trajectory,
                   u2: ControlSignal) -> float:
     """J2 = integral of alpha/2 |theta|^2 + beta/2 |u2 on follower coords|^2."""
     u2n = u2.node_values() * prob.partition.follower_mask
     running = (0.5 * prob.alpha * np.sum(traj.states * traj.states, axis=1)
                + 0.5 * prob.beta * np.sum(u2n * u2n, axis=1))
-    return float(trapezoid_weights(prob.grid) @ running)
+    return _finite_cost(float(trapezoid_weights(prob.grid) @ running), prob.grid)
 
 
 def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
@@ -131,20 +140,14 @@ def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
 # leader functional: merit, sweeps, gradient
 
 def leader_forward(prob: LeaderProblem, u1: ControlSignal) -> Trajectory:
-    stage = combined_stage_controls(u1, prob.u2, prob.partition, prob.grid)
+    stage = combined_stage_controls(u1, prob.u2, prob.partition, prob.u2.grid)
     return integrate_forward(gradient_function(prob.objective), stage,
-                             prob.theta0, prob.grid)
-
-
-def leader_phi(prob: LeaderProblem, theta_T: Array) -> float:
-    return validation_phi(prob.objective.model, theta_T, prob.validation,
-                          prob.objective.loss_scale)
+                             prob.theta0, prob.u2.grid)
 
 
 def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
-    dphi = gradient_function(Objective(prob.objective.model, prob.validation,
-                                       prob.objective.loss_scale))(theta_T)
-    return prob.mu * (leader_phi(prob, theta_T) - prob.z) * dphi
+    dphi = gradient_function(prob.validation)(theta_T)
+    return prob.mu * (objective_value(prob.validation, theta_T) - prob.z) * dphi
 
 
 def leader_backward(prob: LeaderProblem, traj: Trajectory) -> Array:
@@ -152,12 +155,14 @@ def leader_backward(prob: LeaderProblem, traj: Trajectory) -> Array:
     return integrate_backward(hvp_function(prob.objective), traj, p_T, 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, float]:
     """(line-search merit J1 + (mu/2)(Phi - z)^2, J1, Phi at the endpoint)."""
     running = 0.5 * np.sum(traj.states * traj.states, axis=1)
     j1 = float(trapezoid_weights(traj.grid) @ running)
-    phi = leader_phi(prob, traj.terminal_state)
-    return j1 + 0.5 * prob.mu * (phi - prob.z) ** 2, j1, phi
+    phi = objective_value(prob.validation, traj.terminal_state)
+    merit = j1 + 0.5 * prob.mu * (phi - prob.z) ** 2
+    return _finite_cost(merit, traj.grid), j1, phi
 
 
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
@@ -168,11 +173,11 @@ def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
 # ---------------------------------------------------------------------------
 # control updates
 
-def update_control(u: ControlSignal, gradient: ControlGradient,
+def update_control(u: ControlSignal, direction: Array,
                    step: float) -> ControlSignal:
-    """One descent step u - step * gradient in u's own coordinates, within
+    """One descent step u - step * direction in u's own coordinates, within
     the amplitude bound."""
-    return u.update(gradient.own, step)
+    return u.update(direction, step)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +194,7 @@ def smooth_random_signal(rng: np.random.Generator, grid: TimeGrid, dim: int,
     return out
 
 
-def gradient_check(objective: Objective, validation: Dataset,
+def gradient_check(objective: Objective, validation: Objective,
                    partition: ControlPartition, theta0, grid: TimeGrid,
                    config: SolverConfig, seed: int = 0, n_directions: int = 20,
                    corruption: float = 0.0) -> List[dict]:
@@ -211,7 +216,7 @@ def gradient_check(objective: Objective, validation: Dataset,
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                             u1, grid, theta0)
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
-                          u2, grid, theta0)
+                          u2, theta0)
 
     # both problems integrate the pair (u1, u2), so one forward sweep serves
     # both backward sweeps

@@ -8,12 +8,12 @@ backtracking line search is shared with the leader's step."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .adjoint import (ControlGradient, FollowerProblem, follower_backward,
                       follower_cost, follower_forward, follower_gradient_arrays,
                       update_control)
-from .core import ControlSignal, SolverConfig, Trajectory
+from .core import Array, ControlSignal, SolverConfig, Trajectory
 from .integrate import DivergenceError
 from .models import SingularityError
 
@@ -39,16 +39,15 @@ def backtrack(trial: Callable[[float], tuple], step: float,
 
 
 def msa_direction(u2: ControlSignal, grad: ControlGradient,
-                  beta: float) -> ControlGradient:
-    """The follower's step in its Hamiltonian's own metric: a full step
-    (update_control with step 1) is the MSA update, d = M^-1 grad / beta for
-    the metric M of u2's control cost (u2.solve_metric). On a grid control M
-    is the identity, so u2 moves to -p2/beta on follower coordinates; on a
-    basis control M is the Gram matrix G of the node-sampled basis, the same
-    minimiser taken in coefficient space, where the cost is
-    beta/2 * a^T G a."""
-    return ControlGradient(grad.pointwise / beta,
-                           u2.solve_metric(grad.own) / beta)
+                  beta: float) -> Array:
+    """The follower's step in u2's own coordinates and its Hamiltonian's own
+    metric: a full step (update_control with step 1) is the MSA update,
+    d = M^-1 grad / beta for the metric M of u2's control cost
+    (u2.solve_metric). On a grid control M is the identity, so u2 moves to
+    -p2/beta on follower coordinates; on a basis control M is the Gram matrix
+    G of the node-sampled basis, the same minimiser taken in coefficient
+    space, where the cost is beta/2 * a^T G a."""
+    return u2.solve_metric(grad.own) / beta
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class FollowerResult:
     converged: bool
     stalled: bool                     # backtracking found no descent step
     gamma_last: float                 # last accepted MSA step fraction, 0 if none
-    j2_history: Tuple[float, ...]     # accepted-iterate costs, strictly decreasing
 
     @property
     def progressed(self) -> bool:
@@ -86,14 +84,13 @@ def solve_follower(prob: FollowerProblem, start: ControlSignal,
     """
     u2 = start
     j2 = follower_cost(prob, traj, u2)
-    history = []
     gamma_last = 0.0
 
     def result(converged: bool, stalled: bool = False) -> FollowerResult:
         return FollowerResult(
             u2_star=u2, trajectory=traj, J2_value=j2,
             inner_iterations=it, grad_norm=gnorm, converged=converged,
-            stalled=stalled, gamma_last=gamma_last, j2_history=tuple(history))
+            stalled=stalled, gamma_last=gamma_last)
 
     def trial(step: float):
         candidate = update_control(u2, direction, step)
@@ -103,7 +100,6 @@ def solve_follower(prob: FollowerProblem, start: ControlSignal,
     for it in range(1, config.max_inner + 1):
         grad = follower_gradient_arrays(prob, u2, follower_backward(prob, traj))
         gnorm = grad.norm_inf
-        history.append(j2)
         if grad.update_norm <= config.inner_tol:
             return result(True)
         if it == config.max_inner:

@@ -5,17 +5,14 @@ extremum residual meets tolerance."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
-
-import numpy as np
 
 from .adjoint import (FollowerProblem, LeaderProblem, follower_cost,
                       leader_backward, leader_forward,
                       leader_gradient_arrays, leader_merit, update_control)
-from .core import (ControlPartition, ControlSignal, Dataset, HistoryRecord,
-                   RunReport, SolverConfig, Trajectory)
+from .core import (ControlPartition, ControlSignal, HistoryRecord, RunReport,
+                   SolverConfig, Trajectory)
 from .follower import backtrack, solve_follower
-from .models import ModelKind, Objective, _predict_batch
+from .models import Objective
 
 
 @dataclass(frozen=True)
@@ -25,8 +22,6 @@ class LeaderStepResult:
     grad_norm: float
     j1: float
     phi: float
-    merit: float
-    merit_after: float          # merit of the accepted step (== merit if none)
     gamma_used: float           # accepted step size, 0 when no step was taken
     stalled: bool
     converged: bool             # update_norm at or below eps_tol: no step tried
@@ -47,21 +42,20 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
     merit, j1, phi = leader_merit(prob, traj)
 
     def trial(step: float):
-        candidate = update_control(u1, grad, step)
+        candidate = update_control(u1, grad.own, step)
         cand_traj = leader_forward(prob, candidate)
         return (candidate, cand_traj), leader_merit(prob, cand_traj)[0]
 
     converged = grad.update_norm <= config.eps_tol
     accepted = None if converged else backtrack(trial, config.gamma1, merit)
-    step, (u1_out, traj_out), merit_after = accepted or (0.0, (u1, traj), merit)
+    step, (u1_out, traj_out), _ = accepted or (0.0, (u1, traj), merit)
     return LeaderStepResult(u1=u1_out, trajectory=traj_out, grad_norm=gnorm,
-                            j1=j1, phi=phi, merit=merit, merit_after=merit_after,
-                            gamma_used=step,
+                            j1=j1, phi=phi, gamma_used=step,
                             stalled=not converged and accepted is None,
                             converged=converged)
 
 
-def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset,
+def solve_nested(config: SolverConfig, objective: Objective, validation: Objective,
                  partition: ControlPartition, theta0,
                  start: ControlSignal) -> RunReport:
     """Starting both agents from `start`, on its grid, alternate follower
@@ -79,7 +73,7 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                             start, start.grid, theta0)
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
-                          start, start.grid, theta0)
+                          start, theta0)
     traj = leader_forward(lprob, start)
     history = []
     converged = False
@@ -106,19 +100,3 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Dataset
                      Phi_value=phi, outer_iterations=len(history),
                      converged=converged, history=tuple(history),
                      u1=fprob.u1, u2=lprob.u2)
-
-
-@dataclass(frozen=True)
-class ResidualStats:
-    mean: float
-    std: float
-    residuals: Tuple[float, ...]
-
-
-def residual_stats(model: ModelKind, theta, data: Dataset) -> ResidualStats:
-    """Residuals y - h(x) over a dataset, with sample (m-1 divisor) std."""
-    theta = np.asarray(theta, dtype=float)
-    eps = data.outputs - _predict_batch(model, theta, data.inputs)
-    std = float(eps.std(ddof=1)) if len(eps) > 1 else 0.0
-    return ResidualStats(mean=float(eps.mean()), std=std,
-                         residuals=tuple(float(e) for e in eps))

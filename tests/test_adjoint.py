@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
+from gradsteer import (BasisControl, ControlPartition, GridControl,
                        LossScale, Objective, SolverConfig, gradient_check,
                        TimeGrid, zero_grid_control)
 from gradsteer import adjoint
-from gradsteer.adjoint import (ControlGradient, FollowerProblem, LeaderProblem,
+from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
                                combined_stage_controls, follower_backward,
                                follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
@@ -25,7 +25,8 @@ ALPHA, BETA = 0.01, 0.1
 def small_mm(table_data, split, mm_model):
     """Fast, integration-stable configuration of the enzyme problem."""
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
-    validation = split.validation(table_data)
+    validation = Objective(mm_model, split.validation(table_data),
+                           LossScale.HALF)
     grid = TimeGrid(0.5, 400)
     partition = ControlPartition(np.array([1.0, 0.0]))
     theta0 = np.array([3.9, 0.0178])
@@ -78,8 +79,9 @@ def two_step_problems(objective, validation, seed):
     u2 = GridControl(grid, rng.normal(size=(3, 2)))
     theta0 = np.array([3.9, 0.0178])
     fprob = FollowerProblem(objective, 0.5, BETA, partition, u1, grid, theta0)
-    lprob = LeaderProblem(objective, validation, 0.005, 50.0, partition, u2,
-                          grid, theta0)
+    lprob = LeaderProblem(objective, Objective(objective.model, validation,
+                                               objective.loss_scale),
+                          0.005, 50.0, partition, u2, theta0)
     return fprob, lprob, u2, combined_stage_controls(u1, u2, partition, grid)
 
 
@@ -193,10 +195,10 @@ class TestCostateRates:
         grad = gradient_function(mm_train_half)
 
         def merit(stage):
-            traj = integrate_forward(grad, stage, lprob.theta0, lprob.grid)
+            traj = integrate_forward(grad, stage, lprob.theta0, lprob.u2.grid)
             return leader_merit(lprob, traj)[0]
 
-        traj = integrate_forward(grad, stage_u, lprob.theta0, lprob.grid)
+        traj = integrate_forward(grad, stage_u, lprob.theta0, lprob.u2.grid)
         cs = leader_backward(lprob, traj)
         fd = stage_fd(merit, stage_u)
         assert np.abs(cs - fd).max() <= 1e-7 * np.abs(fd).max()
@@ -209,12 +211,12 @@ class TestTerminalConditions:
     def test_penalty_zero_residual(self, small_mm, mm_model):
         objective, validation, grid, partition, theta0 = small_mm
         traj_prob = LeaderProblem(objective, validation, 0.005, 50.0, partition,
-                                  zero_grid_control(grid, 2), grid, theta0)
+                                  zero_grid_control(grid, 2), theta0)
         traj = leader_forward(traj_prob, zero_grid_control(grid, 2))
         # re-target z to the achieved value: the terminal costate vanishes
         phi_T = leader_merit(traj_prob, traj)[2]
         prob2 = LeaderProblem(objective, validation, phi_T, 50.0, partition,
-                              zero_grid_control(grid, 2), grid, theta0)
+                              zero_grid_control(grid, 2), theta0)
         p_T = leader_terminal_costate(prob2, traj.terminal_state)
         assert np.array_equal(p_T, np.zeros(2))
         cs = leader_backward(prob2, traj)
@@ -225,12 +227,12 @@ class TestTerminalConditions:
         objective, validation, grid, partition, theta0 = small_mm
         z, mu = 0.005, 50.0
         prob = LeaderProblem(objective, validation, z, mu, partition,
-                             zero_grid_control(grid, 2), grid, theta0)
+                             zero_grid_control(grid, 2), theta0)
         traj = leader_forward(prob, zero_grid_control(grid, 2))
         theta_T = traj.terminal_state
-        phi = validation_phi(objective.model, theta_T, validation,
+        phi = validation_phi(objective.model, theta_T, validation.dataset,
                              objective.loss_scale)
-        dphi = gradient_function(Objective(objective.model, validation,
+        dphi = gradient_function(Objective(objective.model, validation.dataset,
                                            objective.loss_scale))(theta_T)
         p_T = leader_terminal_costate(prob, theta_T)
         assert np.array_equal(p_T, mu * (phi - z) * dphi)
@@ -284,7 +286,7 @@ class TestControlGradients:
         u1 = GridControl(grid, smooth(grid, 2, 41, 0.1))
         u2 = GridControl(grid, smooth(grid, 2, 42, 0.1))
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
-                             u2, grid, theta0)
+                             u2, theta0)
         g = sweep_gradient(prob, u1)
 
         def merit_at(values):
@@ -309,7 +311,7 @@ class TestControlGradients:
         assert np.array_equal(gf.pointwise * partition.leader_mask,
                               np.zeros_like(gf.pointwise))
         lprob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
-                              u2, grid, theta0)
+                              u2, theta0)
         gl = sweep_gradient(lprob, u1)
         assert np.array_equal(gl.pointwise * partition.follower_mask,
                               np.zeros_like(gl.pointwise))
@@ -341,8 +343,7 @@ class TestUpdateControl:
         grid = TimeGrid(1.0, 10)
         u = GridControl(grid, np.ones((11, 2)))
         step = np.ones((11, 2)) * np.array([0.0, 1.0])
-        g = ControlGradient(pointwise=step, own=step)
-        out = update_control(u, g, 0.5)
+        out = update_control(u, step, 0.5)
         assert np.array_equal(out.values[:, 0], u.values[:, 0])
         assert np.allclose(out.values[:, 1], 0.5)
 
@@ -350,8 +351,7 @@ class TestUpdateControl:
         grid = TimeGrid(1.0, 10)
         u = GridControl(grid, np.zeros((11, 1)), u_max=2.0)
         step = -np.ones((11, 1)) * 100.0
-        g = ControlGradient(pointwise=step, own=step)
-        out = update_control(u, g, 1.0)
+        out = update_control(u, step, 1.0)
         assert np.all(out.values == 2.0)
 
 
@@ -362,7 +362,8 @@ class TestCheckProtocol:
         # at rounding level on coarse and fine grids alike
         rng = np.random.default_rng(5)
         obj = linear_objective(rng.normal(size=(6, 2)), rng.normal(size=6))
-        validation = Dataset(rng.normal(size=(4, 2)), rng.normal(size=4))
+        validation = linear_objective(rng.normal(size=(4, 2)),
+                                      rng.normal(size=4))
         partition = ControlPartition(np.array([1.0, 0.0]))
         cfg = SolverConfig(alpha=0.5, beta=0.5, mu=10.0, z=0.0)
         for n in (40, 160, 640):

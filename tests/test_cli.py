@@ -307,6 +307,36 @@ class TestRunFit:
         assert code == EXIT_DIVERGED
 
 
+class TestReportResiduals:
+    def test_outputs_minus_fit(self, tmp_path):
+        # report.json's residuals are y - h(x) at the reported theta over the
+        # whole dataset, bitwise, with numpy's mean and sample std
+        cfg = write_config(tmp_path)
+        assert run_fit(cfg, tmp_path / "o") == EXIT_OK
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        theta = report["theta"]
+        w, v = np.array(TABLE_W), np.array(TABLE_V)
+        eps = v - theta[0] * w / (theta[1] + w)
+        residuals = report["residuals"]
+        assert residuals["values"] == eps.tolist()
+        assert residuals["mean"] == eps.mean()
+        assert residuals["std"] == eps.std(ddof=1)
+
+    def test_perfect_fit(self, tmp_path):
+        # zero outputs and a zero start: every gradient vanishes, theta stays
+        # at zero and fits each sample exactly
+        csv = tmp_path / "zero.csv"
+        csv.write_text("w,v\n0.5,0.0\n1.0,0.0\n2.0,0.0\n")
+        cfg = write_config(tmp_path, model="linear", data=str(csv),
+                           train_indices="1,3", validation_indices="2",
+                           theta0="0.0", leader_mask="1")
+        assert run_fit(cfg, tmp_path / "o") == EXIT_OK
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["theta"] == [0.0]
+        assert report["residuals"] == {"mean": 0.0, "std": 0.0,
+                                       "values": [0.0, 0.0, 0.0]}
+
+
 class TestGoldenFit:
     # frozen report values of the small config for both control kinds (3
     # outer iterations), and of the two shipped configs at max_outer = 2, the
@@ -395,10 +425,14 @@ class TestRunGradcheck:
             int(direction)
             assert all(np.isfinite(float(cell)) for cell in numbers), line
 
-    def test_corruption_fails(self, tmp_path):
+    def test_corruption_fails(self, tmp_path, capsys):
+        # a NaN corruption makes every comparison NaN, which must fail too
         cfg = write_config(tmp_path, N_t="300", mu="100.0")
         out = tmp_path / "gcf"
-        assert run_gradcheck(cfg, out, corruption=1e-2) == EXIT_GRADCHECK
+        for corruption in (1e-2, float("nan")):
+            assert run_gradcheck(cfg, out, corruption=corruption) \
+                == EXIT_GRADCHECK
+        assert "worst rel error nan" in capsys.readouterr().out
 
     def test_shipped_config_seed_3(self, tmp_path):
         # the shipped reference config on its own grid (N_t = 2000, mu = 1e5):
@@ -472,6 +506,16 @@ class TestMain:
                    if ln.startswith("theta0"))
         assert main(["fit", str(cfg)]) == EXIT_CONFIG
         assert f"{cfg}:{idx + 1}: theta0: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "gradcheck"])
+    def test_overflowing_cost_exit_3(self, tmp_path, capsys, command):
+        # the states stay finite, but |theta|^2 at theta0 = 1.5e154 exceeds
+        # the largest float, so both costs overflow
+        cfg = write_config(tmp_path, model="linear", theta0="1.5e154",
+                           leader_mask="0", mu="0")
+        assert main(["--out", str(tmp_path / "o"), command, str(cfg)]) \
+            == EXIT_DIVERGED
+        assert "non-finite cost at " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "gradcheck"])
     @pytest.mark.parametrize("case", ["existing file", "under a file",

@@ -53,13 +53,21 @@ class TestSolveFollower:
         assert res.J2_value < 1e-6
 
     def test_monotone_history(self, mm_follower_problem):
+        # an accepted step strictly lowers J2, so the last iterate is the
+        # best: each iteration cap that ends on an accepted step returns a
+        # lower J2 than the cap before it
         prob = mm_follower_problem
-        res = solve(prob, zero_grid_control(prob.grid, 2),
-                    SolverConfig(inner_tol=1e-7, max_inner=60))
-        # an accepted step strictly lowers J2, so the last iterate is the best
-        assert len(res.j2_history) > 1
-        assert all(b < a for a, b in zip(res.j2_history, res.j2_history[1:]))
-        assert res.J2_value == min(res.j2_history)
+        zero = zero_grid_control(prob.grid, 2)
+        costs = []
+        for cap in range(1, 61):
+            res = solve(prob, zero, SolverConfig(inner_tol=1e-7, max_inner=cap))
+            assert res.inner_iterations == cap
+            assert cap == 1 or res.gamma_last > 0.0
+            costs.append(res.J2_value)
+            if res.converged:
+                break
+        assert len(costs) > 1
+        assert all(b < a for a, b in zip(costs, costs[1:]))
         # the handed-on trajectory is the sweep of the returned control
         fresh = follower_forward(prob, res.u2_star)
         assert res.trajectory.states.tobytes() == fresh.states.tobytes()
@@ -81,7 +89,8 @@ class TestSolveFollower:
                   SolverConfig(inner_tol=1e-6, max_inner=30))
         assert np.array_equal(a.u2_star.values, b.u2_star.values)
         assert a.J2_value == b.J2_value
-        assert a.j2_history == b.j2_history
+        assert a.inner_iterations == b.inner_iterations
+        assert a.trajectory.states.tobytes() == b.trajectory.states.tobytes()
 
     def test_optimality_certificate(self):
         prob = full_follower_problem(alpha=0.5, beta=0.5, theta0=1.0, n=800)
@@ -172,7 +181,7 @@ class TestMsaStep:
         u2 = BasisControl(grid, coeffs)
         grad = follower_gradient_arrays(
             prob, u2, follower_backward(prob, follower_forward(prob, u2)))
-        d = msa_direction(u2, grad, prob.beta).own
+        d = msa_direction(u2, grad, prob.beta)
         gram = basis_gram_matrix(grid, k)
         assert gram is basis_gram_matrix(grid, k)
         assert not gram.flags.writeable

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from gradsteer import (BasisControl, ControlPartition, Dataset, GridControl,
-                       LossScale, Objective,
-                       SolverConfig, TimeGrid, residual_stats,
-                       solve_nested, zero_grid_control)
+from gradsteer import (BasisControl, ControlPartition, GridControl, LossScale,
+                       Objective, SolverConfig, TimeGrid, solve_nested,
+                       zero_grid_control)
 from gradsteer import adjoint, follower, leader
 from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
                                follower_backward, follower_cost,
@@ -15,14 +14,14 @@ from gradsteer.integrate import integrate_forward
 from gradsteer.leader import leader_step
 from gradsteer.models import gradient_function
 
-from conftest import (THETA_REPORTED, clamped_follower_problem,
-                      linear_objective, zero_stages)
+from conftest import clamped_follower_problem, linear_objective, zero_stages
 
 
 @pytest.fixture(scope="module")
 def small_setup(table_data, split, mm_model):
     objective = Objective(mm_model, split.train(table_data), LossScale.HALF)
-    validation = split.validation(table_data)
+    validation = Objective(mm_model, split.validation(table_data),
+                           LossScale.HALF)
     grid = TimeGrid(0.5, 400)
     partition = ControlPartition(np.array([1.0, 0.0]))
     theta0 = np.array([3.9, 0.0178])
@@ -32,7 +31,7 @@ def small_setup(table_data, split, mm_model):
 def scalar_lq_problem(k=1.0, alpha=1.0, beta=1.0, T=1.0, n=200, theta0=1.0):
     """Follower-only linear-quadratic instance: thetadot = -k theta + u2."""
     obj = linear_objective(np.array([[np.sqrt(k)]]), [0.0])
-    validation = Dataset(np.array([[0.0]]), np.array([0.0]))
+    validation = linear_objective(np.array([[0.0]]), [0.0])
     grid = TimeGrid(T, n)
     partition = ControlPartition(np.array([0.0]))
     return obj, validation, grid, partition, np.array([float(theta0)])
@@ -48,11 +47,11 @@ class TestLeaderStep:
         # zero-data linear model resting at the origin with mu 0: the running
         # cost and the terminal costate vanish, so the costate is zero
         objective = linear_objective(np.zeros((1, 2)), [0.0])
-        validation = Dataset(np.zeros((1, 2)), np.zeros(1))
+        validation = linear_objective(np.zeros((1, 2)), [0.0])
         grid = TimeGrid(1.0, 20)
         partition = ControlPartition(np.array([1.0, 0.0]))
         prob = LeaderProblem(objective, validation, 0.005, 0.0, partition,
-                             zero_grid_control(grid, 2), grid, np.zeros(2))
+                             zero_grid_control(grid, 2), np.zeros(2))
         u1 = zero_grid_control(grid, 2)
         res = step(prob, u1, SolverConfig(gamma1=0.5))
         assert res.grad_norm == 0.0
@@ -62,19 +61,20 @@ class TestLeaderStep:
     def test_single_step_decreases_merit(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
-                             zero_grid_control(grid, 2), grid, theta0)
-        res = step(prob, zero_grid_control(grid, 2), SolverConfig(gamma1=0.01))
+                             zero_grid_control(grid, 2), theta0)
+        u1 = zero_grid_control(grid, 2)
+        res = step(prob, u1, SolverConfig(gamma1=0.01))
         assert res.gamma_used > 0.0
-        assert res.merit_after < res.merit
+        assert leader_merit(prob, res.trajectory)[0] \
+            < leader_merit(prob, leader_forward(prob, u1))[0]
         # the handed-on trajectory is the sweep of the accepted control
         fresh = leader_forward(prob, res.u1)
         assert res.trajectory.states.tobytes() == fresh.states.tobytes()
-        assert res.merit_after == leader_merit(prob, fresh)[0]
 
     def test_mask_invariance(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
         prob = LeaderProblem(objective, validation, 0.005, 100.0, partition,
-                             zero_grid_control(grid, 2), grid, theta0)
+                             zero_grid_control(grid, 2), theta0)
         res = step(prob, zero_grid_control(grid, 2), SolverConfig(gamma1=0.01))
         assert res.gamma_used > 0.0
         assert np.array_equal(res.u1.values[:, 1], np.zeros(grid.steps + 1))
@@ -86,18 +86,17 @@ class TestLeaderStep:
         objective = linear_objective(np.zeros((1, 1)), [0.0])
         grid = TimeGrid(1.0, 50)
         partition = ControlPartition(np.array([1.0]))
-        prob = LeaderProblem(objective, Dataset(np.zeros((1, 1)), np.zeros(1)),
-                             0.0, 0.0, partition, zero_grid_control(grid, 1),
-                             grid, np.array([1.0]))
+        prob = LeaderProblem(objective, objective, 0.0, 0.0, partition,
+                             zero_grid_control(grid, 1), np.array([1.0]))
         u1 = GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)
         res = step(prob, u1, SolverConfig(gamma1=0.5))
         assert res.grad_norm > 0.5
         assert res.stalled
         assert res.u1 is u1
         assert res.gamma_used == 0.0
-        assert res.merit_after == res.merit
-        assert res.trajectory.states.tobytes() == \
-            leader_forward(prob, u1).states.tobytes()
+        fresh = leader_forward(prob, u1)
+        assert res.trajectory.states.tobytes() == fresh.states.tobytes()
+        assert leader_merit(prob, res.trajectory) == leader_merit(prob, fresh)
 
 
 class TestSolveNested:
@@ -107,7 +106,7 @@ class TestSolveNested:
         # so its residual is zero and the run ends after one outer iteration
         # with the follower's last (initial) iterate
         fprob, u2 = clamped_follower_problem()
-        validation = Dataset(np.zeros((1, 1)), np.zeros(1))
+        validation = linear_objective(np.zeros((1, 1)), [0.0])
         config = SolverConfig(alpha=fprob.alpha, beta=fprob.beta,
                               inner_tol=1e-10, max_inner=20)
         report = solve_nested(config, fprob.objective, validation,
@@ -135,7 +134,7 @@ class TestSolveNested:
         assert report.outer_iterations == 1
         # the full controlled trajectory replays the uncontrolled one bitwise
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
-                              partition, report.u2, grid, theta0)
+                              partition, report.u2, theta0)
         traj = leader_forward(lprob, report.u1)
         assert traj.states.tobytes() == plain.states.tobytes()
 
@@ -191,7 +190,7 @@ class TestSolveNested:
         assert len(report.history) == report.outer_iterations
         # replay: logged controls reproduce logged final costs
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
-                              partition, report.u2, grid, theta0)
+                              partition, report.u2, theta0)
         traj = leader_forward(lprob, report.u1)
         _, j1, phi = leader_merit(lprob, traj)
         fprob = FollowerProblem(objective, config.alpha, config.beta,
@@ -259,30 +258,8 @@ class TestSolveNested:
             fres = solve_follower(fprob, u2, traj, config)
             u2 = fres.u2_star
             lprob = LeaderProblem(objective, validation, config.z, config.mu,
-                                  partition, u2, grid, theta0)
+                                  partition, u2, theta0)
             lres = leader_step(lprob, u1, fres.trajectory, config)
-            assert lres.merit_after <= lres.merit
+            assert leader_merit(lprob, lres.trajectory)[0] \
+                <= leader_merit(lprob, fres.trajectory)[0]
             u1, traj = lres.u1, lres.trajectory
-
-
-class TestResidualStats:
-    def test_reported_parameters_frozen_values(self, mm_model, table_data):
-        stats = residual_stats(mm_model, THETA_REPORTED, table_data)
-        # frozen from an independent evaluation at the rounded optimum
-        assert stats.mean == pytest.approx(1.0965832743700268e-4, rel=1e-10)
-        assert stats.std == pytest.approx(0.061387004115980685, rel=1e-10)
-        assert len(stats.residuals) == 7
-
-    def test_perfect_fit(self, mm_model):
-        theta = np.array([2.0, 0.3])
-        w = np.array([0.1, 0.2, 0.5])
-        v = theta[0] * w / (theta[1] + w)
-        stats = residual_stats(mm_model, theta, Dataset(w[:, None], v))
-        assert stats.mean == 0.0
-        assert stats.std == 0.0
-
-    def test_single_sample_std(self, mm_model):
-        stats = residual_stats(mm_model, np.array([1.0, 1.0]),
-                               Dataset(np.array([[1.0]]), np.array([2.0])))
-        assert stats.std == 0.0
-        assert stats.mean == pytest.approx(1.5)
