@@ -111,12 +111,12 @@ def follower_backward(prob: FollowerProblem, traj: Trajectory) -> Array:
                               np.zeros(traj.states.shape[1]), prob.alpha)
 
 
-def _finite_cost(value: float, grid: TimeGrid) -> float:
-    """`value`, or DivergenceError when it is not finite. The costs are
-    computed with overflow warnings off, so an overflow arrives here as an
-    infinity or a NaN."""
-    if not np.isfinite(value):
-        raise DivergenceError(grid.horizon, grid.steps, "cost")
+def require_finite(value, grid: TimeGrid, what: str):
+    """`value`, or DivergenceError(`what`) at the end of `grid` when an entry
+    of it is not finite. Costs and residuals are computed with overflow
+    warnings off, so an overflow arrives here as an infinity or a NaN."""
+    if not np.all(np.isfinite(value)):
+        raise DivergenceError(grid.horizon, grid.steps, what)
     return value
 
 
@@ -127,7 +127,8 @@ def follower_cost(prob: FollowerProblem, traj: Trajectory,
     u2n = u2.node_values() * prob.partition.follower_mask
     running = (0.5 * prob.alpha * np.sum(traj.states * traj.states, axis=1)
                + 0.5 * prob.beta * np.sum(u2n * u2n, axis=1))
-    return _finite_cost(float(trapezoid_weights(prob.grid) @ running), prob.grid)
+    return require_finite(float(trapezoid_weights(prob.grid) @ running),
+                          prob.grid, "cost")
 
 
 def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
@@ -146,7 +147,7 @@ def leader_forward(prob: LeaderProblem, u1: ControlSignal) -> Trajectory:
 
 
 def leader_terminal_costate(prob: LeaderProblem, theta_T: Array) -> Array:
-    dphi = gradient_function(prob.validation)(theta_T)
+    dphi = np.asarray(gradient_function(prob.validation)(theta_T))
     return prob.mu * (objective_value(prob.validation, theta_T) - prob.z) * dphi
 
 
@@ -162,7 +163,7 @@ def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, f
     j1 = float(trapezoid_weights(traj.grid) @ running)
     phi = objective_value(prob.validation, traj.terminal_state)
     merit = j1 + 0.5 * prob.mu * (phi - prob.z) ** 2
-    return _finite_cost(merit, traj.grid), j1, phi
+    return require_finite(merit, traj.grid, "cost"), j1, phi
 
 
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,

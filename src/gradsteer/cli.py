@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .adjoint import gradient_check
+from .adjoint import gradient_check, require_finite
 from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
 from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
                    SolverConfig, SplitSpec, TimeGrid, basis_gram_matrix,
@@ -364,9 +364,12 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
                           cfg.theta0, _initial_control(cfg))
 
     # residuals y - h(x) over the whole dataset, with sample (m-1 divisor)
-    # std; the split's two non-empty parts give it at least two rows
-    eps = cfg.data.outputs - _predict_batch(cfg.model, report.theta_final,
-                                            cfg.data.inputs)
+    # std; the split's two non-empty parts give it at least two rows. h may
+    # overflow at a row in neither split, which only this evaluates
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = cfg.data.outputs - _predict_batch(cfg.model, report.theta_final,
+                                                cfg.data.inputs)
+    require_finite(eps, cfg.grid, "residual")
 
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(),

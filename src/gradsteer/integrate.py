@@ -5,11 +5,15 @@ The control u enters by stage: stage 2j is node j and stage 2j + 1 the
 midpoint of interval j. A forward step from node j reads u at stages 2j,
 2j+1, 2j+1 and 2j+2 and keeps the states of stages 2-4; `integrate_backward`
 runs the transposed step along them (Hager 2000, Numer. Math. 87), exact for
-the forward sweep's numbers at any step size.
+the forward sweep's numbers at any step size. Both sweeps step on Python
+floats, one array row in or out at a time, and their `grad` and `hvp` take
+and return p floats: with a few parameters, numpy's per-call overhead would
+cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -18,7 +22,7 @@ from .core import Array, TimeGrid, Trajectory, trapezoid_weights
 
 
 class DivergenceError(RuntimeError):
-    """A state or costate stopped being finite during integration."""
+    """A state, costate, cost or report residual stopped being finite."""
 
     def __init__(self, t: float, step: int, what: str):
         self.t = t
@@ -27,33 +31,30 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite {what} at t={t:.6g} (step {step})")
 
 
-# overflow shows up as a non-finite value, which the loops report themselves
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def integrate_forward(grad: Callable[[Array], Array], stage_u, theta0,
+def integrate_forward(grad: Callable, stage_u, theta0,
                       grid: TimeGrid) -> Trajectory:
     """RK4 of theta' = stage_u[s] - grad(theta) from theta0 over `grid`, with
     stage_u indexed by stage: node states, and step j's stage 2-4 states,
-    both read-only."""
-    y = np.array(theta0, dtype=float)
-    n = grid.steps
-    h = grid.dt
-    half = 0.5 * h
-    sixth = h / 6.0
-    states = np.empty((n + 1, y.shape[0]))
-    stages = np.empty((n, 3, y.shape[0]))
+    both read-only. `grad` takes and returns p floats."""
+    y = np.array(theta0, dtype=float).tolist()
+    n, h = grid.steps, grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    states = np.empty((n + 1, len(y)))
+    stages = np.empty((n, 3, len(y)))
     states[0] = y
     for j in range(n):
         s = 2 * j
-        k1 = stage_u[s] - grad(y)
-        y2 = y + half * k1
-        k2 = stage_u[s + 1] - grad(y2)
-        y3 = y + half * k2
-        k3 = stage_u[s + 1] - grad(y3)
-        y4 = y + h * k3
-        k4 = stage_u[s + 2] - grad(y4)
+        k1 = [u - g for u, g in zip(stage_u[s].tolist(), grad(y))]
+        y2 = [a + half * k for a, k in zip(y, k1)]
+        k2 = [u - g for u, g in zip(stage_u[s + 1].tolist(), grad(y2))]
+        y3 = [a + half * k for a, k in zip(y, k2)]
+        k3 = [u - g for u, g in zip(stage_u[s + 1].tolist(), grad(y3))]
+        y4 = [a + h * k for a, k in zip(y, k3)]
+        k4 = [u - g for u, g in zip(stage_u[s + 2].tolist(), grad(y4))]
         stages[j] = y2, y3, y4
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(y)):
+        y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)):
             raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
         states[j + 1] = y
     states.flags.writeable = False
@@ -61,38 +62,40 @@ def integrate_forward(grad: Callable[[Array], Array], stage_u, theta0,
     return Trajectory(grid=grid, states=states, stages=stages)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def integrate_backward(hvp: Callable[[Array, Array], Array], traj: Trajectory,
-                       p_T, forcing: float) -> Array:
+def integrate_backward(hvp: Callable, traj: Trajectory, p_T,
+                       forcing: float) -> Array:
     """dL/du at all 2N + 1 stages of `traj`, a read-only (2N + 1, p) array;
     `traj` is a forward sweep of theta' = u - grad J(theta) with hvp(theta, v)
-    = Hess(J)(theta) @ v, and L = sum_j w_j forcing/2 |theta_j|^2 + (a
-    terminal term of gradient p_T), w the trapezoid weights. Runs lambda_j =
-    dL/dtheta_j through the transposed RK4 steps from lambda_N = p_T + w_N *
-    forcing * theta_N."""
+    = Hess(J)(theta) @ v, p floats each in and p floats out, and L = sum_j
+    w_j forcing/2 |theta_j|^2 + (a terminal term of gradient p_T), w the
+    trapezoid weights. Runs lambda_j = dL/dtheta_j through the transposed RK4
+    steps from lambda_N = p_T + w_N * forcing * theta_N."""
     grid = traj.grid
-    n = grid.steps
-    h = grid.dt
-    half = 0.5 * h
-    sixth = h / 6.0
+    n, h = grid.steps, grid.dt
+    half, sixth = 0.5 * h, h / 6.0
     running = (forcing * trapezoid_weights(grid))[:, None] * traj.states
-    lam = p_T + running[n]
-    sens = np.zeros((2 * n + 1, traj.states.shape[1]))
+    lam = (p_T + running[n]).tolist()
+    sens = np.empty((2 * n + 1, len(lam)))
+    # g1 of the step after j, whose stage 2j + 2 it shares with step j's g4
+    after = [0.0] * len(lam)
     for j in range(n - 1, -1, -1):
-        y2, y3, y4 = traj.stages[j]
-        g4 = sixth * lam
-        a4 = -hvp(y4, g4)
-        g3 = 2.0 * g4 + h * a4
-        a3 = -hvp(y3, g3)
-        g2 = 2.0 * g4 + half * a3
-        a2 = -hvp(y2, g2)
-        g1 = g4 + half * a2
-        a1 = -hvp(traj.states[j], g1)
-        sens[2 * j + 2] += g4
-        sens[2 * j + 1] = g2 + g3
-        sens[2 * j] = g1
-        lam = lam + a1 + a2 + a3 + a4 + running[j]
-        if not np.all(np.isfinite(lam)):
+        y2, y3, y4 = traj.stages[j].tolist()
+        # the stage slopes are u - grad J, so each H g enters with a minus
+        g4 = [sixth * a for a in lam]
+        hg4 = hvp(y4, g4)
+        g3 = [2.0 * g - h * a for g, a in zip(g4, hg4)]
+        hg3 = hvp(y3, g3)
+        g2 = [2.0 * g - half * a for g, a in zip(g4, hg3)]
+        hg2 = hvp(y2, g2)
+        g1 = [g - half * a for g, a in zip(g4, hg2)]
+        hg1 = hvp(traj.states[j].tolist(), g1)
+        sens[2 * j + 2] = [a + g for a, g in zip(after, g4)]
+        sens[2 * j + 1] = [a + b for a, b in zip(g2, g3)]
+        after = g1
+        lam = [a - b1 - b2 - b3 - b4 + r for a, b1, b2, b3, b4, r
+               in zip(lam, hg1, hg2, hg3, hg4, running[j].tolist())]
+        if not all(map(math.isfinite, lam)):
             raise DivergenceError(grid.nodes[j], j, "costate")
+    sens[0] = after
     sens.flags.writeable = False
     return sens

@@ -14,6 +14,7 @@ Built-in model kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -63,61 +64,77 @@ class Objective:
             raise ValueError(f"{self.model.value} model takes scalar inputs")
 
 
-def _mm_check(theta: Array, w: Array):
-    d = theta[1] + w
-    if np.abs(d).min() <= SINGULARITY_GUARD:
-        bad = w[np.abs(d).argmin()]
-        raise SingularityError(theta, float(bad))
-    return d
+def _exp(a: float) -> float:
+    """e**a, or inf where that overflows a float, as np.exp gives."""
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+def _mm_pole(theta, w) -> SingularityError:
+    """SingularityError naming the input w nearest the pole theta1 = -w."""
+    nearest = min(w, key=lambda wi: abs(theta[1] + wi))
+    return SingularityError(theta, float(nearest))
 
 
 def _predict_batch(model: ModelKind, theta: Array, inputs: Array) -> Array:
-    if model is ModelKind.MICHAELIS_MENTEN:
-        w = inputs[:, 0]
-        d = _mm_check(theta, w)
-        return theta[0] * w / d
     if model is ModelKind.LINEAR:
         return inputs @ theta
     w = inputs[:, 0]
+    if model is ModelKind.MICHAELIS_MENTEN:
+        d = theta[1] + w
+        if np.abs(d).min() <= SINGULARITY_GUARD:
+            raise _mm_pole(theta, w)
+        return theta[0] * w / d
     return theta[0] * np.exp(theta[1] * w)
 
 
-def gradient_function(obj: Objective) -> Callable[[Array], Array]:
-    """Bind the dataset once; returns theta -> grad J(theta).
-
-    The bound closure is the hot path of every integration sweep, so the
-    per-model formulas below stay lean (few temporaries, dot products).
-    """
-    scale = 2.0 * obj.loss_scale.factor
-    outputs = obj.dataset.outputs
-    m = float(len(outputs))
-
-    if obj.model is ModelKind.MICHAELIS_MENTEN:
-        w = obj.dataset.inputs[:, 0]
-
-        def grad(theta: Array) -> Array:
-            d = _mm_check(theta, w)
-            q = w / d
-            r = theta[0] * q - outputs
-            return (scale / m) * np.array([r @ q, -theta[0] * (r @ (q / d))])
-
-        return grad
+def gradient_function(obj: Objective) -> Callable:
+    """Bind the dataset once; returns theta -> grad J(theta), p floats in and
+    p floats out. It is the hot path of every sweep, and loops over the
+    samples on Python floats: with a few samples and parameters, numpy's
+    per-call overhead would cost more than the arithmetic."""
+    c = 2.0 * obj.loss_scale.factor / float(len(obj.dataset.outputs))
+    y = obj.dataset.outputs.tolist()
 
     if obj.model is ModelKind.LINEAR:
-        x = obj.dataset.inputs
+        x = obj.dataset.inputs.tolist()
 
-        def grad(theta: Array) -> Array:
-            r = x @ theta - outputs
-            return (scale / m) * (r @ x)
+        def grad(theta):
+            r = [sum(a * b for a, b in zip(xi, theta)) - yi
+                 for xi, yi in zip(x, y)]
+            return tuple(c * sum(ri * xi[k] for ri, xi in zip(r, x))
+                         for k in range(len(theta)))
 
         return grad
 
-    w = obj.dataset.inputs[:, 0]
+    w = obj.dataset.inputs[:, 0].tolist()
+    if obj.model is ModelKind.MICHAELIS_MENTEN:
+        def grad(theta):
+            t0, t1 = theta[0], theta[1]
+            rq = rqd = 0.0
+            for wi, yi in zip(w, y):
+                di = t1 + wi
+                if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
+                    raise _mm_pole(theta, w)
+                q = wi / di
+                r = t0 * q - yi
+                rq += r * q
+                rqd += r * (q / di)
+            return c * rq, c * (-t0 * rqd)
 
-    def grad(theta: Array) -> Array:
-        e = np.exp(theta[1] * w)
-        r = theta[0] * e - outputs
-        return (scale / m) * np.array([r @ e, theta[0] * (r @ (w * e))])
+        return grad
+
+    def grad(theta):
+        t0, t1 = theta[0], theta[1]
+        re = rwe = 0.0
+        for wi, yi in zip(w, y):
+            e = _exp(t1 * wi)
+            r = t0 * e - yi
+            re += r * e
+            rwe += r * (wi * e)
+        return c * re, c * (t0 * rwe)
 
     return grad
 
@@ -128,37 +145,52 @@ def objective_value(obj: Objective, theta) -> float:
     return obj.loss_scale.factor * (r @ r) / float(len(obj.dataset.outputs))
 
 
-def hvp_function(obj: Objective) -> Callable[[Array, Array], Array]:
-    """Bind the dataset once; returns theta, v -> (Hessian J)(theta) @ v from
-    the closed-form Hessian: 2x2 for the two-parameter models, constant for
-    the linear one."""
+def hvp_function(obj: Objective) -> Callable:
+    """Bind the dataset once; returns theta, v -> (Hessian J)(theta) @ v, p
+    floats each in and p floats out, from the closed-form Hessian: 2x2 for
+    the two-parameter models, constant for the linear one."""
     scale = 2.0 * obj.loss_scale.factor / len(obj.dataset.outputs)
-    outputs = obj.dataset.outputs
+    y = obj.dataset.outputs.tolist()
     if obj.model is ModelKind.LINEAR:
-        hessian = scale * (obj.dataset.inputs.T @ obj.dataset.inputs)
-        return lambda theta, v: hessian @ v
+        rows = (scale * (obj.dataset.inputs.T @ obj.dataset.inputs)).tolist()
+        return lambda theta, v: tuple(sum(a * b for a, b in zip(row, v))
+                                      for row in rows)
 
     # (H00, H01, H11) / scale = sum_i g_i g_i^T + r_i Hess(prediction_i)
-    w = obj.dataset.inputs[:, 0]
+    w = obj.dataset.inputs[:, 0].tolist()
     if obj.model is ModelKind.MICHAELIS_MENTEN:
-        def entries(theta: Array):
-            d = _mm_check(theta, w)
-            q = w / d
-            qd = q / d
-            r = theta[0] * q - outputs
-            t = theta[0] * q + r
-            return q @ q, -(qd @ t), theta[0] * ((qd / d) @ (t + r))
+        def entries(theta):
+            t0, t1 = theta[0], theta[1]
+            h00 = h01 = h11 = 0.0
+            for wi, yi in zip(w, y):
+                di = t1 + wi
+                if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
+                    raise _mm_pole(theta, w)
+                q = wi / di
+                qd = q / di
+                r = t0 * q - yi
+                t = t0 * q + r
+                h00 += q * q
+                h01 += qd * t
+                h11 += (qd / di) * (t + r)
+            return h00, -h01, t0 * h11
     else:
-        def entries(theta: Array):
-            e = np.exp(theta[1] * w)
-            we = w * e
-            t = theta[0] * e + (theta[0] * e - outputs)
-            return e @ e, we @ t, theta[0] * ((w * we) @ t)
+        def entries(theta):
+            t0, t1 = theta[0], theta[1]
+            h00 = h01 = h11 = 0.0
+            for wi, yi in zip(w, y):
+                e = _exp(t1 * wi)
+                we = wi * e
+                t = t0 * e + (t0 * e - yi)
+                h00 += e * e
+                h01 += we * t
+                h11 += (wi * we) * t
+            return h00, h01, t0 * h11
 
-    def hvp(theta: Array, v: Array) -> Array:
+    def hvp(theta, v):
         h00, h01, h11 = entries(theta)
-        return scale * np.array([h00 * v[0] + h01 * v[1],
-                                 h01 * v[0] + h11 * v[1]])
+        return (scale * (h00 * v[0] + h01 * v[1]),
+                scale * (h01 * v[0] + h11 * v[1]))
 
     return hvp
 

@@ -44,7 +44,7 @@ def hamiltonian_follower(objective, theta, p2, u1_value, u2_value, partition,
                          alpha, beta):
     theta = np.asarray(theta, dtype=float)
     u2m = np.asarray(u2_value, dtype=float) * partition.follower_mask
-    velocity = (-gradient_function(objective)(theta)
+    velocity = (-np.asarray(gradient_function(objective)(theta))
                 + np.asarray(u1_value, dtype=float) * partition.leader_mask
                 + u2m)
     return float(velocity @ np.asarray(p2, dtype=float)
@@ -53,7 +53,7 @@ def hamiltonian_follower(objective, theta, p2, u1_value, u2_value, partition,
 
 def hamiltonian_leader(objective, theta, p1, u1_value, u2_value, partition):
     theta = np.asarray(theta, dtype=float)
-    velocity = (-gradient_function(objective)(theta)
+    velocity = (-np.asarray(gradient_function(objective)(theta))
                 + np.asarray(u1_value, dtype=float) * partition.leader_mask
                 + np.asarray(u2_value, dtype=float) * partition.follower_mask)
     return float(velocity @ np.asarray(p1, dtype=float) + 0.5 * (theta @ theta))
@@ -107,7 +107,7 @@ class TestHamiltonians:
         u2 = rng.normal(size=2)
         got = hamiltonian_follower(mm_train_half, theta, p2, u1, u2,
                                    partition_10, ALPHA, BETA)
-        velocity = (-gradient_function(mm_train_half)(theta)
+        velocity = (-np.asarray(gradient_function(mm_train_half)(theta))
                     + u1 * partition_10.leader_mask
                     + u2 * partition_10.follower_mask)
         u2m = u2 * partition_10.follower_mask
@@ -126,7 +126,7 @@ class TestHamiltonians:
         theta = np.array([2.2, 0.6])
         p1, u1, u2 = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
         got = hamiltonian_leader(mm_train_half, theta, p1, u1, u2, partition_10)
-        velocity = (-gradient_function(mm_train_half)(theta)
+        velocity = (-np.asarray(gradient_function(mm_train_half)(theta))
                     + u1 * partition_10.leader_mask
                     + u2 * partition_10.follower_mask)
         assert got == pytest.approx(velocity @ p1 + 0.5 * theta @ theta,
@@ -232,8 +232,8 @@ class TestTerminalConditions:
         theta_T = traj.terminal_state
         phi = validation_phi(objective.model, theta_T, validation.dataset,
                              objective.loss_scale)
-        dphi = gradient_function(Objective(objective.model, validation.dataset,
-                                           objective.loss_scale))(theta_T)
+        dphi = np.asarray(gradient_function(Objective(
+            objective.model, validation.dataset, objective.loss_scale))(theta_T))
         p_T = leader_terminal_costate(prob, theta_T)
         assert np.array_equal(p_T, mu * (phi - z) * dphi)
         assert np.all(p_T != 0.0)

@@ -517,6 +517,22 @@ class TestMain:
             == EXIT_DIVERGED
         assert "non-finite cost at " in capsys.readouterr().err
 
+    def test_overflowing_residual_exit_3(self, tmp_path, capsys):
+        # the third data row is in neither split, so only the report's
+        # residuals evaluate h there, and exp(0.9 * 1000) overflows
+        data = tmp_path / "rows.csv"
+        data.write_text("w,v\n0.1,1.0\n0.2,1.2\n1000,5.0\n", encoding="utf-8")
+        cfg = shipped_config(tmp_path, "michaelis_menten.cfg",
+                             model="exponential", train_indices="1",
+                             validation_indices="2", theta0="1.0, 1.0", mu="1",
+                             N_t="200", max_outer="2")
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+            f"data = {DATA_CSV}", f"data = {data}"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "fit", str(cfg)]) == EXIT_DIVERGED
+        assert "non-finite residual at " in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["fit", "simulate", "gradcheck"])
     @pytest.mark.parametrize("case", ["existing file", "under a file",
                                       "directory output"])

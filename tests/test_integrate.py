@@ -107,7 +107,7 @@ def test_fourth_order_convergence():
 
 def test_determinism():
     grid = TimeGrid(1.0, 64)
-    grad = lambda y: 0.3 * y - np.sin(y)
+    grad = lambda y: 0.3 * np.asarray(y) - np.sin(y)
     a = integrate_forward(grad, zero_stages(grid, 2), np.array([0.9, -0.4]), grid)
     b = integrate_forward(grad, zero_stages(grid, 2), np.array([0.9, -0.4]), grid)
     assert np.array_equal(a.states, b.states)
@@ -117,8 +117,8 @@ def test_determinism():
 def test_divergence_detected():
     grid = TimeGrid(1.0, 10)
     with pytest.raises(DivergenceError) as err:
-        integrate_forward(lambda y: -y * y, zero_stages(grid), np.array([50.0]),
-                          grid)
+        integrate_forward(lambda y: [-a * a for a in y], zero_stages(grid),
+                          np.array([50.0]), grid)
     assert err.value.t <= 1.0
     assert err.value.what == "state"
 
@@ -128,8 +128,8 @@ def test_backward_divergence_detected():
     grid = TimeGrid(1.0, 10)
     traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     with pytest.raises(DivergenceError) as err:
-        integrate_backward(lambda theta, v: 1e300 * v, traj, np.array([1.0]),
-                           0.0)
+        integrate_backward(lambda theta, v: [1e300 * a for a in v], traj,
+                           np.array([1.0]), 0.0)
     assert err.value.what == "costate"
     assert 0 <= err.value.step < grid.steps
     assert err.value.t == grid.nodes[err.value.step]
@@ -150,7 +150,7 @@ def test_stage_indices_visited():
 
     def grad(y):
         states.append(y.copy())
-        return 0.3 * y - np.sin(y)
+        return 0.3 * np.asarray(y) - np.sin(y)
 
     traj = integrate_forward(grad, StageLog(), np.array([0.9]), grid)
     assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from gradsteer import (Dataset, LossScale, ModelKind, Objective,
-                       SingularityError, objective_value, validation_phi)
+from gradsteer import (DivergenceError, Dataset, LossScale, ModelKind,
+                       Objective, SingularityError, TimeGrid, integrate_forward,
+                       objective_value, validation_phi)
 from gradsteer.models import _predict_batch, gradient_function, hvp_function
 
-from conftest import TABLE_V, TABLE_W, THETA_REPORTED, linear_objective
+from conftest import (TABLE_V, TABLE_W, THETA_REPORTED, linear_objective,
+                      zero_stages)
 
 
 def finite_diff_gradient(func, theta, step):
@@ -165,7 +167,8 @@ class TestHvp:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            dense[:, j] = (grad(theta + e) - grad(theta - e)) / (2 * h)
+            dense[:, j] = (np.asarray(grad(theta + e))
+                           - np.asarray(grad(theta - e))) / (2 * h)
         v = np.array([1.0, 0.0])
         assert np.allclose(hvp_function(obj)(theta, v), dense @ v, rtol=1e-4)
 
@@ -180,7 +183,8 @@ class TestHvp:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            dense[:, j] = (grad(theta + e) - grad(theta - e)) / (2 * h)
+            dense[:, j] = (np.asarray(grad(theta + e))
+                           - np.asarray(grad(theta - e))) / (2 * h)
         for v in np.eye(2):
             assert np.allclose(hvp_function(obj)(theta, v), dense @ v,
                                rtol=1e-7)
@@ -235,3 +239,108 @@ class TestValidationPhi:
         table2 = Dataset(perturbed, table_data.outputs)
         after = validation_phi(mm_model, theta, split.validation(table2))
         assert before == after
+
+
+# The vectorised numpy gradient and Hessian-vector product that the float
+# kernels replaced, kept as their oracle.
+
+@np.errstate(over="ignore", invalid="ignore")
+def numpy_gradient(obj, theta):
+    theta = np.asarray(theta, dtype=float)
+    scale = 2.0 * obj.loss_scale.factor
+    outputs = obj.dataset.outputs
+    m = float(len(outputs))
+    if obj.model is ModelKind.LINEAR:
+        x = obj.dataset.inputs
+        r = x @ theta - outputs
+        return (scale / m) * (r @ x)
+    w = obj.dataset.inputs[:, 0]
+    if obj.model is ModelKind.MICHAELIS_MENTEN:
+        d = theta[1] + w
+        q = w / d
+        r = theta[0] * q - outputs
+        return (scale / m) * np.array([r @ q, -theta[0] * (r @ (q / d))])
+    e = np.exp(theta[1] * w)
+    r = theta[0] * e - outputs
+    return (scale / m) * np.array([r @ e, theta[0] * (r @ (w * e))])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def numpy_hvp(obj, theta, v):
+    theta = np.asarray(theta, dtype=float)
+    scale = 2.0 * obj.loss_scale.factor / len(obj.dataset.outputs)
+    outputs = obj.dataset.outputs
+    if obj.model is ModelKind.LINEAR:
+        return scale * (obj.dataset.inputs.T @ obj.dataset.inputs) @ v
+    w = obj.dataset.inputs[:, 0]
+    if obj.model is ModelKind.MICHAELIS_MENTEN:
+        d = theta[1] + w
+        q = w / d
+        qd = q / d
+        r = theta[0] * q - outputs
+        t = theta[0] * q + r
+        h00, h01, h11 = q @ q, -(qd @ t), theta[0] * ((qd / d) @ (t + r))
+    else:
+        e = np.exp(theta[1] * w)
+        we = w * e
+        t = theta[0] * e + (theta[0] * e - outputs)
+        h00, h01, h11 = e @ e, we @ t, theta[0] * ((w * we) @ t)
+    return scale * np.array([h00 * v[0] + h01 * v[1], h01 * v[0] + h11 * v[1]])
+
+
+class TestFloatKernels:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_match_numpy_oracle(self, model):
+        # the float kernels sum in another order than numpy's dot products,
+        # so they agree to rounding, not bitwise
+        rng = np.random.default_rng(7)
+        p = 3 if model is ModelKind.LINEAR else 2
+        for _ in range(50):
+            m = int(rng.integers(1, 8))
+            inputs = (rng.normal(size=(m, p)) if model is ModelKind.LINEAR
+                      else rng.uniform(0.01, 1.5, size=(m, 1)))
+            obj = Objective(model, Dataset(inputs, rng.uniform(0.2, 4.0, size=m)),
+                            rng.choice([LossScale.HALF, LossScale.ONE]))
+            theta = rng.uniform(0.05, 3.0, size=p)
+            v = rng.normal(size=p)
+            for got, want in (
+                    (gradient_function(obj)(theta.tolist()),
+                     numpy_gradient(obj, theta)),
+                    (hvp_function(obj)(theta.tolist(), v.tolist()),
+                     numpy_hvp(obj, theta, v))):
+                assert len(got) == p
+                assert all(type(g) is float for g in got)
+                assert np.abs(np.asarray(got) - want).max() \
+                    <= 1e-13 * np.abs(want).max()
+
+    def test_exponential_overflow_is_infinite(self):
+        # b * w = 800 > 710: exp overflows a float, as np.exp does, to inf
+        obj = Objective(ModelKind.EXPONENTIAL,
+                        Dataset(np.array([[0.5], [2.0]]), np.array([1.0, 2.0])))
+        theta = [1.0, 400.0]
+        grad = gradient_function(obj)(theta)
+        hvp = hvp_function(obj)(theta, [1.0, 0.5])
+        assert np.all(np.isposinf(grad))
+        assert np.array_equal(grad, numpy_gradient(obj, theta))
+        assert np.all(np.isposinf(hvp))
+        assert np.array_equal(hvp, numpy_hvp(obj, theta, [1.0, 0.5]))
+        grid = TimeGrid(1.0, 10)
+        with pytest.raises(DivergenceError) as err:
+            integrate_forward(gradient_function(obj), zero_stages(grid, 2),
+                              theta, grid)
+        assert err.value.what == "state"
+
+    def test_pole_guard_names_the_input_predict_batch_names(self, mm_model):
+        # theta1 is within the guard of -w at two inputs; every path names
+        # the nearer one, 0.0052, though the kernels meet the other first
+        w = np.array([0.3, 0.0052 + 5e-10, 0.0052, 0.1])
+        obj = Objective(mm_model, Dataset(w[:, None], np.ones(4)))
+        theta = [2.0, -0.0052]
+        named = []
+        for call in (lambda: _predict_batch(mm_model, np.array(theta), w[:, None]),
+                     lambda: gradient_function(obj)(theta),
+                     lambda: hvp_function(obj)(theta, [1.0, 0.0])):
+            with pytest.raises(SingularityError) as err:
+                call()
+            named.append(err.value.x)
+        assert named == [0.0052] * 3
