@@ -28,13 +28,18 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import (Array, ControlGradient, ControlPartition, ControlSignal,
-                   GridControl, SolverConfig, TimeGrid, Trajectory,
-                   trapezoid_weights, _frozen_array)
-from .integrate import DivergenceError, integrate_backward, integrate_forward
-from .models import Objective, gradient_function, hvp_function, objective_value
+                   GridControl, InvalidSetting, SolverConfig, TimeGrid,
+                   Trajectory, trapezoid_weights, _frozen_array)
+from .integrate import (DivergenceError, integrate_backward, integrate_forward,
+                        integrate_lanes, squared_norms)
+from .models import (Objective, gradient_function, hvp_function,
+                     lane_gradient_function, objective_value)
 
 FD_STEP = 1e-5  # central-difference step of gradient_check
 SIGNAL_MODES = 4  # cosine modes of gradient_check's random signals
+# nodes whose lane controls are built at once: 16 makes the numpy calls per
+# node few and keeps the block's arrays small against the sweep's memory
+LANE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,15 @@ def require_finite(value, grid: TimeGrid, what: str):
 def follower_cost(prob: FollowerProblem, traj: Trajectory,
                   u2: ControlSignal) -> float:
     """J2 = integral of alpha/2 |theta|^2 + beta/2 |u2 on follower coords|^2."""
-    u2n = u2.node_values() * prob.partition.follower_mask
-    running = (0.5 * prob.alpha * np.sum(traj.states * traj.states, axis=1)
-               + 0.5 * prob.beta * np.sum(u2n * u2n, axis=1))
+    return follower_value(prob, squared_norms(traj.states), u2.node_values())
+
+
+def follower_value(prob: FollowerProblem, state_sq: Array,
+                   u2_nodes: Array) -> float:
+    """J2 of a sweep from its |theta_j|^2 and u2's values at the nodes."""
+    u2n = u2_nodes * prob.partition.follower_mask
+    running = (0.5 * prob.alpha * state_sq
+               + 0.5 * prob.beta * squared_norms(u2n))
     return require_finite(float(trapezoid_weights(prob.grid) @ running),
                           prob.grid, "cost")
 
@@ -159,11 +170,19 @@ def leader_backward(prob: LeaderProblem, traj: Trajectory) -> Array:
 @np.errstate(over="ignore", invalid="ignore")
 def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, float]:
     """(line-search merit J1 + (mu/2)(Phi - z)^2, J1, Phi at the endpoint)."""
-    running = 0.5 * np.sum(traj.states * traj.states, axis=1)
-    j1 = float(trapezoid_weights(traj.grid) @ running)
-    phi = objective_value(prob.validation, traj.terminal_state)
+    return leader_value(prob, squared_norms(traj.states), traj.terminal_state)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def leader_value(prob: LeaderProblem, state_sq: Array,
+                 theta_T: Array) -> Tuple[float, float, float]:
+    """`leader_merit` of a sweep on u2's grid from its |theta_j|^2 and its
+    endpoint."""
+    grid = prob.u2.grid
+    j1 = float(trapezoid_weights(grid) @ (0.5 * state_sq))
+    phi = objective_value(prob.validation, theta_T)
     merit = j1 + 0.5 * prob.mu * (phi - prob.z) ** 2
-    return require_finite(merit, traj.grid, "cost"), j1, phi
+    return require_finite(merit, grid, "cost"), j1, phi
 
 
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
@@ -184,15 +203,105 @@ def update_control(u: ControlSignal, direction: Array,
 # ---------------------------------------------------------------------------
 # finite-difference certification protocol
 
+def cosine_modes(grid: TimeGrid) -> Array:
+    """cos(k pi t / T) at the grid's nodes, one row per k < SIGNAL_MODES."""
+    phase = np.pi * grid.nodes / grid.horizon
+    return np.array([np.cos(k * phase) for k in range(SIGNAL_MODES)])
+
+
+def cosine_signal(coeffs: Array, modes: Array) -> Array:
+    """The mix sum_k coeffs[k] * modes[k] on the nodes, (nodes, dim)."""
+    out = np.zeros((modes.shape[1], coeffs.shape[1]))
+    for k in range(SIGNAL_MODES):
+        out += coeffs[k] * modes[k][:, None]
+    return out
+
+
 def smooth_random_signal(rng: np.random.Generator, grid: TimeGrid, dim: int,
                          amplitude: float) -> Array:
-    """Low-frequency cosine mix on grid nodes; used for check directions."""
-    coeffs = rng.normal(size=(SIGNAL_MODES, dim)) * amplitude
-    phase = np.pi * grid.nodes / grid.horizon
-    out = np.zeros((grid.steps + 1, dim))
-    for k in range(SIGNAL_MODES):
-        out += coeffs[k] * np.cos(k * phase)[:, None]
-    return out
+    """Low-frequency cosine mix on grid nodes, drawn from `rng`; the base
+    controls of gradient_check."""
+    return cosine_signal(rng.normal(size=(SIGNAL_MODES, dim)) * amplitude,
+                         cosine_modes(grid))
+
+
+def _pair_within_bound(u1: Array, u2: Array, directions, modes: Array,
+                       partition: ControlPartition, u_max: float):
+    """The base pair (u1, u2) as it is when every candidate u +- FD_STEP *
+    d * mask of the check lies within +-u_max; otherwise both scaled toward
+    zero just so far that every one does. InvalidSetting("u_max") when the
+    steps alone leave the bound."""
+    peak = step = 0.0
+    for coeffs in directions:
+        d = cosine_signal(coeffs, modes)
+        for u, mask in ((u2, partition.follower_mask),
+                        (u1, partition.leader_mask)):
+            dm = FD_STEP * (d * mask)
+            peak = max(peak, np.abs(u + dm).max(), np.abs(u - dm).max())
+            step = max(step, np.abs(dm).max())
+    if peak <= u_max:
+        return u1, u2
+    if step >= u_max:
+        raise InvalidSetting("u_max", f"must exceed {step:.3g}, the largest "
+                                      "finite-difference step of gradcheck")
+    scale = (u_max - step) / max(np.abs(u1).max(), np.abs(u2).max())
+    return scale * u1, scale * u2
+
+
+def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
+                         modes: Array, partition: ControlPartition):
+    """The combined stage controls of every candidate pair, one lane each,
+    as (p, K) arrays in stage order. Lane 4i + 2f + s perturbs u2 (f = 0)
+    or u1 (f = 1) by +FD_STEP (s = 0) or -FD_STEP (s = 1) times direction i
+    on its agent's coordinates. Each node is built as `cosine_signal`,
+    `GridControl.stage_values` and `combined_stage_controls` build it, in
+    their element order, so each lane's stage controls are theirs bit for
+    bit."""
+    n = len(directions)
+    leader = np.tile([False, False, True, True], n)
+    sign = np.tile([1.0, -1.0], 2 * n)
+    coeffs = np.repeat(np.reshape(directions, (n, SIGNAL_MODES,
+                                               partition.dimension)),
+                       4, axis=0).transpose(1, 2, 0)
+    lm = partition.leader_mask[:, None]
+    fm = partition.follower_mask[:, None]
+    own_mask, other_mask = np.where(leader, lm, fm), np.where(leader, fm, lm)
+    u_max = u1.u_max
+
+    def node_values(rows):
+        """(perturbed, other) control values at the nodes `rows`, each of
+        shape (nodes, p, K)."""
+        d = 0.0
+        for c, w in zip(coeffs, modes[:, rows]):
+            d = d + c * w[:, None, None]
+        a, b = u1.values[rows][:, :, None], u2.values[rows][:, :, None]
+        return (np.where(leader, a, b) + sign * (FD_STEP * (d * own_mask)),
+                np.where(leader, b, a))
+
+    def stage(own, other):
+        return (np.clip(own, -u_max, u_max) * own_mask
+                + np.clip(other, -u_max, u_max) * other_mask)
+
+    # nodes in blocks, each block from the last node of the one before
+    for start in range(0, modes.shape[1], LANE_BLOCK):
+        own, other = node_values(slice(max(start - 1, 0), start + LANE_BLOCK))
+        at_nodes = stage(own, other)
+        at_mids = stage(0.5 * (own[:-1] + own[1:]),
+                        0.5 * (other[:-1] + other[1:]))
+        if start == 0:
+            yield at_nodes[0]
+        for mid, at_node in zip(at_mids, at_nodes[1:]):
+            yield mid
+            yield at_node
+
+
+def _base_gradients(fprob: FollowerProblem, lprob: LeaderProblem,
+                    u1: GridControl, u2: GridControl):
+    """(follower, leader) gradients at the base pair. Both problems integrate
+    the pair (u1, u2), so one forward sweep serves both backward sweeps."""
+    traj = follower_forward(fprob, u2)
+    return (follower_gradient_arrays(fprob, u2, follower_backward(fprob, traj)),
+            leader_gradient_arrays(lprob, u1, leader_backward(lprob, traj)))
 
 
 def gradient_check(objective: Objective, validation: Objective,
@@ -206,43 +315,58 @@ def gradient_check(objective: Objective, validation: Objective,
     injection hook: it is added to every adjoint gradient before comparison,
     so any nonzero value must make the check fail. The adjoint gradients
     are exact for the discrete functionals, so one difference step serves
-    both, on `grid` itself.
+    both, on `grid` itself. One forward sweep of the base pair feeds both
+    backward sweeps; the 4 * n_directions candidate pairs run as the lanes
+    of one `integrate_lanes` sweep, whose floats are those of one
+    `integrate_forward` sweep per candidate. When a candidate would leave
+    +-u_max, the base pair is first scaled into the bound, so that no
+    candidate is clipped.
     """
     rng = np.random.default_rng(seed)
     p = partition.dimension
-    base_amp = 0.1
-    u1 = GridControl(grid, smooth_random_signal(rng, grid, p, base_amp), config.u_max)
-    u2 = GridControl(grid, smooth_random_signal(rng, grid, p, base_amp), config.u_max)
+    modes = cosine_modes(grid)
+    # the random stream gives u1, u2, then the cosine weights of one
+    # direction (amplitude 1) per comparison
+    base = [smooth_random_signal(rng, grid, p, 0.1) for _ in range(2)]
+    directions = [rng.normal(size=(SIGNAL_MODES, p))
+                  for _ in range(n_directions)]
+    u1, u2 = (GridControl(grid, values, config.u_max) for values in
+              _pair_within_bound(*base, directions, modes, partition,
+                                 config.u_max))
 
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                             u1, grid, theta0)
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
                           u2, theta0)
 
-    # both problems integrate the pair (u1, u2), so one forward sweep serves
-    # both backward sweeps
-    traj = follower_forward(fprob, u2)
-    sens2, sens1 = follower_backward(fprob, traj), leader_backward(lprob, traj)
-    g2 = follower_gradient_arrays(fprob, u2, sens2).pointwise + corruption
-    g1 = leader_gradient_arrays(lprob, u1, sens1).pointwise + corruption
+    g2, g1 = (g.pointwise + corruption
+              for g in _base_gradients(fprob, lprob, u1, u2))
 
-    def j2_at(values: Array) -> float:
-        cand = GridControl(grid, values, config.u_max)
-        return follower_cost(fprob, follower_forward(fprob, cand), cand)
+    sq, theta_T = integrate_lanes(
+        lane_gradient_function(objective),
+        _lane_stage_controls(u1, u2, directions, modes, partition),
+        np.repeat(fprob.theta0[:, None], 4 * n_directions, axis=1), grid)
 
-    def merit_at(values: Array) -> float:
-        cand = GridControl(grid, values, config.u_max)
-        return leader_merit(lprob, leader_forward(lprob, cand))[0]
+    # a functional's value on a lane; `values` are the perturbed control's
+    # node values, which only J2's control cost reads
+    def j2_of(lane, values):
+        return follower_value(fprob, sq[lane],
+                              np.clip(values, -config.u_max, config.u_max))
 
-    checks = (("follower", j2_at, u2, g2, partition.follower_mask),
-              ("leader", merit_at, u1, g1, partition.leader_mask))
+    def merit_of(lane, values):
+        return leader_value(lprob, sq[lane], theta_T[lane])[0]
+
+    checks = (("follower", j2_of, u2, g2, partition.follower_mask),
+              ("leader", merit_of, u1, g1, partition.leader_mask))
     records = []
-    for i in range(n_directions):
-        d = smooth_random_signal(rng, grid, p, 1.0)
-        for functional, value_at, u, g, mask in checks:
+    for i, coeffs in enumerate(directions):
+        d = cosine_signal(coeffs, modes)
+        for f, (functional, value_of, u, g, mask) in enumerate(checks):
             dm = d * mask
-            fd = float(value_at(u.values + FD_STEP * dm)
-                       - value_at(u.values - FD_STEP * dm)) / (2 * FD_STEP)
+            lane = 4 * i + 2 * f
+            fd = float(value_of(lane, u.values + FD_STEP * dm)
+                       - value_of(lane + 1, u.values - FD_STEP * dm)) \
+                / (2 * FD_STEP)
             adj = grid_inner_product(grid, g, dm)
             records.append({"functional": functional, "direction": i,
                             "fd": fd, "adjoint": adj,

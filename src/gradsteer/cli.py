@@ -420,12 +420,18 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     It perturbs grid controls even on a `basis K` config, where it certifies
     the grid-control gradient of the same problem: the basis coefficient
     gradient is checked only by the test TestControlGradients::
-    test_basis_coefficient_gradient.
+    test_basis_coefficient_gradient. The 80 perturbed pairs run as the
+    lanes of one sweep (`adjoint.gradient_check`); a `u_max` that the
+    difference step alone exceeds is a ConfigError.
     """
     cfg, out, objective, validation = _prepare(config_path, out_dir)
-    records = gradient_check(objective, validation, cfg.partition, cfg.theta0,
-                             cfg.grid, cfg.solver, seed=cfg.seed,
-                             n_directions=20, corruption=corruption)
+    try:
+        records = gradient_check(objective, validation, cfg.partition,
+                                 cfg.theta0, cfg.grid, cfg.solver,
+                                 seed=cfg.seed, n_directions=20,
+                                 corruption=corruption)
+    except InvalidSetting as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
     with open(out / "gradcheck.csv", "w", encoding="utf-8") as fh:
         fh.write("functional,direction,fd,adjoint,rel_error\n")
         for r in records:

@@ -14,7 +14,7 @@ cost more than the arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -60,6 +60,42 @@ def integrate_forward(grad: Callable, stage_u, theta0,
     states.flags.writeable = False
     stages.flags.writeable = False
     return Trajectory(grid=grid, states=states, stages=stages)
+
+
+def squared_norms(states: Array) -> Array:
+    """|theta_j|^2 of every row theta_j of `states`."""
+    return np.sum(states * states, axis=1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def integrate_lanes(grad: Callable, stage_u, theta0,
+                    grid: TimeGrid) -> Tuple[Array, Array]:
+    """`integrate_forward` on K lanes at once: theta0 and each entry of
+    `stage_u`, an iterable of the 2N + 1 stage controls in stage order, are
+    (p, K) arrays, and `grad` takes and returns p arrays of shape (K,)
+    (`models.lane_gradient_function`). Each lane runs integrate_forward's
+    arithmetic in its order, so its floats are that sweep's, bit for bit.
+    Returns the (K, N + 1) array of every lane's |theta_j|^2 at the nodes,
+    and the (K, p) terminal states; an overflowing |theta|^2 is inf here,
+    for the cost to report."""
+    stages = iter(stage_u)
+    y = np.array(theta0, dtype=float)
+    n, h = grid.steps, grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    sq = np.empty((n + 1, y.shape[1]))
+    sq[0] = squared_norms(y.T.copy())
+    u_node = next(stages)
+    for j in range(n):
+        u_first, u_mid, u_node = u_node, next(stages), next(stages)
+        k1 = u_first - np.array(grad(y))
+        k2 = u_mid - np.array(grad(y + half * k1))
+        k3 = u_mid - np.array(grad(y + half * k2))
+        k4 = u_node - np.array(grad(y + h * k3))
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.isfinite(y).all():
+            raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
+        sq[j + 1] = squared_norms(y.T.copy())
+    return sq.T, y.T.copy()
 
 
 def integrate_backward(hvp: Callable, traj: Trajectory, p_T,

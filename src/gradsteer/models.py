@@ -139,6 +139,50 @@ def gradient_function(obj: Objective) -> Callable:
     return grad
 
 
+def lane_gradient_function(obj: Objective) -> Callable:
+    """`gradient_function` on lanes: theta is p arrays of shape (K,), one
+    entry per lane, and so is the gradient. The samples are the rows of (m,
+    K) arrays, summed in row order, so each lane's floats are the float
+    kernel's for its theta, bit for bit, except where np.exp and math.exp
+    round differently. A lane near the pole raises SingularityError naming
+    its theta. Callers silence numpy's overflow and invalid warnings, as
+    `integrate.integrate_lanes` does; an overflowing exp is then inf."""
+    c = 2.0 * obj.loss_scale.factor / float(len(obj.dataset.outputs))
+    y = obj.dataset.outputs[:, None]
+
+    if obj.model is ModelKind.LINEAR:
+        x = obj.dataset.inputs.T[:, :, None]  # column k is x[:, k], (m, 1)
+
+        def grad(theta):
+            r = sum(xk * t for xk, t in zip(x, theta)) - y
+            return tuple(c * sum(r * xk) for xk in x)
+
+        return grad
+
+    w = obj.dataset.inputs[:, :1]
+    if obj.model is ModelKind.MICHAELIS_MENTEN:
+        def grad(theta):
+            t0, t1 = theta[0], theta[1]
+            d = t1 + w
+            near = np.abs(d) <= SINGULARITY_GUARD
+            if near.any():
+                lane = int(np.flatnonzero(near.any(axis=0))[0])
+                raise _mm_pole([float(t[lane]) for t in theta], w[:, 0].tolist())
+            q = w / d
+            r = t0 * q - y
+            return c * sum(r * q), c * (-t0 * sum(r * (q / d)))
+
+        return grad
+
+    def grad(theta):
+        t0, t1 = theta[0], theta[1]
+        e = np.exp(t1 * w)
+        r = t0 * e - y
+        return c * sum(r * e), c * (t0 * sum(r * (w * e)))
+
+    return grad
+
+
 def objective_value(obj: Objective, theta) -> float:
     r = (_predict_batch(obj.model, np.asarray(theta, dtype=float),
                         obj.dataset.inputs) - obj.dataset.outputs)

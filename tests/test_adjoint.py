@@ -4,8 +4,9 @@ import pytest
 from gradsteer import (BasisControl, ControlPartition, GridControl,
                        LossScale, Objective, SolverConfig, gradient_check,
                        TimeGrid, zero_grid_control)
+from gradsteer.core import InvalidSetting
 from gradsteer import adjoint
-from gradsteer.adjoint import (FollowerProblem, LeaderProblem,
+from gradsteer.adjoint import (FD_STEP, FollowerProblem, LeaderProblem,
                                combined_stage_controls, follower_backward,
                                follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
@@ -383,9 +384,10 @@ class TestCheckProtocol:
     def test_one_sweep_pair_for_the_base_controls(self, small_mm,
                                                  monkeypatch):
         # the base pair is integrated once and both backward sweeps run on
-        # it; each direction then costs two forward sweeps per functional
+        # it; every candidate of every direction is a lane of one sweep
         objective, validation, grid, partition, theta0 = small_mm
-        calls = {"integrate_forward": 0, "integrate_backward": 0}
+        calls = {"integrate_forward": 0, "integrate_backward": 0,
+                 "integrate_lanes": 0}
 
         def count(name):
             original = getattr(adjoint, name)
@@ -396,11 +398,64 @@ class TestCheckProtocol:
 
             monkeypatch.setattr(adjoint, name, counted)
 
-        count("integrate_forward")
-        count("integrate_backward")
+        for name in calls:
+            count(name)
+        cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0)
+        gradient_check(objective, validation, partition, theta0, grid, cfg,
+                       seed=0, n_directions=3)
+        assert calls == {"integrate_forward": 1, "integrate_backward": 2,
+                         "integrate_lanes": 1}
+
+    def test_lanes_are_one_sweep_per_candidate(self, small_mm):
+        # the protocol with one forward sweep per candidate pair, as the
+        # reference: every difference quotient must be its float for float
+        objective, validation, grid, partition, theta0 = small_mm
         cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0)
         k = 3
-        gradient_check(objective, validation, partition, theta0, grid, cfg,
-                       seed=0, n_directions=k)
-        assert calls == {"integrate_forward": 1 + 4 * k,
-                         "integrate_backward": 2}
+        records = gradient_check(objective, validation, partition, theta0,
+                                 grid, cfg, seed=4, n_directions=k)
+        rng = np.random.default_rng(4)
+        u1, u2 = (GridControl(grid, smooth_random_signal(rng, grid, 2, 0.1))
+                  for _ in range(2))
+        fprob = FollowerProblem(objective, ALPHA, BETA, partition, u1, grid,
+                                theta0)
+        lprob = LeaderProblem(objective, validation, cfg.z, cfg.mu, partition,
+                              u2, theta0)
+
+        def j2_at(values):
+            cand = GridControl(grid, values)
+            return follower_cost(fprob, follower_forward(fprob, cand), cand)
+
+        def merit_at(values):
+            return leader_merit(lprob, leader_forward(
+                lprob, GridControl(grid, values)))[0]
+
+        want = []
+        for _ in range(k):
+            d = smooth_random_signal(rng, grid, 2, 1.0)
+            for value_at, u, mask in ((j2_at, u2, partition.follower_mask),
+                                      (merit_at, u1, partition.leader_mask)):
+                dm = d * mask
+                want.append(float(value_at(u.values + FD_STEP * dm)
+                                  - value_at(u.values - FD_STEP * dm))
+                            / (2 * FD_STEP))
+        assert [r["fd"] for r in records] == want
+
+    def test_base_pair_scaled_into_a_tight_bound(self, small_mm):
+        # at u_max = 0.05 the random base pair leaves the bound; it is scaled
+        # into it, no candidate is clipped, and the check holds
+        objective, validation, grid, partition, theta0 = small_mm
+        cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0, u_max=0.05)
+        rng = np.random.default_rng(2)
+        assert np.abs(smooth_random_signal(rng, grid, 2, 0.1)).max() > 0.05
+        records = gradient_check(objective, validation, partition, theta0,
+                                 grid, cfg, seed=2, n_directions=4)
+        assert max(r["rel_error"] for r in records) <= 1e-5
+
+    def test_bound_below_the_difference_step(self, small_mm):
+        objective, validation, grid, partition, theta0 = small_mm
+        cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0, u_max=1e-5)
+        with pytest.raises(InvalidSetting) as err:
+            gradient_check(objective, validation, partition, theta0, grid,
+                           cfg, seed=2, n_directions=4)
+        assert err.value.name == "u_max"

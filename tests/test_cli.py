@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -15,6 +16,8 @@ from conftest import REPO, TABLE_V, TABLE_W
 
 DATA_CSV = REPO / "data" / "michaelis_menten.csv"
 GOLDEN_CFG = REPO / "configs" / "michaelis_menten.cfg"
+SEED_3_TABLE_SHA256 = \
+    "8cb5b1bb1f5120018656a4f7c8d3259f4a7dd02359ae32fb14fc5d43adee1cc2"
 
 
 # both agents frozen at their zero start: the follower's cap of one iteration
@@ -437,10 +440,30 @@ class TestRunGradcheck:
     def test_shipped_config_seed_3(self, tmp_path):
         # the shipped reference config on its own grid (N_t = 2000, mu = 1e5):
         # seed 3 draws the controls and directions that an adjoint of the
-        # continuous costate equation got wrong by more than the tolerance
+        # continuous costate equation got wrong by more than the tolerance.
+        # The table is pinned byte for byte: the lanes must reproduce one
+        # forward sweep per candidate float for float. The digest holds for
+        # one numpy build, since numpy's cos and BLAS's dot round
+        # differently across CPUs
         cfg = shipped_config(tmp_path, GOLDEN_CFG.name, seed=3)
         assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
             == EXIT_OK
+        table = (tmp_path / "gc" / "gradcheck.csv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == SEED_3_TABLE_SHA256
+
+    def test_tight_bound_is_a_real_check(self, tmp_path):
+        # at u_max = 0.3 the seed-0 base pair leaves the bound; scaled into
+        # it, the check runs and holds
+        cfg = shipped_config(tmp_path, GOLDEN_CFG.name, u_max=0.3)
+        assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
+            == EXIT_OK
+
+    def test_bound_below_the_difference_step_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, u_max="1e-5")
+        assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: u_max must exceed ")
 
 
 class TestMain:

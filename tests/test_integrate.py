@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gradsteer import (DivergenceError, integrate_backward, integrate_forward,
-                       TimeGrid)
+from gradsteer import (Dataset, DivergenceError, LossScale, ModelKind,
+                       Objective, SingularityError, TimeGrid,
+                       integrate_backward, integrate_forward)
 from gradsteer.core import node_costates
-from gradsteer.models import gradient_function, hvp_function
+from gradsteer.integrate import integrate_lanes, squared_norms
+from gradsteer.models import (gradient_function, hvp_function,
+                              lane_gradient_function)
 
 from conftest import linear_objective, zero_stages
 
@@ -168,3 +171,79 @@ def test_stage_indices_visited():
     expected = [row for j in range(grid.steps - 1, -1, -1)
                 for row in (*traj.stages[j][::-1], traj.states[j])]
     assert np.array_equal(np.array(visited), np.array(expected))
+
+
+class TestLaneSweep:
+    # integrate_lanes runs K forward sweeps at once; each lane's floats must
+    # be integrate_forward's for that lane's start and controls
+
+    @staticmethod
+    def lane_problem(model, p, seed, k=5, steps=60):
+        rng = np.random.default_rng(seed)
+        m = 4
+        inputs = (rng.normal(size=(m, p)) if model is ModelKind.LINEAR
+                  else rng.uniform(0.01, 1.5, size=(m, 1)))
+        obj = Objective(model, Dataset(inputs, rng.uniform(0.2, 4.0, size=m)),
+                        LossScale.ONE)
+        theta0 = rng.uniform(0.5, 1.5, size=(p, k))
+        stage_u = rng.normal(scale=0.3, size=(2 * steps + 1, p, k))
+        return obj, theta0, stage_u, TimeGrid(0.5, steps)
+
+    @staticmethod
+    def float_sweeps(obj, theta0, stage_u, grid):
+        return [integrate_forward(gradient_function(obj), stage_u[:, :, k],
+                                  theta0[:, k], grid)
+                for k in range(theta0.shape[1])]
+
+    @pytest.mark.parametrize("model,p", [(ModelKind.MICHAELIS_MENTEN, 2),
+                                         (ModelKind.LINEAR, 1),
+                                         (ModelKind.LINEAR, 3)])
+    def test_each_lane_is_the_float_sweep_bitwise(self, model, p):
+        for seed in range(5):
+            obj, theta0, stage_u, grid = self.lane_problem(model, p, seed)
+            sq, theta_T = integrate_lanes(lane_gradient_function(obj), stage_u,
+                                          theta0, grid)
+            for k, traj in enumerate(self.float_sweeps(obj, theta0, stage_u,
+                                                       grid)):
+                assert np.array_equal(sq[k], squared_norms(traj.states))
+                assert np.array_equal(theta_T[k], traj.terminal_state)
+
+    def test_exponential_lanes_within_rounding(self):
+        # np.exp and math.exp may round one result apart, so the lanes drift
+        # from the float sweeps at rounding level only
+        for seed in range(5):
+            obj, theta0, stage_u, grid = self.lane_problem(
+                ModelKind.EXPONENTIAL, 2, seed)
+            sq, theta_T = integrate_lanes(lane_gradient_function(obj), stage_u,
+                                          theta0, grid)
+            for k, traj in enumerate(self.float_sweeps(obj, theta0, stage_u,
+                                                       grid)):
+                want = squared_norms(traj.states)
+                assert np.abs(sq[k] - want).max() <= 1e-12 * want.max()
+                assert np.abs(theta_T[k] - traj.terminal_state).max() \
+                    <= 1e-12 * np.abs(traj.terminal_state).max()
+
+    def test_lane_at_the_pole_names_its_theta(self, mm_model):
+        # lane 1 starts with theta1 = -w at the sample w = 0.5
+        obj = Objective(mm_model, Dataset(np.array([[0.2], [0.5]]),
+                                          np.array([1.0, 2.0])))
+        theta0 = np.array([[2.0, 3.0, 2.5], [0.1, -0.5, 0.2]])
+        grid = TimeGrid(1.0, 10)
+        with pytest.raises(SingularityError) as err:
+            integrate_lanes(lane_gradient_function(obj),
+                            np.zeros((21, 2, 3)), theta0, grid)
+        assert err.value.theta.tolist() == [3.0, -0.5]
+        assert err.value.x == 0.5
+
+    def test_diverging_lane_stops_the_sweep_where_its_own_would(self):
+        # lane 0 blows up; the sweep stops at the step its float sweep does
+        grid = TimeGrid(1.0, 10)
+        blow_up = lambda y: [-a * a for a in y]
+        with pytest.raises(DivergenceError) as lane_err:
+            integrate_lanes(blow_up, np.zeros((21, 1, 2)),
+                            np.array([[50.0, 0.1]]), grid)
+        with pytest.raises(DivergenceError) as float_err:
+            integrate_forward(blow_up, zero_stages(grid), np.array([50.0]),
+                              grid)
+        assert lane_err.value.what == "state"
+        assert lane_err.value.step == float_err.value.step
