@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import (Array, ControlGradient, ControlPartition, ControlSignal,
                    GridControl, InvalidSetting, SolverConfig, TimeGrid,
-                   Trajectory, trapezoid_weights, _frozen_array)
+                   Trajectory, stage_samples, trapezoid_weights, _frozen_array)
 from .integrate import (DivergenceError, integrate_backward, integrate_forward,
                         integrate_lanes, squared_norms)
 from .models import (Objective, gradient_function, hvp_function,
@@ -210,10 +210,12 @@ def cosine_modes(grid: TimeGrid) -> Array:
 
 
 def cosine_signal(coeffs: Array, modes: Array) -> Array:
-    """The mix sum_k coeffs[k] * modes[k] on the nodes, (nodes, dim)."""
-    out = np.zeros((modes.shape[1], coeffs.shape[1]))
-    for k in range(SIGNAL_MODES):
-        out += coeffs[k] * modes[k][:, None]
+    """The mix sum_k coeffs[k] * modes[k] on the nodes: (nodes, dim) for
+    (SIGNAL_MODES, dim) coefficients, and (nodes, dim, K), K lanes, for
+    (SIGNAL_MODES, dim, K) ones."""
+    out = 0.0
+    for c, m in zip(coeffs, modes):
+        out = out + c * m.reshape(m.shape + (1,) * c.ndim)
     return out
 
 
@@ -253,10 +255,10 @@ def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
     """The combined stage controls of every candidate pair, one lane each,
     as (p, K) arrays in stage order. Lane 4i + 2f + s perturbs u2 (f = 0)
     or u1 (f = 1) by +FD_STEP (s = 0) or -FD_STEP (s = 1) times direction i
-    on its agent's coordinates. Each node is built as `cosine_signal`,
-    `GridControl.stage_values` and `combined_stage_controls` build it, in
-    their element order, so each lane's stage controls are theirs bit for
-    bit."""
+    on its agent's coordinates. Each block of nodes goes through
+    `cosine_signal`, `core.stage_samples` and the clip and masks of
+    `combined_stage_controls`, so each lane's stage controls are those of
+    its candidate's `GridControl`, bit for bit."""
     n = len(directions)
     leader = np.tile([False, False, True, True], n)
     sign = np.tile([1.0, -1.0], 2 * n)
@@ -268,31 +270,16 @@ def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
     own_mask, other_mask = np.where(leader, lm, fm), np.where(leader, fm, lm)
     u_max = u1.u_max
 
-    def node_values(rows):
-        """(perturbed, other) control values at the nodes `rows`, each of
-        shape (nodes, p, K)."""
-        d = 0.0
-        for c, w in zip(coeffs, modes[:, rows]):
-            d = d + c * w[:, None, None]
-        a, b = u1.values[rows][:, :, None], u2.values[rows][:, :, None]
-        return (np.where(leader, a, b) + sign * (FD_STEP * (d * own_mask)),
-                np.where(leader, b, a))
-
-    def stage(own, other):
-        return (np.clip(own, -u_max, u_max) * own_mask
-                + np.clip(other, -u_max, u_max) * other_mask)
-
     # nodes in blocks, each block from the last node of the one before
     for start in range(0, modes.shape[1], LANE_BLOCK):
-        own, other = node_values(slice(max(start - 1, 0), start + LANE_BLOCK))
-        at_nodes = stage(own, other)
-        at_mids = stage(0.5 * (own[:-1] + own[1:]),
-                        0.5 * (other[:-1] + other[1:]))
-        if start == 0:
-            yield at_nodes[0]
-        for mid, at_node in zip(at_mids, at_nodes[1:]):
-            yield mid
-            yield at_node
+        rows = slice(max(start - 1, 0), start + LANE_BLOCK)
+        a, b = u1.values[rows][:, :, None], u2.values[rows][:, :, None]
+        d = cosine_signal(coeffs, modes[:, rows])
+        own = np.where(leader, a, b) + sign * (FD_STEP * (d * own_mask))
+        other = np.where(leader, b, a)
+        yield from (np.clip(stage_samples(own), -u_max, u_max) * own_mask
+                    + np.clip(stage_samples(other), -u_max, u_max)
+                    * other_mask)[1 if start else 0:]
 
 
 def _base_gradients(fprob: FollowerProblem, lprob: LeaderProblem,

@@ -365,11 +365,14 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
 
     # residuals y - h(x) over the whole dataset, with sample (m-1 divisor)
     # std; the split's two non-empty parts give it at least two rows. h may
-    # overflow at a row in neither split, which only this evaluates
+    # overflow at a row in neither split, which only this evaluates, and
+    # finite residuals may spread too far for their square. A finite mean
+    # means that every residual is finite
     with np.errstate(over="ignore", invalid="ignore"):
         eps = cfg.data.outputs - _predict_batch(cfg.model, report.theta_final,
                                                 cfg.data.inputs)
-    require_finite(eps, cfg.grid, "residual")
+        mean, std = require_finite([float(eps.mean()), float(eps.std(ddof=1))],
+                                   cfg.grid, "residual")
 
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -382,8 +385,7 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
         "J2": report.J2_value,
         "Phi": report.Phi_value,
         "z": cfg.solver.z,
-        "residuals": {"mean": float(eps.mean()),
-                      "std": float(eps.std(ddof=1)), "values": eps.tolist()},
+        "residuals": {"mean": mean, "std": std, "values": eps.tolist()},
         "history": [asdict(h) for h in report.history],
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -422,7 +424,7 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     gradient is checked only by the test TestControlGradients::
     test_basis_coefficient_gradient. The 80 perturbed pairs run as the
     lanes of one sweep (`adjoint.gradient_check`); a `u_max` that the
-    difference step alone exceeds is a ConfigError.
+    difference step alone exceeds is a ConfigError at its line.
     """
     cfg, out, objective, validation = _prepare(config_path, out_dir)
     try:
@@ -431,7 +433,10 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
                                  seed=cfg.seed, n_directions=20,
                                  corruption=corruption)
     except InvalidSetting as exc:
-        raise ConfigError(f"{config_path}: {exc}") from None
+        # line 0 for a defaulted key, as parse_config gives it
+        line = _parse_pairs(Path(config_path)).get(exc.name, ("", 0))[1]
+        raise ConfigError(f"{config_path}:{line}: {exc.name}: {exc.rule}") \
+            from None
     with open(out / "gradcheck.csv", "w", encoding="utf-8") as fh:
         fh.write("functional,direction,fd,adjoint,rel_error\n")
         for r in records:

@@ -73,8 +73,9 @@ def integrate_lanes(grad: Callable, stage_u, theta0,
     """`integrate_forward` on K lanes at once: theta0 and each entry of
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order, are
     (p, K) arrays, and `grad` takes and returns p arrays of shape (K,)
-    (`models.lane_gradient_function`). Each lane runs integrate_forward's
-    arithmetic in its order, so its floats are that sweep's, bit for bit.
+    (`models.lane_gradient_function`, whose lanes are the float kernel's for
+    every model). Each lane runs integrate_forward's arithmetic in its
+    order, so its floats are that sweep's, bit for bit.
     Returns the (K, N + 1) array of every lane's |theta_j|^2 at the nodes,
     and the (K, p) terminal states; an overflowing |theta|^2 is inf here,
     for the cost to report."""

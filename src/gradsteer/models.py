@@ -8,13 +8,10 @@ Built-in model kinds:
   scalar input. Guarded against the pole at theta1 = -w.
 * ``linear``: h(x) = <theta, x>, one parameter per input. Constant Hessian, used as an exact
   fixture in adjoint tests and for linear-quadratic oracle problems.
-* ``exponential``: h(x) = theta0 * exp(theta1 * x), a smooth nonlinear
-  2-parameter fixture.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -39,7 +36,6 @@ class SingularityError(ArithmeticError):
 class ModelKind(Enum):
     MICHAELIS_MENTEN = "michaelis_menten"
     LINEAR = "linear"
-    EXPONENTIAL = "exponential"
 
 
 class LossScale(Enum):
@@ -64,14 +60,6 @@ class Objective:
             raise ValueError(f"{self.model.value} model takes scalar inputs")
 
 
-def _exp(a: float) -> float:
-    """e**a, or inf where that overflows a float, as np.exp gives."""
-    try:
-        return math.exp(a)
-    except OverflowError:
-        return math.inf
-
-
 def _mm_pole(theta, w) -> SingularityError:
     """SingularityError naming the input w nearest the pole theta1 = -w."""
     nearest = min(w, key=lambda wi: abs(theta[1] + wi))
@@ -82,12 +70,10 @@ def _predict_batch(model: ModelKind, theta: Array, inputs: Array) -> Array:
     if model is ModelKind.LINEAR:
         return inputs @ theta
     w = inputs[:, 0]
-    if model is ModelKind.MICHAELIS_MENTEN:
-        d = theta[1] + w
-        if np.abs(d).min() <= SINGULARITY_GUARD:
-            raise _mm_pole(theta, w)
-        return theta[0] * w / d
-    return theta[0] * np.exp(theta[1] * w)
+    d = theta[1] + w
+    if np.abs(d).min() <= SINGULARITY_GUARD:
+        raise _mm_pole(theta, w)
+    return theta[0] * w / d
 
 
 def gradient_function(obj: Objective) -> Callable:
@@ -110,31 +96,19 @@ def gradient_function(obj: Objective) -> Callable:
         return grad
 
     w = obj.dataset.inputs[:, 0].tolist()
-    if obj.model is ModelKind.MICHAELIS_MENTEN:
-        def grad(theta):
-            t0, t1 = theta[0], theta[1]
-            rq = rqd = 0.0
-            for wi, yi in zip(w, y):
-                di = t1 + wi
-                if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
-                    raise _mm_pole(theta, w)
-                q = wi / di
-                r = t0 * q - yi
-                rq += r * q
-                rqd += r * (q / di)
-            return c * rq, c * (-t0 * rqd)
-
-        return grad
 
     def grad(theta):
         t0, t1 = theta[0], theta[1]
-        re = rwe = 0.0
+        rq = rqd = 0.0
         for wi, yi in zip(w, y):
-            e = _exp(t1 * wi)
-            r = t0 * e - yi
-            re += r * e
-            rwe += r * (wi * e)
-        return c * re, c * (t0 * rwe)
+            di = t1 + wi
+            if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
+                raise _mm_pole(theta, w)
+            q = wi / di
+            r = t0 * q - yi
+            rq += r * q
+            rqd += r * (q / di)
+        return c * rq, c * (-t0 * rqd)
 
     return grad
 
@@ -143,10 +117,9 @@ def lane_gradient_function(obj: Objective) -> Callable:
     """`gradient_function` on lanes: theta is p arrays of shape (K,), one
     entry per lane, and so is the gradient. The samples are the rows of (m,
     K) arrays, summed in row order, so each lane's floats are the float
-    kernel's for its theta, bit for bit, except where np.exp and math.exp
-    round differently. A lane near the pole raises SingularityError naming
-    its theta. Callers silence numpy's overflow and invalid warnings, as
-    `integrate.integrate_lanes` does; an overflowing exp is then inf."""
+    kernel's for its theta, bit for bit. A lane near the pole raises
+    SingularityError naming its theta. Callers silence numpy's overflow and
+    invalid warnings, as `integrate.integrate_lanes` does."""
     c = 2.0 * obj.loss_scale.factor / float(len(obj.dataset.outputs))
     y = obj.dataset.outputs[:, None]
 
@@ -160,25 +133,17 @@ def lane_gradient_function(obj: Objective) -> Callable:
         return grad
 
     w = obj.dataset.inputs[:, :1]
-    if obj.model is ModelKind.MICHAELIS_MENTEN:
-        def grad(theta):
-            t0, t1 = theta[0], theta[1]
-            d = t1 + w
-            near = np.abs(d) <= SINGULARITY_GUARD
-            if near.any():
-                lane = int(np.flatnonzero(near.any(axis=0))[0])
-                raise _mm_pole([float(t[lane]) for t in theta], w[:, 0].tolist())
-            q = w / d
-            r = t0 * q - y
-            return c * sum(r * q), c * (-t0 * sum(r * (q / d)))
-
-        return grad
 
     def grad(theta):
         t0, t1 = theta[0], theta[1]
-        e = np.exp(t1 * w)
-        r = t0 * e - y
-        return c * sum(r * e), c * (t0 * sum(r * (w * e)))
+        d = t1 + w
+        near = np.abs(d) <= SINGULARITY_GUARD
+        if near.any():
+            lane = int(np.flatnonzero(near.any(axis=0))[0])
+            raise _mm_pole([float(t[lane]) for t in theta], w[:, 0].tolist())
+        q = w / d
+        r = t0 * q - y
+        return c * sum(r * q), c * (-t0 * sum(r * (q / d)))
 
     return grad
 
@@ -192,7 +157,7 @@ def objective_value(obj: Objective, theta) -> float:
 def hvp_function(obj: Objective) -> Callable:
     """Bind the dataset once; returns theta, v -> (Hessian J)(theta) @ v, p
     floats each in and p floats out, from the closed-form Hessian: 2x2 for
-    the two-parameter models, constant for the linear one."""
+    Michaelis-Menten, constant for the linear model."""
     scale = 2.0 * obj.loss_scale.factor / len(obj.dataset.outputs)
     y = obj.dataset.outputs.tolist()
     if obj.model is ModelKind.LINEAR:
@@ -202,37 +167,22 @@ def hvp_function(obj: Objective) -> Callable:
 
     # (H00, H01, H11) / scale = sum_i g_i g_i^T + r_i Hess(prediction_i)
     w = obj.dataset.inputs[:, 0].tolist()
-    if obj.model is ModelKind.MICHAELIS_MENTEN:
-        def entries(theta):
-            t0, t1 = theta[0], theta[1]
-            h00 = h01 = h11 = 0.0
-            for wi, yi in zip(w, y):
-                di = t1 + wi
-                if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
-                    raise _mm_pole(theta, w)
-                q = wi / di
-                qd = q / di
-                r = t0 * q - yi
-                t = t0 * q + r
-                h00 += q * q
-                h01 += qd * t
-                h11 += (qd / di) * (t + r)
-            return h00, -h01, t0 * h11
-    else:
-        def entries(theta):
-            t0, t1 = theta[0], theta[1]
-            h00 = h01 = h11 = 0.0
-            for wi, yi in zip(w, y):
-                e = _exp(t1 * wi)
-                we = wi * e
-                t = t0 * e + (t0 * e - yi)
-                h00 += e * e
-                h01 += we * t
-                h11 += (wi * we) * t
-            return h00, h01, t0 * h11
 
     def hvp(theta, v):
-        h00, h01, h11 = entries(theta)
+        t0, t1 = theta[0], theta[1]
+        h00 = h01 = h11 = 0.0
+        for wi, yi in zip(w, y):
+            di = t1 + wi
+            if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
+                raise _mm_pole(theta, w)
+            q = wi / di
+            qd = q / di
+            r = t0 * q - yi
+            t = t0 * q + r
+            h00 += q * q
+            h01 += qd * t
+            h11 += (qd / di) * (t + r)
+        h01, h11 = -h01, t0 * h11
         return (scale * (h00 * v[0] + h01 * v[1]),
                 scale * (h01 * v[0] + h11 * v[1]))
 

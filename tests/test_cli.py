@@ -298,16 +298,17 @@ class TestRunFit:
         assert first["gamma1_used"] == first["gamma2_used"] == 0.0
 
     def test_divergent_config_exit_3(self, tmp_path, capsys):
-        # an extreme target makes the exponential model's flow overflow within
-        # the first integration step
-        csv = tmp_path / "exp.csv"
-        csv.write_text("w,v\n10.0,1e30\n10.0,1e30\n")
-        cfg = write_config(tmp_path, model="exponential", data=str(csv),
+        # at w = 1000 the linear flow's rate is -1e6: its RK4 step at
+        # dt = 0.02 is far outside the stability region, and the state
+        # overflows at step 18
+        csv = tmp_path / "stiff.csv"
+        csv.write_text("w,v\n1000,1e30\n1000,1e30\n")
+        cfg = write_config(tmp_path, model="linear", data=str(csv),
                            train_indices="1", validation_indices="2",
-                           theta0="1.0, 0.1", leader_mask="1,0", T="1.0",
-                           N_t="50")
+                           theta0="1.0", leader_mask="1", T="1.0", N_t="50")
         code = main(["--out", str(tmp_path / "dv"), "fit", str(cfg)])
         assert code == EXIT_DIVERGED
+        assert "non-finite state at t=0.36 (step 18)" in capsys.readouterr().err
 
 
 class TestReportResiduals:
@@ -459,11 +460,13 @@ class TestRunGradcheck:
             == EXIT_OK
 
     def test_bound_below_the_difference_step_exit_2(self, tmp_path, capsys):
+        # refused at the key's line, as parse_config refuses a setting
         cfg = write_config(tmp_path, u_max="1e-5")
+        line = cfg.read_text().splitlines().index("u_max = 1e-5") + 1
         assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
-            f"error: {cfg}: u_max must exceed ")
+            f"error: {cfg}:{line}: u_max: must exceed ")
 
 
 class TestMain:
@@ -540,21 +543,47 @@ class TestMain:
             == EXIT_DIVERGED
         assert "non-finite cost at " in capsys.readouterr().err
 
-    def test_overflowing_residual_exit_3(self, tmp_path, capsys):
-        # the third data row is in neither split, so only the report's
-        # residuals evaluate h there, and exp(0.9 * 1000) overflows
+    @staticmethod
+    def residual_rows_config(tmp_path: Path, last_w: str) -> Path:
+        """A linear copy of the shipped config on three rows, the last of
+        them, at input `last_w`, in neither split; its fit gives theta
+        1.2644."""
         data = tmp_path / "rows.csv"
-        data.write_text("w,v\n0.1,1.0\n0.2,1.2\n1000,5.0\n", encoding="utf-8")
-        cfg = shipped_config(tmp_path, "michaelis_menten.cfg",
-                             model="exponential", train_indices="1",
-                             validation_indices="2", theta0="1.0, 1.0", mu="1",
-                             N_t="200", max_outer="2")
+        data.write_text(f"w,v\n0.1,1.0\n0.2,1.2\n{last_w},5.0\n",
+                        encoding="utf-8")
+        cfg = shipped_config(tmp_path, "michaelis_menten.cfg", model="linear",
+                             train_indices="1", validation_indices="2",
+                             theta0="1.0", leader_mask="1", mu="1", N_t="200",
+                             max_outer="2")
         cfg.write_text(cfg.read_text(encoding="utf-8").replace(
             f"data = {DATA_CSV}", f"data = {data}"), encoding="utf-8")
+        return cfg
+
+    def test_overflowing_residual_exit_3(self, tmp_path, capsys):
+        # only the report's residuals evaluate h at the third row, and
+        # h = 1.2644 * 1.5e308 overflows
+        cfg = self.residual_rows_config(tmp_path, "1.5e308")
         out = tmp_path / "o"
         assert main(["--out", str(out), "fit", str(cfg)]) == EXIT_DIVERGED
         assert "non-finite residual at " in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_overflowing_residual_spread_exit_3(self, tmp_path, capsys):
+        # at w = 1e308 every residual is finite, but the square in their
+        # std overflows; the report would hold "std": Infinity
+        cfg = self.residual_rows_config(tmp_path, "1e308")
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "fit", str(cfg)]) == EXIT_DIVERGED
+        assert "non-finite residual at " in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_retired_model_kind_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model="exponential")
+        line = cfg.read_text().splitlines().index("model = exponential") + 1
+        assert main(["simulate", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:{line}: model: must be one of "
+            "michaelis_menten, linear; got 'exponential'")
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "gradcheck"])
     @pytest.mark.parametrize("case", ["existing file", "under a file",
