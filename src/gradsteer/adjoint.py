@@ -22,14 +22,15 @@ Conventions (fixed by the finite-difference exactness tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .core import (Array, ControlGradient, ControlPartition, ControlSignal,
-                   GridControl, InvalidSetting, SolverConfig, TimeGrid,
-                   Trajectory, stage_samples, trapezoid_weights, _frozen_array)
+                   GridControl, SolverConfig, TimeGrid, Trajectory,
+                   stage_samples, trapezoid_weights, _frozen_array)
 from .integrate import (DivergenceError, integrate_backward, integrate_forward,
                         integrate_lanes, squared_norms)
 from .models import (Objective, gradient_function, hvp_function,
@@ -116,12 +117,12 @@ def follower_backward(prob: FollowerProblem, traj: Trajectory) -> Array:
                               np.zeros(traj.states.shape[1]), prob.alpha)
 
 
-def require_finite(value, grid: TimeGrid, what: str):
-    """`value`, or DivergenceError(`what`) at the end of `grid` when an entry
+def require_finite(value, what: str):
+    """`value`, or DivergenceError(`what`) with no time or step when an entry
     of it is not finite. Costs and residuals are computed with overflow
     warnings off, so an overflow arrives here as an infinity or a NaN."""
     if not np.all(np.isfinite(value)):
-        raise DivergenceError(grid.horizon, grid.steps, what)
+        raise DivergenceError(None, None, what)
     return value
 
 
@@ -139,7 +140,7 @@ def follower_value(prob: FollowerProblem, state_sq: Array,
     running = (0.5 * prob.alpha * state_sq
                + 0.5 * prob.beta * squared_norms(u2n))
     return require_finite(float(trapezoid_weights(prob.grid) @ running),
-                          prob.grid, "cost")
+                          "cost")
 
 
 def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
@@ -182,7 +183,7 @@ def leader_value(prob: LeaderProblem, state_sq: Array,
     j1 = float(trapezoid_weights(grid) @ (0.5 * state_sq))
     phi = objective_value(prob.validation, theta_T)
     merit = j1 + 0.5 * prob.mu * (phi - prob.z) ** 2
-    return require_finite(merit, grid, "cost"), j1, phi
+    return require_finite(merit, "cost"), j1, phi
 
 
 def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
@@ -227,38 +228,15 @@ def smooth_random_signal(rng: np.random.Generator, grid: TimeGrid, dim: int,
                          cosine_modes(grid))
 
 
-def _pair_within_bound(u1: Array, u2: Array, directions, modes: Array,
-                       partition: ControlPartition, u_max: float):
-    """The base pair (u1, u2) as it is when every candidate u +- FD_STEP *
-    d * mask of the check lies within +-u_max; otherwise both scaled toward
-    zero just so far that every one does. InvalidSetting("u_max") when the
-    steps alone leave the bound."""
-    peak = step = 0.0
-    for coeffs in directions:
-        d = cosine_signal(coeffs, modes)
-        for u, mask in ((u2, partition.follower_mask),
-                        (u1, partition.leader_mask)):
-            dm = FD_STEP * (d * mask)
-            peak = max(peak, np.abs(u + dm).max(), np.abs(u - dm).max())
-            step = max(step, np.abs(dm).max())
-    if peak <= u_max:
-        return u1, u2
-    if step >= u_max:
-        raise InvalidSetting("u_max", f"must exceed {step:.3g}, the largest "
-                                      "finite-difference step of gradcheck")
-    scale = (u_max - step) / max(np.abs(u1).max(), np.abs(u2).max())
-    return scale * u1, scale * u2
-
-
 def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
                          modes: Array, partition: ControlPartition):
     """The combined stage controls of every candidate pair, one lane each,
     as (p, K) arrays in stage order. Lane 4i + 2f + s perturbs u2 (f = 0)
     or u1 (f = 1) by +FD_STEP (s = 0) or -FD_STEP (s = 1) times direction i
     on its agent's coordinates. Each block of nodes goes through
-    `cosine_signal`, `core.stage_samples` and the clip and masks of
+    `cosine_signal`, `core.stage_samples` and the masks of
     `combined_stage_controls`, so each lane's stage controls are those of
-    its candidate's `GridControl`, bit for bit."""
+    its candidate's unbounded `GridControl`, bit for bit."""
     n = len(directions)
     leader = np.tile([False, False, True, True], n)
     sign = np.tile([1.0, -1.0], 2 * n)
@@ -268,7 +246,6 @@ def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
     lm = partition.leader_mask[:, None]
     fm = partition.follower_mask[:, None]
     own_mask, other_mask = np.where(leader, lm, fm), np.where(leader, fm, lm)
-    u_max = u1.u_max
 
     # nodes in blocks, each block from the last node of the one before
     for start in range(0, modes.shape[1], LANE_BLOCK):
@@ -277,18 +254,8 @@ def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
         d = cosine_signal(coeffs, modes[:, rows])
         own = np.where(leader, a, b) + sign * (FD_STEP * (d * own_mask))
         other = np.where(leader, b, a)
-        yield from (np.clip(stage_samples(own), -u_max, u_max) * own_mask
-                    + np.clip(stage_samples(other), -u_max, u_max)
-                    * other_mask)[1 if start else 0:]
-
-
-def _base_gradients(fprob: FollowerProblem, lprob: LeaderProblem,
-                    u1: GridControl, u2: GridControl):
-    """(follower, leader) gradients at the base pair. Both problems integrate
-    the pair (u1, u2), so one forward sweep serves both backward sweeps."""
-    traj = follower_forward(fprob, u2)
-    return (follower_gradient_arrays(fprob, u2, follower_backward(fprob, traj)),
-            leader_gradient_arrays(lprob, u1, leader_backward(lprob, traj)))
+        yield from (stage_samples(own) * own_mask
+                    + stage_samples(other) * other_mask)[1 if start else 0:]
 
 
 def gradient_check(objective: Objective, validation: Objective,
@@ -305,29 +272,32 @@ def gradient_check(objective: Objective, validation: Objective,
     both, on `grid` itself. One forward sweep of the base pair feeds both
     backward sweeps; the 4 * n_directions candidate pairs run as the lanes
     of one `integrate_lanes` sweep, whose floats are those of one
-    `integrate_forward` sweep per candidate. When a candidate would leave
-    +-u_max, the base pair is first scaled into the bound, so that no
-    candidate is clipped.
+    `integrate_forward` sweep per candidate. The gradient is that of the
+    unclamped functional (`ControlSignal.gradient` ignores the amplitude
+    bound), so the controls are unbounded and `config.u_max` is not read:
+    the check certifies the same gradient at any bound.
     """
     rng = np.random.default_rng(seed)
     p = partition.dimension
     modes = cosine_modes(grid)
     # the random stream gives u1, u2, then the cosine weights of one
     # direction (amplitude 1) per comparison
-    base = [smooth_random_signal(rng, grid, p, 0.1) for _ in range(2)]
+    u1, u2 = (GridControl(grid, smooth_random_signal(rng, grid, p, 0.1),
+                          math.inf) for _ in range(2))
     directions = [rng.normal(size=(SIGNAL_MODES, p))
                   for _ in range(n_directions)]
-    u1, u2 = (GridControl(grid, values, config.u_max) for values in
-              _pair_within_bound(*base, directions, modes, partition,
-                                 config.u_max))
 
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                             u1, grid, theta0)
     lprob = LeaderProblem(objective, validation, config.z, config.mu, partition,
                           u2, theta0)
 
-    g2, g1 = (g.pointwise + corruption
-              for g in _base_gradients(fprob, lprob, u1, u2))
+    # both problems integrate the pair (u1, u2), so one forward sweep serves
+    # both backward sweeps
+    traj = follower_forward(fprob, u2)
+    g2, g1 = (g.pointwise + corruption for g in (
+        follower_gradient_arrays(fprob, u2, follower_backward(fprob, traj)),
+        leader_gradient_arrays(lprob, u1, leader_backward(lprob, traj))))
 
     sq, theta_T = integrate_lanes(
         lane_gradient_function(objective),
@@ -337,8 +307,7 @@ def gradient_check(objective: Objective, validation: Objective,
     # a functional's value on a lane; `values` are the perturbed control's
     # node values, which only J2's control cost reads
     def j2_of(lane, values):
-        return follower_value(fprob, sq[lane],
-                              np.clip(values, -config.u_max, config.u_max))
+        return follower_value(fprob, sq[lane], values)
 
     def merit_of(lane, values):
         return leader_value(lprob, sq[lane], theta_T[lane])[0]

@@ -372,7 +372,7 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
         eps = cfg.data.outputs - _predict_batch(cfg.model, report.theta_final,
                                                 cfg.data.inputs)
         mean, std = require_finite([float(eps.mean()), float(eps.std(ddof=1))],
-                                   cfg.grid, "residual")
+                                   "residual")
 
     payload = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -423,20 +423,13 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     the grid-control gradient of the same problem: the basis coefficient
     gradient is checked only by the test TestControlGradients::
     test_basis_coefficient_gradient. The 80 perturbed pairs run as the
-    lanes of one sweep (`adjoint.gradient_check`); a `u_max` that the
-    difference step alone exceeds is a ConfigError at its line.
+    lanes of one sweep (`adjoint.gradient_check`). It certifies the
+    unclamped gradient, so its table does not depend on `u_max`.
     """
     cfg, out, objective, validation = _prepare(config_path, out_dir)
-    try:
-        records = gradient_check(objective, validation, cfg.partition,
-                                 cfg.theta0, cfg.grid, cfg.solver,
-                                 seed=cfg.seed, n_directions=20,
-                                 corruption=corruption)
-    except InvalidSetting as exc:
-        # line 0 for a defaulted key, as parse_config gives it
-        line = _parse_pairs(Path(config_path)).get(exc.name, ("", 0))[1]
-        raise ConfigError(f"{config_path}:{line}: {exc.name}: {exc.rule}") \
-            from None
+    records = gradient_check(objective, validation, cfg.partition, cfg.theta0,
+                             cfg.grid, cfg.solver, seed=cfg.seed,
+                             n_directions=20, corruption=corruption)
     with open(out / "gradcheck.csv", "w", encoding="utf-8") as fh:
         fh.write("functional,direction,fd,adjoint,rel_error\n")
         for r in records:

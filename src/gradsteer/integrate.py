@@ -8,13 +8,14 @@ runs the transposed step along them (Hager 2000, Numer. Math. 87), exact for
 the forward sweep's numbers at any step size. Both sweeps step on Python
 floats, one array row in or out at a time, and their `grad` and `hvp` take
 and return p floats: with a few parameters, numpy's per-call overhead would
-cost more than the arithmetic.
+cost more than the arithmetic. The forward step, `rk4_steps`, also runs K
+sweeps at once on lane arrays (`integrate_lanes`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -22,38 +23,54 @@ from .core import Array, TimeGrid, Trajectory, trapezoid_weights
 
 
 class DivergenceError(RuntimeError):
-    """A state, costate, cost or report residual stopped being finite."""
+    """A sweep's state or costate stopped being finite at time t and step
+    `step`, or a cost or report residual did (t and step None)."""
 
-    def __init__(self, t: float, step: int, what: str):
+    def __init__(self, t: Optional[float], step: Optional[int], what: str):
         self.t = t
         self.step = step
         self.what = what
-        super().__init__(f"non-finite {what} at t={t:.6g} (step {step})")
+        where = "" if step is None else f" at t={t:.6g} (step {step})"
+        super().__init__(f"non-finite {what}{where}")
+
+
+def rk4_steps(grad: Callable, stage_u, y, h: float):
+    """RK4 steps of theta' = u - grad(theta) from y with step h, along
+    `stage_u`, an iterable of the 2N + 1 stage controls in stage order:
+    yields each step's (y2, y3, y4, next y). y, each control and grad's
+    argument and value are sequences of the same length: p floats, or one
+    (p, K) array of K lanes, each of which runs the float arithmetic in its
+    order, bit for bit."""
+    half, sixth = 0.5 * h, h / 6.0
+    stage_u = iter(stage_u)
+    u_node = next(stage_u)
+    for u_mid in stage_u:
+        u_first, u_node = u_node, next(stage_u)
+        k1 = [u - g for u, g in zip(u_first, grad(y))]
+        y2 = [a + half * k for a, k in zip(y, k1)]
+        k2 = [u - g for u, g in zip(u_mid, grad(y2))]
+        y3 = [a + half * k for a, k in zip(y, k2)]
+        k3 = [u - g for u, g in zip(u_mid, grad(y3))]
+        y4 = [a + h * k for a, k in zip(y, k3)]
+        k4 = [u - g for u, g in zip(u_node, grad(y4))]
+        y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        yield y2, y3, y4, y
 
 
 def integrate_forward(grad: Callable, stage_u, theta0,
                       grid: TimeGrid) -> Trajectory:
     """RK4 of theta' = stage_u[s] - grad(theta) from theta0 over `grid`, with
-    stage_u indexed by stage: node states, and step j's stage 2-4 states,
-    both read-only. `grad` takes and returns p floats."""
+    stage_u the (2N + 1, p) stage controls: node states, and step j's stage
+    2-4 states, both read-only. `grad` takes and returns p floats; the stage
+    rows become floats one at a time."""
     y = np.array(theta0, dtype=float).tolist()
-    n, h = grid.steps, grid.dt
-    half, sixth = 0.5 * h, h / 6.0
-    states = np.empty((n + 1, len(y)))
-    stages = np.empty((n, 3, len(y)))
+    states = np.empty((grid.steps + 1, len(y)))
+    stages = np.empty((grid.steps, 3, len(y)))
     states[0] = y
-    for j in range(n):
-        s = 2 * j
-        k1 = [u - g for u, g in zip(stage_u[s].tolist(), grad(y))]
-        y2 = [a + half * k for a, k in zip(y, k1)]
-        k2 = [u - g for u, g in zip(stage_u[s + 1].tolist(), grad(y2))]
-        y3 = [a + half * k for a, k in zip(y, k2)]
-        k3 = [u - g for u, g in zip(stage_u[s + 1].tolist(), grad(y3))]
-        y4 = [a + h * k for a, k in zip(y, k3)]
-        k4 = [u - g for u, g in zip(stage_u[s + 2].tolist(), grad(y4))]
+    rows = (row.tolist() for row in stage_u)
+    for j, (y2, y3, y4, y) in enumerate(rk4_steps(grad, rows, y, grid.dt)):
         stages[j] = y2, y3, y4
-        y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if not all(map(math.isfinite, y)):
             raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
         states[j + 1] = y
@@ -73,26 +90,17 @@ def integrate_lanes(grad: Callable, stage_u, theta0,
     """`integrate_forward` on K lanes at once: theta0 and each entry of
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order, are
     (p, K) arrays, and `grad` takes and returns p arrays of shape (K,)
-    (`models.lane_gradient_function`, whose lanes are the float kernel's for
-    every model). Each lane runs integrate_forward's arithmetic in its
-    order, so its floats are that sweep's, bit for bit.
+    (`models.lane_gradient_function`). The (p, K) state is `rk4_steps`' one
+    entry, so each lane's floats are its own float sweep's, bit for bit.
     Returns the (K, N + 1) array of every lane's |theta_j|^2 at the nodes,
     and the (K, p) terminal states; an overflowing |theta|^2 is inf here,
     for the cost to report."""
-    stages = iter(stage_u)
     y = np.array(theta0, dtype=float)
-    n, h = grid.steps, grid.dt
-    half, sixth = 0.5 * h, h / 6.0
-    sq = np.empty((n + 1, y.shape[1]))
+    sq = np.empty((grid.steps + 1, y.shape[1]))
     sq[0] = squared_norms(y.T.copy())
-    u_node = next(stages)
-    for j in range(n):
-        u_first, u_mid, u_node = u_node, next(stages), next(stages)
-        k1 = u_first - np.array(grad(y))
-        k2 = u_mid - np.array(grad(y + half * k1))
-        k3 = u_mid - np.array(grad(y + half * k2))
-        k4 = u_node - np.array(grad(y + h * k3))
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    steps = rk4_steps(lambda ys: [np.array(grad(ys[0]))],
+                      ([u] for u in stage_u), [y], grid.dt)
+    for j, (*_, (y,)) in enumerate(steps):
         if not np.isfinite(y).all():
             raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
         sq[j + 1] = squared_norms(y.T.copy())

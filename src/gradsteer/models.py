@@ -115,23 +115,15 @@ def gradient_function(obj: Objective) -> Callable:
 
 def lane_gradient_function(obj: Objective) -> Callable:
     """`gradient_function` on lanes: theta is p arrays of shape (K,), one
-    entry per lane, and so is the gradient. The samples are the rows of (m,
-    K) arrays, summed in row order, so each lane's floats are the float
-    kernel's for its theta, bit for bit. A lane near the pole raises
-    SingularityError naming its theta. Callers silence numpy's overflow and
-    invalid warnings, as `integrate.integrate_lanes` does."""
+    entry per lane, and so is the gradient; each lane's floats are the float
+    kernel's for its theta, bit for bit. The linear float kernel takes lanes
+    as they are; Michaelis-Menten's sums its samples, rows of (m, K) arrays,
+    in row order, and a lane near the pole raises SingularityError naming
+    its theta. Callers silence numpy's overflow and invalid warnings."""
+    if obj.model is ModelKind.LINEAR:
+        return gradient_function(obj)
     c = 2.0 * obj.loss_scale.factor / float(len(obj.dataset.outputs))
     y = obj.dataset.outputs[:, None]
-
-    if obj.model is ModelKind.LINEAR:
-        x = obj.dataset.inputs.T[:, :, None]  # column k is x[:, k], (m, 1)
-
-        def grad(theta):
-            r = sum(xk * t for xk, t in zip(x, theta)) - y
-            return tuple(c * sum(r * xk) for xk in x)
-
-        return grad
-
     w = obj.dataset.inputs[:, :1]
 
     def grad(theta):

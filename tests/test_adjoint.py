@@ -4,7 +4,6 @@ import pytest
 from gradsteer import (BasisControl, ControlPartition, GridControl,
                        LossScale, Objective, SolverConfig, gradient_check,
                        TimeGrid, zero_grid_control)
-from gradsteer.core import InvalidSetting
 from gradsteer import adjoint
 from gradsteer.adjoint import (FD_STEP, FollowerProblem, LeaderProblem,
                                combined_stage_controls, follower_backward,
@@ -440,22 +439,3 @@ class TestCheckProtocol:
                                   - value_at(u.values - FD_STEP * dm))
                             / (2 * FD_STEP))
         assert [r["fd"] for r in records] == want
-
-    def test_base_pair_scaled_into_a_tight_bound(self, small_mm):
-        # at u_max = 0.05 the random base pair leaves the bound; it is scaled
-        # into it, no candidate is clipped, and the check holds
-        objective, validation, grid, partition, theta0 = small_mm
-        cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0, u_max=0.05)
-        rng = np.random.default_rng(2)
-        assert np.abs(smooth_random_signal(rng, grid, 2, 0.1)).max() > 0.05
-        records = gradient_check(objective, validation, partition, theta0,
-                                 grid, cfg, seed=2, n_directions=4)
-        assert max(r["rel_error"] for r in records) <= 1e-5
-
-    def test_bound_below_the_difference_step(self, small_mm):
-        objective, validation, grid, partition, theta0 = small_mm
-        cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0, u_max=1e-5)
-        with pytest.raises(InvalidSetting) as err:
-            gradient_check(objective, validation, partition, theta0, grid,
-                           cfg, seed=2, n_directions=4)
-        assert err.value.name == "u_max"

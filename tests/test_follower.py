@@ -6,7 +6,7 @@ from gradsteer import (BasisControl, ControlPartition, GridControl, LossScale,
                        zero_grid_control)
 from gradsteer.adjoint import (FollowerProblem, follower_backward,
                                follower_cost, follower_forward,
-                               follower_gradient_arrays)
+                               follower_gradient_arrays, require_finite)
 from gradsteer import follower
 from gradsteer.cli import _initial_control, parse_config
 from gradsteer.core import (basis_gram_matrix, node_costates,
@@ -228,6 +228,21 @@ class TestBacktrack:
 
         assert backtrack(trial, 1.0, 1.0) == (0.25, "candidate", 0.5)
         assert steps == [1.0, 0.5, 0.25]
+
+    def test_overflowing_cost_counts_as_rejection(self):
+        # a cost refusal names no time or step, and is rejected like a
+        # divergent sweep
+        steps = []
+
+        def trial(step):
+            steps.append(step)
+            return "candidate", require_finite(0.5 if step <= 0.25
+                                               else float("inf"), "cost")
+
+        assert backtrack(trial, 1.0, 1.0) == (0.25, "candidate", 0.5)
+        assert steps == [1.0, 0.5, 0.25]
+        with pytest.raises(DivergenceError, match="^non-finite cost$"):
+            trial(1.0)
 
     def test_pole_counts_as_rejection(self):
         # a trial whose sweep meets the model's pole is rejected like a

@@ -139,25 +139,29 @@ def test_backward_divergence_detected():
 
 
 def test_stage_indices_visited():
-    # stage 2j is node j, stage 2j + 1 the midpoint of interval j; the stored
-    # stage states are the ones the forward step evaluated, and the backward
-    # step differentiates at them in reverse, ending at the node state
+    # stage 2j is node j, stage 2j + 1 the midpoint of interval j. With a
+    # zero gradient and stage s's control equal to s, each step's states
+    # give its slopes: node j feeds k1, the midpoint k2 and k3, node j + 1
+    # k4. The stored stage states are the ones the forward step evaluated,
+    # and the backward step differentiates at them in reverse, ending at the
+    # node state
     grid = TimeGrid(1.0, 3)
-    seen, states = [], []
-
-    class StageLog:
-        # the control's stage values, logging the stage index each read asks for
-        def __getitem__(self, s):
-            seen.append(s)
-            return np.zeros(1)
+    h = grid.dt
+    states = []
 
     def grad(y):
         states.append(y.copy())
-        return 0.3 * np.asarray(y) - np.sin(y)
+        return [0.0] * len(y)
 
-    traj = integrate_forward(grad, StageLog(), np.array([0.9]), grid)
-    assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    stage_u = np.arange(2.0 * grid.steps + 1)[:, None]
+    traj = integrate_forward(grad, stage_u, np.array([0.9]), grid)
     for j in range(grid.steps):
+        y, y_next = traj.states[j, 0], traj.states[j + 1, 0]
+        y2, y3, y4 = traj.stages[j, :, 0]
+        k1, k2, k3 = (y2 - y) / (h / 2), (y3 - y) / (h / 2), (y4 - y) / h
+        k4 = 6.0 * (y_next - y) / h - k1 - 2.0 * (k2 + k3)
+        assert [k1, k2, k3, k4] == pytest.approx([2 * j, 2 * j + 1,
+                                                  2 * j + 1, 2 * j + 2])
         assert np.array_equal(states[4 * j], traj.states[j])
         assert np.array_equal(np.array(states[4 * j + 1:4 * j + 4]),
                               traj.stages[j])
