@@ -127,15 +127,10 @@ def require_finite(value, what: str):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def follower_cost(prob: FollowerProblem, traj: Trajectory,
-                  u2: ControlSignal) -> float:
-    """J2 = integral of alpha/2 |theta|^2 + beta/2 |u2 on follower coords|^2."""
-    return follower_value(prob, squared_norms(traj.states), u2.node_values())
-
-
-def follower_value(prob: FollowerProblem, state_sq: Array,
-                   u2_nodes: Array) -> float:
-    """J2 of a sweep from its |theta_j|^2 and u2's values at the nodes."""
+def follower_cost(prob: FollowerProblem, state_sq: Array,
+                  u2_nodes: Array) -> float:
+    """J2 = integral of alpha/2 |theta|^2 + beta/2 |u2 on follower coords|^2,
+    of a sweep from its |theta_j|^2 and u2's values at the nodes."""
     u2n = u2_nodes * prob.partition.follower_mask
     running = (0.5 * prob.alpha * state_sq
                + 0.5 * prob.beta * squared_norms(u2n))
@@ -169,18 +164,11 @@ def leader_backward(prob: LeaderProblem, traj: Trajectory) -> Array:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def leader_merit(prob: LeaderProblem, traj: Trajectory) -> Tuple[float, float, float]:
-    """(line-search merit J1 + (mu/2)(Phi - z)^2, J1, Phi at the endpoint)."""
-    return leader_value(prob, squared_norms(traj.states), traj.terminal_state)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def leader_value(prob: LeaderProblem, state_sq: Array,
+def leader_merit(prob: LeaderProblem, state_sq: Array,
                  theta_T: Array) -> Tuple[float, float, float]:
-    """`leader_merit` of a sweep on u2's grid from its |theta_j|^2 and its
-    endpoint."""
-    grid = prob.u2.grid
-    j1 = float(trapezoid_weights(grid) @ (0.5 * state_sq))
+    """(line-search merit J1 + (mu/2)(Phi - z)^2, J1, Phi at the endpoint) of
+    a sweep on u2's grid, from its |theta_j|^2 and its endpoint theta_T."""
+    j1 = float(trapezoid_weights(prob.u2.grid) @ (0.5 * state_sq))
     phi = objective_value(prob.validation, theta_T)
     merit = j1 + 0.5 * prob.mu * (phi - prob.z) ** 2
     return require_finite(merit, "cost"), j1, phi
@@ -304,16 +292,12 @@ def gradient_check(objective: Objective, validation: Objective,
         _lane_stage_controls(u1, u2, directions, modes, partition),
         np.repeat(fprob.theta0[:, None], 4 * n_directions, axis=1), grid)
 
-    # a functional's value on a lane; `values` are the perturbed control's
-    # node values, which only J2's control cost reads
-    def j2_of(lane, values):
-        return follower_value(fprob, sq[lane], values)
-
-    def merit_of(lane, values):
-        return leader_value(lprob, sq[lane], theta_T[lane])[0]
-
-    checks = (("follower", j2_of, u2, g2, partition.follower_mask),
-              ("leader", merit_of, u1, g1, partition.leader_mask))
+    # a functional's value on lane k, priced by the functions the line
+    # searches use; v, the perturbed control's node values, is read by J2 only
+    checks = (("follower", lambda k, v: follower_cost(fprob, sq[k], v),
+               u2, g2, partition.follower_mask),
+              ("leader", lambda k, v: leader_merit(lprob, sq[k], theta_T[k])[0],
+               u1, g1, partition.leader_mask))
     records = []
     for i, coeffs in enumerate(directions):
         d = cosine_signal(coeffs, modes)

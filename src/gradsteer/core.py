@@ -50,10 +50,7 @@ class Dataset:
     outputs: Array
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        if inputs.ndim == 1:
-            inputs = inputs[:, None]
-        object.__setattr__(self, "inputs", _frozen_array(inputs, "inputs"))
+        object.__setattr__(self, "inputs", _frozen_array(self.inputs, "inputs"))
         object.__setattr__(self, "outputs", _frozen_array(self.outputs, "outputs"))
         if self.outputs.ndim != 1:
             raise ValueError("outputs must be one-dimensional")
@@ -213,12 +210,10 @@ class GridControl(ControlSignal):
     u_max: float = 10.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape[0] != self.grid.steps + 1:
+        if len(self.values) != self.grid.steps + 1:
             raise ValueError("need one value vector per grid node")
-        object.__setattr__(self, "values", _frozen_array(values, "control values"))
+        object.__setattr__(self, "values", _frozen_array(self.values,
+                                                         "control values"))
         if np.abs(self.values).max() > self.u_max + 1e-12:
             raise ValueError("control values exceed the amplitude bound")
 
@@ -255,10 +250,8 @@ class BasisControl(ControlSignal):
     u_max: float = 10.0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim == 1:
-            coeffs = coeffs[:, None]
-        object.__setattr__(self, "coefficients", _frozen_array(coeffs, "coefficients"))
+        object.__setattr__(self, "coefficients",
+                           _frozen_array(self.coefficients, "coefficients"))
 
     @property
     def dimension(self) -> int:
@@ -345,11 +338,14 @@ class ControlPartition:
 @dataclass(frozen=True)
 class Trajectory:
     """A forward sweep, made only by integrate_forward, which marks its
-    arrays read-only: finite `states` at the nodes, and `stages[j]` the states
-    of RK4 stages 2-4 of step j, which the backward sweep differentiates at."""
+    arrays read-only: finite `states` at the nodes, their |theta_j|^2
+    `state_sq`, and `stages[j]` the states of RK4 stages 2-4 of step j,
+    which the backward sweep differentiates at. The costs read node
+    |theta_j|^2 and theta(T), which integrate_lanes gives for each lane."""
 
     grid: TimeGrid
     states: Array
+    state_sq: Array
     stages: Array
 
     @property

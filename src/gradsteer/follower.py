@@ -61,10 +61,6 @@ class FollowerResult:
     stalled: bool                     # backtracking found no descent step
     gamma_last: float                 # last accepted MSA step fraction, 0 if none
 
-    @property
-    def progressed(self) -> bool:
-        return self.gamma_last > 0.0
-
 
 def solve_follower(prob: FollowerProblem, start: ControlSignal,
                    traj: Trajectory, config: SolverConfig) -> FollowerResult:
@@ -83,7 +79,7 @@ def solve_follower(prob: FollowerProblem, start: ControlSignal,
     set.
     """
     u2 = start
-    j2 = follower_cost(prob, traj, u2)
+    j2 = follower_cost(prob, traj.state_sq, u2.node_values())
     gamma_last = 0.0
 
     def result(converged: bool, stalled: bool = False) -> FollowerResult:
@@ -95,7 +91,8 @@ def solve_follower(prob: FollowerProblem, start: ControlSignal,
     def trial(step: float):
         candidate = update_control(u2, direction, step)
         cand_traj = follower_forward(prob, candidate)
-        return (candidate, cand_traj), follower_cost(prob, cand_traj, candidate)
+        return (candidate, cand_traj), follower_cost(
+            prob, cand_traj.state_sq, candidate.node_values())
 
     for it in range(1, config.max_inner + 1):
         grad = follower_gradient_arrays(prob, u2, follower_backward(prob, traj))

@@ -61,9 +61,10 @@ def rk4_steps(grad: Callable, stage_u, y, h: float):
 def integrate_forward(grad: Callable, stage_u, theta0,
                       grid: TimeGrid) -> Trajectory:
     """RK4 of theta' = stage_u[s] - grad(theta) from theta0 over `grid`, with
-    stage_u the (2N + 1, p) stage controls: node states, and step j's stage
-    2-4 states, both read-only. `grad` takes and returns p floats; the stage
-    rows become floats one at a time."""
+    stage_u the (2N + 1, p) stage controls: node states, their |theta_j|^2
+    (inf on overflow; `integrate_lanes` gives these and theta(T) per lane) and
+    step j's stage 2-4 states, all read-only. `grad` takes and returns p
+    floats; the stage rows become floats one at a time."""
     y = np.array(theta0, dtype=float).tolist()
     states = np.empty((grid.steps + 1, len(y)))
     stages = np.empty((grid.steps, 3, len(y)))
@@ -74,9 +75,11 @@ def integrate_forward(grad: Callable, stage_u, theta0,
         if not all(map(math.isfinite, y)):
             raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
         states[j + 1] = y
-    states.flags.writeable = False
-    stages.flags.writeable = False
-    return Trajectory(grid=grid, states=states, stages=stages)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state_sq = squared_norms(states)
+    for a in (states, state_sq, stages):
+        a.flags.writeable = False
+    return Trajectory(grid, states, state_sq, stages)
 
 
 def squared_norms(states: Array) -> Array:
@@ -92,9 +95,9 @@ def integrate_lanes(grad: Callable, stage_u, theta0,
     (p, K) arrays, and `grad` takes and returns p arrays of shape (K,)
     (`models.lane_gradient_function`). The (p, K) state is `rk4_steps`' one
     entry, so each lane's floats are its own float sweep's, bit for bit.
-    Returns the (K, N + 1) array of every lane's |theta_j|^2 at the nodes,
-    and the (K, p) terminal states; an overflowing |theta|^2 is inf here,
-    for the cost to report."""
+    Returns what a `Trajectory` gives the costs, for every lane: the
+    (K, N + 1) array of |theta_j|^2 at the nodes, and the (K, p) terminal
+    states theta(T); an overflowing |theta|^2 is inf here, as there."""
     y = np.array(theta0, dtype=float)
     sq = np.empty((grid.steps + 1, y.shape[1]))
     sq[0] = squared_norms(y.T.copy())

@@ -39,12 +39,13 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
     """
     grad = leader_gradient_arrays(prob, u1, leader_backward(prob, traj))
     gnorm = grad.norm_inf
-    merit, j1, phi = leader_merit(prob, traj)
+    merit, j1, phi = leader_merit(prob, traj.state_sq, traj.terminal_state)
 
     def trial(step: float):
         candidate = update_control(u1, grad.own, step)
         cand_traj = leader_forward(prob, candidate)
-        return (candidate, cand_traj), leader_merit(prob, cand_traj)[0]
+        return (candidate, cand_traj), leader_merit(
+            prob, cand_traj.state_sq, cand_traj.terminal_state)[0]
 
     converged = grad.update_norm <= config.eps_tol
     accepted = None if converged else backtrack(trial, config.gamma1, merit)
@@ -91,12 +92,13 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Objecti
         if lres.converged:
             converged = fres.converged
             break
-        if lres.stalled and not fres.progressed:
+        if lres.stalled and fres.gamma_last == 0.0:
             break
 
-    _, j1, phi = leader_merit(lprob, traj)
+    _, j1, phi = leader_merit(lprob, traj.state_sq, traj.terminal_state)
     return RunReport(trajectory=traj, J1_value=j1,
-                     J2_value=follower_cost(fprob, traj, lprob.u2),
+                     J2_value=follower_cost(fprob, traj.state_sq,
+                                            lprob.u2.node_values()),
                      Phi_value=phi, outer_iterations=len(history),
                      converged=converged, history=tuple(history),
                      u1=fprob.u1, u2=lprob.u2)

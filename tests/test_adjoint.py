@@ -161,7 +161,7 @@ class TestCostateRates:
 
         def j2(stage):
             traj = integrate_forward(grad, stage, prob.theta0, grid)
-            return follower_cost(prob, traj, u2)
+            return follower_cost(prob, traj.state_sq, u2.node_values())
 
         cs = follower_backward(
             prob, integrate_forward(grad, stage_u, prob.theta0, grid))
@@ -179,7 +179,7 @@ class TestCostateRates:
 
         def j2(stage):
             traj = integrate_forward(grad, stage, fprob.theta0, fprob.grid)
-            return follower_cost(fprob, traj, no_cost)
+            return follower_cost(fprob, traj.state_sq, no_cost.node_values())
 
         traj = integrate_forward(grad, stage_u, fprob.theta0, fprob.grid)
         cs = follower_backward(fprob, traj)
@@ -196,7 +196,7 @@ class TestCostateRates:
 
         def merit(stage):
             traj = integrate_forward(grad, stage, lprob.theta0, lprob.u2.grid)
-            return leader_merit(lprob, traj)[0]
+            return leader_merit(lprob, traj.state_sq, traj.terminal_state)[0]
 
         traj = integrate_forward(grad, stage_u, lprob.theta0, lprob.u2.grid)
         cs = leader_backward(lprob, traj)
@@ -214,7 +214,7 @@ class TestTerminalConditions:
                                   zero_grid_control(grid, 2), theta0)
         traj = leader_forward(traj_prob, zero_grid_control(grid, 2))
         # re-target z to the achieved value: the terminal costate vanishes
-        phi_T = leader_merit(traj_prob, traj)[2]
+        phi_T = leader_merit(traj_prob, traj.state_sq, traj.terminal_state)[2]
         prob2 = LeaderProblem(objective, validation, phi_T, 50.0, partition,
                               zero_grid_control(grid, 2), theta0)
         p_T = leader_terminal_costate(prob2, traj.terminal_state)
@@ -272,7 +272,8 @@ class TestControlGradients:
 
         def j2_at(values):
             cand = GridControl(grid, values)
-            return follower_cost(prob, follower_forward(prob, cand), cand)
+            return follower_cost(prob, follower_forward(prob, cand).state_sq,
+                                 cand.node_values())
 
         h = 1e-5
         for seed in (31, 32, 33):
@@ -290,8 +291,8 @@ class TestControlGradients:
         g = sweep_gradient(prob, u1)
 
         def merit_at(values):
-            return leader_merit(prob, leader_forward(
-                prob, GridControl(grid, values)))[0]
+            traj = leader_forward(prob, GridControl(grid, values))
+            return leader_merit(prob, traj.state_sq, traj.terminal_state)[0]
 
         h = 1e-5
         for seed in (51, 52, 53):
@@ -329,7 +330,8 @@ class TestControlGradients:
 
         def j2_at(c):
             cand = BasisControl(grid, c)
-            return follower_cost(prob, follower_forward(prob, cand), cand)
+            return follower_cost(prob, follower_forward(prob, cand).state_sq,
+                                 cand.node_values())
 
         h = 1e-5
         d = rng.normal(size=(k, 2))
@@ -423,11 +425,12 @@ class TestCheckProtocol:
 
         def j2_at(values):
             cand = GridControl(grid, values)
-            return follower_cost(fprob, follower_forward(fprob, cand), cand)
+            return follower_cost(fprob, follower_forward(fprob, cand).state_sq,
+                                 cand.node_values())
 
         def merit_at(values):
-            return leader_merit(lprob, leader_forward(
-                lprob, GridControl(grid, values)))[0]
+            traj = leader_forward(lprob, GridControl(grid, values))
+            return leader_merit(lprob, traj.state_sq, traj.terminal_state)[0]
 
         want = []
         for _ in range(k):

@@ -79,6 +79,22 @@ class TestIngestCsv:
         with pytest.raises(ConfigError, match="no such file"):
             ingest_csv(tmp_path / "nope.csv")
 
+    def test_empty_file(self, tmp_path):
+        f = tmp_path / "zero.csv"
+        f.write_bytes(b"")
+        with pytest.raises(ConfigError, match="zero.csv: empty file"):
+            ingest_csv(f)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        # blank and whitespace-only rows anywhere after the header are skipped
+        header, *rows = DATA_CSV.read_text().splitlines()
+        f = tmp_path / "blanks.csv"
+        f.write_text("\n".join([header, "", rows[0], "   ", *rows[1:4], "\t",
+                                "", *rows[4:], " "]) + "\n")
+        data, clean = ingest_csv(f), ingest_csv(DATA_CSV)
+        assert np.array_equal(data.inputs, clean.inputs)
+        assert np.array_equal(data.outputs, clean.outputs)
+
     def test_no_samples(self, tmp_path):
         f = tmp_path / "empty.csv"
         f.write_text("w,v\n")
@@ -151,6 +167,21 @@ class TestParseConfig:
             assert main(["fit", str(cfg)]) == EXIT_CONFIG
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("alpha 0.02", "expected 'key = value'"),
+        ("beta =", "empty key or value"),
+        ("alpha = 0.02", "duplicate key 'alpha'"),  # alpha is set above
+    ], ids=["no_equals", "empty_value", "duplicate"])
+    def test_malformed_line_has_line(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path)
+        with open(cfg, "a") as fh:
+            fh.write(f"{line}\n# a comment after it\n")
+        message = f":{len(cfg.read_text().splitlines()) - 1}: {message}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        assert main(["fit", str(cfg)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [
         ("alpha", "-0.5"), ("beta", "0"), ("gamma1", "1.5"),
         ("eps_tol", "0"), ("z", "-0.1"), ("mu", "-3"), ("N_t", "1"),
@@ -162,6 +193,8 @@ class TestParseConfig:
         ("train_indices", "1,1,3,5,7"), ("validation_indices", "2,4,4"),
         # retired keys, refused whatever their value
         ("gamma2", "-1"), ("u1_init", "99"), ("terminal_mode", "penalty"),
+        ("leader_mask", "1,0,0"),  # one entry more than theta0
+        ("seed", "-1"),
     ])
     def test_invariant_violations_rejected(self, tmp_path, key, value):
         # the message names the key, at the line that sets it

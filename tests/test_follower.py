@@ -71,14 +71,16 @@ class TestSolveFollower:
         # the handed-on trajectory is the sweep of the returned control
         fresh = follower_forward(prob, res.u2_star)
         assert res.trajectory.states.tobytes() == fresh.states.tobytes()
-        assert res.J2_value == follower_cost(prob, fresh, res.u2_star)
+        assert res.J2_value == follower_cost(prob, fresh.state_sq,
+                                             res.u2_star.node_values())
 
     def test_improves_on_init(self):
         prob = full_follower_problem(alpha=0.5, beta=0.2, theta0=2.0)
         init = GridControl(prob.grid, np.full((prob.grid.steps + 1, 1), 0.5))
         res = solve(prob, init, SolverConfig(inner_tol=1e-3,
                                              max_inner=100))
-        j2_init = follower_cost(prob, follower_forward(prob, init), init)
+        j2_init = follower_cost(prob, follower_forward(prob, init).state_sq,
+                                init.node_values())
         assert res.J2_value <= j2_init
 
     def test_determinism(self, mm_follower_problem):
@@ -127,7 +129,7 @@ class TestSolveFollower:
         res = solve(prob, init, SolverConfig(inner_tol=1e-12,
                                              max_inner=1))
         assert res.u2_star is init
-        assert not res.progressed
+        assert res.gamma_last == 0.0
         assert res.inner_iterations == 1
         assert len(forwards) == 0
 
@@ -139,7 +141,7 @@ class TestSolveFollower:
                                              max_inner=20))
         assert res.stalled
         assert not res.converged
-        assert not res.progressed
+        assert res.gamma_last == 0.0
         assert res.u2_star is init
         assert res.inner_iterations == 1
         assert res.J2_value > 0.0

@@ -65,8 +65,10 @@ class TestLeaderStep:
         u1 = zero_grid_control(grid, 2)
         res = step(prob, u1, SolverConfig(gamma1=0.01))
         assert res.gamma_used > 0.0
-        assert leader_merit(prob, res.trajectory)[0] \
-            < leader_merit(prob, leader_forward(prob, u1))[0]
+        before = leader_forward(prob, u1)
+        assert leader_merit(prob, res.trajectory.state_sq,
+                            res.trajectory.terminal_state)[0] \
+            < leader_merit(prob, before.state_sq, before.terminal_state)[0]
         # the handed-on trajectory is the sweep of the accepted control
         fresh = leader_forward(prob, res.u1)
         assert res.trajectory.states.tobytes() == fresh.states.tobytes()
@@ -96,7 +98,9 @@ class TestLeaderStep:
         assert res.gamma_used == 0.0
         fresh = leader_forward(prob, u1)
         assert res.trajectory.states.tobytes() == fresh.states.tobytes()
-        assert leader_merit(prob, res.trajectory) == leader_merit(prob, fresh)
+        assert leader_merit(prob, res.trajectory.state_sq,
+                            res.trajectory.terminal_state) \
+            == leader_merit(prob, fresh.state_sq, fresh.terminal_state)
 
 
 class TestSolveNested:
@@ -116,6 +120,26 @@ class TestSolveNested:
         assert not report.converged
         assert report.history[0].gamma2_used == 0.0
         assert report.J2_value > 0.0
+
+    def test_stall_of_both_agents_stops_the_run(self):
+        # both agents start pinned at -u_max with costates pushing them
+        # further out (zero training gradient, theta > 0, mu = 0): the
+        # follower stalls without a step, then the leader stalls, so the run
+        # stops after one outer iteration though max_outer allows three
+        objective = linear_objective(np.zeros((1, 2)), [0.0])
+        grid = TimeGrid(1.0, 50)
+        partition = ControlPartition(np.array([1.0, 0.0]))
+        start = GridControl(grid, np.full((51, 2), -0.01), u_max=0.01)
+        config = SolverConfig(alpha=1.0, beta=0.01, mu=0.0, z=0.0,
+                              inner_tol=1e-10, max_inner=20, max_outer=3)
+        report = solve_nested(config, objective, objective, partition,
+                              np.array([1.0, 1.0]), start)
+        assert report.outer_iterations == 1
+        assert not report.converged
+        assert report.history[0].leader_grad_norm > config.eps_tol
+        assert report.history[0].gamma1_used == 0.0
+        assert report.history[0].gamma2_used == 0.0
+        assert report.u1 is start and report.u2 is start
 
     def test_reduction_to_uncontrolled_flow(self, small_setup):
         # both agents frozen at zero: the follower's cap of one iteration
@@ -192,10 +216,10 @@ class TestSolveNested:
         lprob = LeaderProblem(objective, validation, config.z, config.mu,
                               partition, report.u2, theta0)
         traj = leader_forward(lprob, report.u1)
-        _, j1, phi = leader_merit(lprob, traj)
+        _, j1, phi = leader_merit(lprob, traj.state_sq, traj.terminal_state)
         fprob = FollowerProblem(objective, config.alpha, config.beta,
                                 partition, report.u1, grid, theta0)
-        j2 = follower_cost(fprob, traj, report.u2)
+        j2 = follower_cost(fprob, traj.state_sq, report.u2.node_values())
         assert abs(j1 - report.J1_value) <= 1e-12
         assert abs(phi - report.Phi_value) <= 1e-12
         assert abs(j2 - report.J2_value) <= 1e-12
@@ -260,6 +284,9 @@ class TestSolveNested:
             lprob = LeaderProblem(objective, validation, config.z, config.mu,
                                   partition, u2, theta0)
             lres = leader_step(lprob, u1, fres.trajectory, config)
-            assert leader_merit(lprob, lres.trajectory)[0] \
-                <= leader_merit(lprob, fres.trajectory)[0]
+            after, before = lres.trajectory, fres.trajectory
+            assert leader_merit(lprob, after.state_sq,
+                                after.terminal_state)[0] \
+                <= leader_merit(lprob, before.state_sq,
+                                before.terminal_state)[0]
             u1, traj = lres.u1, lres.trajectory
