@@ -6,10 +6,12 @@ midpoint of interval j. A forward step from node j reads u at stages 2j,
 2j+1, 2j+1 and 2j+2 and keeps the states of stages 2-4; `integrate_backward`
 runs the transposed step along them (Hager 2000, Numer. Math. 87), exact for
 the forward sweep's numbers at any step size. Both sweeps step on Python
-floats, one array row in or out at a time, and their `grad` and `hvp` take
-and return p floats: with a few parameters, numpy's per-call overhead would
-cost more than the arithmetic. The forward step, `rk4_steps`, also runs K
-sweeps at once on lane arrays (`integrate_lanes`).
+floats, one array row in or out at a time: with a few parameters, numpy's
+per-call overhead would cost more than the arithmetic. The forward sweep's
+`grad` takes and returns p floats. The backward sweep fetches the Hessians
+of a block of steps' stage points in one numpy pass (`models.Hessian`), then
+walks the block on floats. The forward step, `rk4_steps`, also runs K sweeps
+at once on lane arrays (`integrate_lanes`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import Array, TimeGrid, Trajectory, trapezoid_weights
+
+# backward steps whose stage Hessians are fetched in one pass: long enough to
+# amortise numpy's per-call cost, short enough that the block's Hessians,
+# held as Python floats, add little to a sweep's peak memory
+HESSIAN_BLOCK = 128
 
 
 class DivergenceError(RuntimeError):
@@ -110,40 +117,50 @@ def integrate_lanes(grad: Callable, stage_u, theta0,
     return sq.T, y.T.copy()
 
 
-def integrate_backward(hvp: Callable, traj: Trajectory, p_T,
+def integrate_backward(hessian, traj: Trajectory, p_T,
                        forcing: float) -> Array:
     """dL/du at all 2N + 1 stages of `traj`, a read-only (2N + 1, p) array;
-    `traj` is a forward sweep of theta' = u - grad J(theta) with hvp(theta, v)
-    = Hess(J)(theta) @ v, p floats each in and p floats out, and L = sum_j
-    w_j forcing/2 |theta_j|^2 + (a terminal term of gradient p_T), w the
-    trapezoid weights. Runs lambda_j = dL/dtheta_j through the transposed RK4
-    steps from lambda_N = p_T + w_N * forcing * theta_N."""
+    `traj` is a forward sweep of theta' = u - grad J(theta) with `hessian`
+    the `models.Hessian` of J, and L = sum_j w_j forcing/2 |theta_j|^2 + (a
+    terminal term of gradient p_T), w the trapezoid weights. Runs lambda_j =
+    dL/dtheta_j through the transposed RK4 steps from lambda_N = p_T + w_N *
+    forcing * theta_N, HESSIAN_BLOCK steps at a time: one `hessian.entries`
+    call per block, on its points in visiting order (step by step from the
+    last, y4, y3, y2, then node j), then `hessian.apply` at each stage."""
     grid = traj.grid
     n, h = grid.steps, grid.dt
     half, sixth = 0.5 * h, h / 6.0
+    apply = hessian.apply
     running = (forcing * trapezoid_weights(grid))[:, None] * traj.states
     lam = (p_T + running[n]).tolist()
-    sens = np.empty((2 * n + 1, len(lam)))
+    p = len(lam)
+    sens = np.empty((2 * n + 1, p))
     # g1 of the step after j, whose stage 2j + 2 it shares with step j's g4
-    after = [0.0] * len(lam)
-    for j in range(n - 1, -1, -1):
-        y2, y3, y4 = traj.stages[j].tolist()
-        # the stage slopes are u - grad J, so each H g enters with a minus
-        g4 = [sixth * a for a in lam]
-        hg4 = hvp(y4, g4)
-        g3 = [2.0 * g - h * a for g, a in zip(g4, hg4)]
-        hg3 = hvp(y3, g3)
-        g2 = [2.0 * g - half * a for g, a in zip(g4, hg3)]
-        hg2 = hvp(y2, g2)
-        g1 = [g - half * a for g, a in zip(g4, hg2)]
-        hg1 = hvp(traj.states[j].tolist(), g1)
-        sens[2 * j + 2] = [a + g for a, g in zip(after, g4)]
-        sens[2 * j + 1] = [a + b for a, b in zip(g2, g3)]
-        after = g1
-        lam = [a - b1 - b2 - b3 - b4 + r for a, b1, b2, b3, b4, r
-               in zip(lam, hg1, hg2, hg3, hg4, running[j].tolist())]
-        if not all(map(math.isfinite, lam)):
-            raise DivergenceError(grid.nodes[j], j, "costate")
+    after = [0.0] * p
+    for stop in range(n, 0, -HESSIAN_BLOCK):
+        start = max(stop - HESSIAN_BLOCK, 0)
+        points = np.concatenate((traj.stages[start:stop, ::-1],
+                                 traj.states[start:stop, None]), axis=1)
+        hess = iter(hessian.entries(points[::-1].reshape(-1, p)))
+        for j in range(stop - 1, start - 1, -1):
+            # the stage slopes are u - grad J, so each H g enters with a minus
+            g4 = [sixth * a for a in lam]
+            hg4 = apply(next(hess), g4)
+            g3 = [2.0 * g - h * a for g, a in zip(g4, hg4)]
+            hg3 = apply(next(hess), g3)
+            g2 = [2.0 * g - half * a for g, a in zip(g4, hg3)]
+            hg2 = apply(next(hess), g2)
+            g1 = [g - half * a for g, a in zip(g4, hg2)]
+            hg1 = apply(next(hess), g1)
+            sens[2 * j + 2] = [a + g for a, g in zip(after, g4)]
+            sens[2 * j + 1] = [a + b for a, b in zip(g2, g3)]
+            after = g1
+            lam = [a - b1 - b2 - b3 - b4 + r for a, b1, b2, b3, b4, r
+                   in zip(lam, hg1, hg2, hg3, hg4, running[j].tolist())]
+            if not all(map(math.isfinite, lam)):
+                raise DivergenceError(grid.nodes[j], j, "costate")
+        # free this block's Hessians before the next block's are built
+        del hess
     sens[0] = after
     sens.flags.writeable = False
     return sens

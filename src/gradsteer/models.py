@@ -1,6 +1,11 @@
 """Hypothesis functions, quadratic losses, the training objective and the
-validation functional, with analytic gradients and closed-form
-Hessian-vector products.
+validation functional, with analytic gradients and closed-form Hessians.
+
+The gradient kernels step on Python floats, one point at a time. The Hessian
+(`hessian_function`) comes in two parts: `entries` computes the Hessians of
+many points in one numpy pass, and `apply` multiplies one of them with a
+vector of p floats. Float sums run left to right from 0.0 (`_fold_sum`), so
+every kernel gives the same bits on every supported Python.
 
 Built-in model kinds:
 
@@ -12,9 +17,11 @@ Built-in model kinds:
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +67,13 @@ class Objective:
             raise ValueError(f"{self.model.value} model takes scalar inputs")
 
 
+def _fold_sum(terms):
+    """Left-to-right sum of `terms` from 0.0. From Python 3.12 on, `sum()` of
+    floats is compensated, while a sum of lane arrays is not; this fold is
+    the same on floats and arrays, on every Python."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
 def _mm_pole(theta, w) -> SingularityError:
     """SingularityError naming the input w nearest the pole theta1 = -w."""
     nearest = min(w, key=lambda wi: abs(theta[1] + wi))
@@ -88,9 +102,9 @@ def gradient_function(obj: Objective) -> Callable:
         x = obj.dataset.inputs.tolist()
 
         def grad(theta):
-            r = [sum(a * b for a, b in zip(xi, theta)) - yi
+            r = [_fold_sum(a * b for a, b in zip(xi, theta)) - yi
                  for xi, yi in zip(x, y)]
-            return tuple(c * sum(ri * xi[k] for ri, xi in zip(r, x))
+            return tuple(c * _fold_sum(ri * xi[k] for ri, xi in zip(r, x))
                          for k in range(len(theta)))
 
         return grad
@@ -146,27 +160,45 @@ def objective_value(obj: Objective, theta) -> float:
     return obj.loss_scale.factor * (r @ r) / float(len(obj.dataset.outputs))
 
 
-def hvp_function(obj: Objective) -> Callable:
-    """Bind the dataset once; returns theta, v -> (Hessian J)(theta) @ v, p
-    floats each in and p floats out, from the closed-form Hessian: 2x2 for
-    Michaelis-Menten, constant for the linear model."""
+class Hessian(NamedTuple):
+    """The Hessian of a training objective J. `entries(points)` takes an
+    (M, p) array of points and returns their M Hessians, computed in one
+    numpy pass; `apply(H, v)` returns H @ v for one of them and p floats v,
+    as p floats."""
+
+    entries: Callable
+    apply: Callable
+
+
+def hessian_function(obj: Objective) -> Hessian:
+    """Bind the dataset once; returns the closed-form Hessian of J. For
+    Michaelis-Menten each Hessian is the float triple (h00, h01, h11), each
+    entry summed over the samples in sample order, and a point within
+    SINGULARITY_GUARD of the pole raises SingularityError naming the first
+    such point; for the linear model it is the constant matrix, pre-scaled,
+    as rows of floats."""
     scale = 2.0 * obj.loss_scale.factor / len(obj.dataset.outputs)
-    y = obj.dataset.outputs.tolist()
     if obj.model is ModelKind.LINEAR:
         rows = (scale * (obj.dataset.inputs.T @ obj.dataset.inputs)).tolist()
-        return lambda theta, v: tuple(sum(a * b for a, b in zip(row, v))
-                                      for row in rows)
+        return Hessian(
+            lambda points: [rows] * len(points),
+            lambda hess, v: tuple(_fold_sum(a * b for a, b in zip(row, v))
+                                  for row in hess))
 
     # (H00, H01, H11) / scale = sum_i g_i g_i^T + r_i Hess(prediction_i)
-    w = obj.dataset.inputs[:, 0].tolist()
+    w = obj.dataset.inputs[:, 0]
+    y = obj.dataset.outputs.tolist()
 
-    def hvp(theta, v):
-        t0, t1 = theta[0], theta[1]
+    @np.errstate(over="ignore", invalid="ignore")
+    def entries(points):
+        t0, t1 = points[:, 0], points[:, 1]
+        d = t1[:, None] + w
+        near = (np.abs(d) <= SINGULARITY_GUARD).any(axis=1)
+        if near.any():
+            raise _mm_pole(points[int(np.flatnonzero(near)[0])].tolist(),
+                           w.tolist())
         h00 = h01 = h11 = 0.0
-        for wi, yi in zip(w, y):
-            di = t1 + wi
-            if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
-                raise _mm_pole(theta, w)
+        for wi, yi, di in zip(w, y, d.T):
             q = wi / di
             qd = q / di
             r = t0 * q - yi
@@ -175,10 +207,22 @@ def hvp_function(obj: Objective) -> Callable:
             h01 += qd * t
             h11 += (qd / di) * (t + r)
         h01, h11 = -h01, t0 * h11
+        return list(zip(h00.tolist(), h01.tolist(), h11.tolist()))
+
+    def apply(hess, v):
+        h00, h01, h11 = hess
         return (scale * (h00 * v[0] + h01 * v[1]),
                 scale * (h01 * v[0] + h11 * v[1]))
 
-    return hvp
+    return Hessian(entries, apply)
+
+
+def hvp_function(obj: Objective) -> Callable:
+    """Bind the dataset once; returns theta, v -> (Hessian J)(theta) @ v:
+    `hessian_function` at the one point theta, p floats out."""
+    hessian = hessian_function(obj)
+    return lambda theta, v: hessian.apply(
+        hessian.entries(np.array([theta], dtype=float))[0], v)
 
 
 def validation_phi(model: ModelKind, theta, validation: Dataset,

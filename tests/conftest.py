@@ -8,6 +8,7 @@ from gradsteer import (ControlPartition, Dataset, GridControl, LossScale,
                        TimeGrid, zero_grid_control)
 from gradsteer import adjoint
 from gradsteer.adjoint import FollowerProblem
+from gradsteer.models import SINGULARITY_GUARD, SingularityError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -57,6 +58,50 @@ def linear_objective(inputs, outputs, scale=LossScale.HALF) -> Objective:
     """Linear model, one parameter per input column."""
     return Objective(ModelKind.LINEAR,
                      Dataset(inputs, np.asarray(outputs, dtype=float)), scale)
+
+
+def float_hvp(obj: Objective):
+    """theta, v -> (Hessian J)(theta) @ v, one point at a time on Python
+    floats: the per-point kernel that `models.hessian_function` replaced,
+    kept as its reference. Sums run left to right from 0.0."""
+    scale = 2.0 * obj.loss_scale.factor / len(obj.dataset.outputs)
+    y = obj.dataset.outputs.tolist()
+    if obj.model is ModelKind.LINEAR:
+        rows = (scale * (obj.dataset.inputs.T @ obj.dataset.inputs)).tolist()
+
+        def hvp(theta, v):
+            out = []
+            for row in rows:
+                total = 0.0
+                for a, b in zip(row, v):
+                    total = total + a * b
+                out.append(total)
+            return tuple(out)
+
+        return hvp
+
+    w = obj.dataset.inputs[:, 0].tolist()
+
+    def hvp(theta, v):
+        t0, t1 = theta[0], theta[1]
+        h00 = h01 = h11 = 0.0
+        for wi, yi in zip(w, y):
+            di = t1 + wi
+            if -SINGULARITY_GUARD <= di <= SINGULARITY_GUARD:
+                nearest = min(w, key=lambda x: abs(t1 + x))
+                raise SingularityError(theta, float(nearest))
+            q = wi / di
+            qd = q / di
+            r = t0 * q - yi
+            t = t0 * q + r
+            h00 += q * q
+            h01 += qd * t
+            h11 += (qd / di) * (t + r)
+        h01, h11 = -h01, t0 * h11
+        return (scale * (h00 * v[0] + h01 * v[1]),
+                scale * (h01 * v[0] + h11 * v[1]))
+
+    return hvp
 
 
 def zero_stages(grid, dimension: int = 1):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,17 +7,24 @@ from scipy.linalg import expm
 from gradsteer import (Dataset, DivergenceError, LossScale, ModelKind,
                        Objective, SingularityError, TimeGrid,
                        integrate_backward, integrate_forward)
-from gradsteer.core import node_costates
-from gradsteer.integrate import integrate_lanes, squared_norms
-from gradsteer.models import (gradient_function, hvp_function,
+from gradsteer.core import node_costates, trapezoid_weights
+from gradsteer.integrate import (HESSIAN_BLOCK, integrate_lanes,
+                                 squared_norms)
+from gradsteer.models import (Hessian, gradient_function, hessian_function,
                               lane_gradient_function)
 
-from conftest import linear_objective, zero_stages
+from conftest import float_hvp, linear_objective, zero_stages
 
 
 def decay(y):
     # the gradient of J(y) = |y|^2 / 2, so the uncontrolled flow is y' = -y
     return y
+
+
+def constant_hessian(apply):
+    """A Hessian hook that is the same at every point: `entries` gives None
+    for each, and `apply(H, v)` ignores H."""
+    return Hessian(lambda points: [None] * len(points), apply)
 
 
 def test_zero_field_constant_trajectory():
@@ -53,7 +62,8 @@ def test_backward_zero_field():
     grid = TimeGrid(1.0, 10)
     traj = integrate_forward(lambda y: np.zeros(1), zero_stages(grid),
                              np.zeros(1), grid)
-    cs = integrate_backward(lambda theta, v: np.zeros(1), traj, np.zeros(1), 1.0)
+    cs = integrate_backward(constant_hessian(lambda hess, v: [0.0]), traj,
+                            np.zeros(1), 1.0)
     assert np.array_equal(cs, np.zeros((21, 1)))
     assert not cs.flags.writeable
     assert np.array_equal(node_costates(grid, cs), np.zeros((11, 1)))
@@ -64,7 +74,8 @@ def test_backward_exponential():
     # and the sensitivities sum to dtheta(T)/du for a constant u, 1 - e^{-1}
     grid = TimeGrid(1.0, 100)
     traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
-    cs = integrate_backward(lambda theta, v: v, traj, np.array([1.0]), 0.0)
+    cs = integrate_backward(constant_hessian(lambda hess, v: v), traj,
+                            np.array([1.0]), 0.0)
     assert abs(cs.sum() - (1.0 - np.exp(-1.0))) < 1e-10
     assert cs[-1, 0] == grid.dt / 6.0
     interior = grid.nodes[1:-1]
@@ -87,7 +98,7 @@ def test_backward_linear_adjoint_matrix_exponential():
     grid = TimeGrid(T, 200)
     traj = integrate_forward(gradient_function(obj), zero_stages(grid, 2),
                              theta0, grid)
-    cs = integrate_backward(hvp_function(obj), traj, np.zeros(2), alpha)
+    cs = integrate_backward(hessian_function(obj), traj, np.zeros(2), alpha)
     a_inv = np.linalg.inv(a_mat)
     for idx in (1, 50, 120, 199):
         t = grid.nodes[idx]
@@ -131,11 +142,30 @@ def test_backward_divergence_detected():
     grid = TimeGrid(1.0, 10)
     traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
     with pytest.raises(DivergenceError) as err:
-        integrate_backward(lambda theta, v: [1e300 * a for a in v], traj,
-                           np.array([1.0]), 0.0)
+        integrate_backward(
+            constant_hessian(lambda hess, v: [1e300 * a for a in v]), traj,
+            np.array([1.0]), 0.0)
     assert err.value.what == "costate"
     assert 0 <= err.value.step < grid.steps
     assert err.value.t == grid.nodes[err.value.step]
+
+
+def test_backward_divergence_in_a_later_block():
+    # one infinite Hessian, at step j's y4, in the third block of steps the
+    # sweep computes: the blocks before it stay finite, and the error names
+    # step j and its time
+    grid = TimeGrid(1.0, 2 * HESSIAN_BLOCK + 40)
+    traj = integrate_forward(decay, zero_stages(grid), np.array([1.0]), grid)
+    j = 17
+    bad = traj.stages[j, 2, 0]
+    hessian = Hessian(
+        lambda points: [math.inf if x == bad else 1.0 for x in points[:, 0]],
+        lambda hess, v: [hess * a for a in v])
+    with pytest.raises(DivergenceError) as err:
+        integrate_backward(hessian, traj, np.array([1.0]), 0.0)
+    assert err.value.what == "costate"
+    assert err.value.step == j
+    assert err.value.t == grid.nodes[j]
 
 
 def test_stage_indices_visited():
@@ -167,14 +197,70 @@ def test_stage_indices_visited():
                               traj.stages[j])
     visited = []
 
-    def hvp(theta, v):
-        visited.append(theta.copy())
-        return np.zeros(1)
+    def entries(points):
+        visited.extend(points.copy())
+        return [None] * len(points)
 
-    integrate_backward(hvp, traj, np.zeros(1), 1.0)
+    integrate_backward(Hessian(entries, lambda hess, v: [0.0]), traj,
+                       np.zeros(1), 1.0)
     expected = [row for j in range(grid.steps - 1, -1, -1)
                 for row in (*traj.stages[j][::-1], traj.states[j])]
     assert np.array_equal(np.array(visited), np.array(expected))
+
+
+def per_point_backward(hvp, traj, p_T, forcing):
+    """The backward sweep that the block sweep replaced: one hvp(theta, v)
+    call at each stage point, kept as its reference."""
+    grid = traj.grid
+    n, h = grid.steps, grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    running = (forcing * trapezoid_weights(grid))[:, None] * traj.states
+    lam = (p_T + running[n]).tolist()
+    sens = np.empty((2 * n + 1, len(lam)))
+    after = [0.0] * len(lam)
+    for j in range(n - 1, -1, -1):
+        y2, y3, y4 = traj.stages[j].tolist()
+        g4 = [sixth * a for a in lam]
+        hg4 = hvp(y4, g4)
+        g3 = [2.0 * g - h * a for g, a in zip(g4, hg4)]
+        hg3 = hvp(y3, g3)
+        g2 = [2.0 * g - half * a for g, a in zip(g4, hg3)]
+        hg2 = hvp(y2, g2)
+        g1 = [g - half * a for g, a in zip(g4, hg2)]
+        hg1 = hvp(traj.states[j].tolist(), g1)
+        sens[2 * j + 2] = [a + g for a, g in zip(after, g4)]
+        sens[2 * j + 1] = [a + b for a, b in zip(g2, g3)]
+        after = g1
+        lam = [a - b1 - b2 - b3 - b4 + r for a, b1, b2, b3, b4, r
+               in zip(lam, hg1, hg2, hg3, hg4, running[j].tolist())]
+        if not all(map(math.isfinite, lam)):
+            raise DivergenceError(grid.nodes[j], j, "costate")
+    sens[0] = after
+    return sens
+
+
+class TestBlockSweep:
+    # integrate_backward fetches the Hessians of HESSIAN_BLOCK steps at once;
+    # its sensitivities must be the per-point sweep's, bit for bit, for a
+    # sweep shorter than one block, exactly one, and not a whole number
+
+    @pytest.mark.parametrize("steps", [HESSIAN_BLOCK - 51, HESSIAN_BLOCK,
+                                       2 * HESSIAN_BLOCK + 37])
+    @pytest.mark.parametrize("model,p", [(ModelKind.MICHAELIS_MENTEN, 2),
+                                         (ModelKind.LINEAR, 1),
+                                         (ModelKind.LINEAR, 3)])
+    def test_matches_the_per_point_sweep_bitwise(self, model, p, steps):
+        obj, theta0, stage_u, grid = TestLaneSweep.lane_problem(
+            model, p, steps, k=1, steps=steps)
+        traj = integrate_forward(gradient_function(obj), stage_u[:, :, 0],
+                                 theta0[:, 0], grid)
+        p_T = np.random.default_rng(steps).normal(size=p)
+        # the follower's column (forcing alpha, zero terminal costate) and
+        # the leader's (forcing 1, a terminal costate)
+        for p_T, forcing in ((np.zeros(p), 0.35), (p_T, 1.0)):
+            got = integrate_backward(hessian_function(obj), traj, p_T, forcing)
+            want = per_point_backward(float_hvp(obj), traj, p_T, forcing)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLaneSweep:

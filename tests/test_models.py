@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from gradsteer import (DivergenceError, Dataset, LossScale, ModelKind,
                        Objective, SingularityError, TimeGrid, integrate_forward,
                        objective_value, validation_phi)
-from gradsteer.models import _predict_batch, gradient_function, hvp_function
+from gradsteer.models import (SINGULARITY_GUARD, _predict_batch,
+                              gradient_function, hessian_function,
+                              hvp_function)
 
-from conftest import (TABLE_V, TABLE_W, THETA_REPORTED, linear_objective,
-                      zero_stages)
+from conftest import (TABLE_V, TABLE_W, THETA_REPORTED, float_hvp,
+                      linear_objective, zero_stages)
 
 
 def finite_diff_gradient(func, theta, step):
@@ -315,3 +319,65 @@ class TestFloatKernels:
                 call()
             named.append(err.value.x)
         assert named == [0.0052] * 3
+
+    def test_float_sums_run_left_to_right(self):
+        # sum() of floats is compensated from Python 3.12 on, and gives 1.0
+        # on these terms; the lane kernels add arrays left to right from 0.0,
+        # which gives 0.0, and the float kernels must give the same
+        terms = [1e16, 1.0, -1e16]
+        left_to_right = ((0.0 + terms[0]) + terms[1]) + terms[2]
+        assert left_to_right != math.fsum(terms)
+        obj = linear_objective([[1.0, 1.0, 1.0]], [0.0])  # J = r^2 / 2
+        assert gradient_function(obj)(terms) == (left_to_right,) * 3
+        assert hvp_function(obj)([0.0] * 3, terms) == (left_to_right,) * 3
+
+
+class TestHessianHook:
+    @staticmethod
+    def problem(model, seed):
+        rng = np.random.default_rng(seed)
+        p = 3 if model is ModelKind.LINEAR else 2
+        m = int(rng.integers(1, 8))
+        inputs = (rng.normal(size=(m, p)) if model is ModelKind.LINEAR
+                  else rng.uniform(0.01, 1.5, size=(m, 1)))
+        obj = Objective(model, Dataset(inputs, rng.uniform(0.2, 4.0, size=m)),
+                        rng.choice([LossScale.HALF, LossScale.ONE]))
+        return obj, rng.uniform(0.05, 3.0, size=(40, p)), rng.normal(size=p)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_entries_are_the_per_point_kernels_bitwise(self, model):
+        for seed in range(10):
+            obj, points, v = self.problem(model, seed)
+            hessian = hessian_function(obj)
+            entries = hessian.entries(points)
+            assert len(entries) == len(points)
+            for hess, theta in zip(entries, points):
+                got = hessian.apply(hess, v.tolist())
+                want = float_hvp(obj)(theta.tolist(), v.tolist())
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_hvp_function_is_the_one_point_hook(self, model):
+        # bench/worker.py times hvp_function(obj)(theta, v) on arrays
+        obj, points, v = self.problem(model, 3)
+        hessian = hessian_function(obj)
+        for theta in points[:5]:
+            want = hessian.apply(hessian.entries(theta[None, :])[0], v)
+            for cast in (tuple, list, np.array):
+                got = hvp_function(obj)(cast(theta.tolist()),
+                                        cast(v.tolist()))
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_pole_names_the_float_kernels_theta_and_input(self, mm_model):
+        # the second of three points lies within the guard of theta1 = -w
+        w = np.array([0.3, 0.0052, 0.1])
+        obj = Objective(mm_model, Dataset(w[:, None], np.ones(3)))
+        near = [2.0, -0.0052 + 0.5 * SINGULARITY_GUARD]
+        points = np.array([[2.0, 0.1], near, [1.0, -0.3]])
+        with pytest.raises(SingularityError) as hook_err:
+            hessian_function(obj).entries(points)
+        with pytest.raises(SingularityError) as float_err:
+            float_hvp(obj)(near, [1.0, 0.0])
+        assert hook_err.value.theta.tolist() == near
+        assert float_err.value.theta.tolist() == near
+        assert hook_err.value.x == float_err.value.x == 0.0052
