@@ -188,7 +188,9 @@ def leader_gradient_arrays(prob: LeaderProblem, u1: ControlSignal,
 def update_control(u: ControlSignal, direction: Array,
                    step: float) -> ControlSignal:
     """One descent step u - step * direction in u's own coordinates, within
-    the amplitude bound."""
+    the amplitude bound. Kept as a function, not a call of `u.update`, so
+    that the benchmark tracer's trial-counting span sites
+    `follower.update_control` and `leader.update_control` resolve."""
     return u.update(direction, step)
 
 

@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .adjoint import gradient_check, require_finite
 from .adjoint import leader_forward  # noqa: F401, a span site of bench/tracer.py
-from .core import (BasisControl, ControlPartition, Dataset, InvalidSetting,
-                   SolverConfig, SplitSpec, TimeGrid, basis_gram_matrix,
-                   zero_grid_control)
+from .core import (BasisControl, ControlPartition, ControlSignal, Dataset,
+                   InvalidSetting, SolverConfig, SplitSpec, TimeGrid,
+                   basis_gram_matrix, zero_grid_control)
 from .integrate import DivergenceError, integrate_forward
 from .leader import solve_nested
 from .models import (LossScale, ModelKind, Objective, SingularityError,
@@ -104,7 +104,7 @@ class RunConfig:
     grid: TimeGrid
     theta0: np.ndarray
     partition: ControlPartition
-    basis_size: int                # coefficients per control, 0 for grid
+    start: ControlSignal           # the zero control both agents start from
     out_dir: Path
     seed: int
 
@@ -224,6 +224,9 @@ def parse_config(path) -> RunConfig:
                        * basis_size * np.finfo(float).eps >= 1):
         fail("control", f"the {basis_size} basis functions are numerically "
                         f"dependent at the grid's {grid.steps + 1} nodes")
+    p = partition.dimension
+    start = (BasisControl(grid, np.zeros((basis_size, p)), solver.u_max)
+             if basis_size else zero_grid_control(grid, p, solver.u_max))
 
     seed = convert("seed", int)
     if seed < 0:
@@ -239,7 +242,7 @@ def parse_config(path) -> RunConfig:
 
     return RunConfig(model=model, data_path=data_path, data=data, split=split,
                      loss_scale=loss_scale, solver=solver, grid=grid,
-                     theta0=theta0, partition=partition, basis_size=basis_size,
+                     theta0=theta0, partition=partition, start=start,
                      out_dir=Path(out_text), seed=seed)
 
 
@@ -257,16 +260,6 @@ def _prepare(config_path, out_dir: Optional[Path]):
     validation = Objective(cfg.model, cfg.split.validation(cfg.data),
                            cfg.loss_scale)
     return cfg, out, objective, validation
-
-
-def _initial_control(cfg: RunConfig):
-    """The zero control of the configured kind: both agents start from it,
-    and `simulate` integrates the flow it leaves uncontrolled."""
-    p = cfg.partition.dimension
-    if cfg.basis_size:
-        return BasisControl(cfg.grid, np.zeros((cfg.basis_size, p)),
-                            u_max=cfg.solver.u_max)
-    return zero_grid_control(cfg.grid, p, cfg.solver.u_max)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +354,7 @@ def _write_node_table(path, grid: TimeGrid, **tables: np.ndarray) -> None:
 def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
     cfg, out, objective, validation = _prepare(config_path, out_dir)
     report = solve_nested(cfg.solver, objective, validation, cfg.partition,
-                          cfg.theta0, _initial_control(cfg))
+                          cfg.theta0, cfg.start)
 
     # residuals y - h(x) over the whole dataset, with sample (m-1 divisor)
     # std; the split's two non-empty parts give it at least two rows. h may
@@ -406,8 +399,7 @@ def run_simulate(config_path, out_dir: Optional[Path] = None) -> int:
     """Integrate the plain (uncontrolled) training gradient flow."""
     cfg, out, objective, _ = _prepare(config_path, out_dir)
     traj = integrate_forward(gradient_function(objective),
-                             _initial_control(cfg).stage_values(), cfg.theta0,
-                             cfg.grid)
+                             cfg.start.stage_values(), cfg.theta0, cfg.grid)
     _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
     endpoint = [float(x) for x in traj.terminal_state]
     print(f"uncontrolled endpoint theta(T) = {endpoint}")

@@ -58,7 +58,6 @@ class FollowerResult:
     inner_iterations: int
     grad_norm: float
     converged: bool
-    stalled: bool                     # backtracking found no descent step
     gamma_last: float                 # last accepted MSA step fraction, 0 if none
 
 
@@ -75,18 +74,12 @@ def solve_follower(prob: FollowerProblem, start: ControlSignal,
     J2 strictly decreases, so the returned (last) iterate is also the best.
     Iteration config.max_inner runs its backward sweep and returns that
     iterate without a line search. When a step cannot decrease J2 after
-    MAX_HALVINGS halvings, the current iterate is returned with `stalled`
-    set.
+    MAX_HALVINGS halvings, the current iterate is returned; `gamma_last` is
+    0.0 exactly when the call took no step.
     """
     u2 = start
     j2 = follower_cost(prob, traj.state_sq, u2.node_values())
     gamma_last = 0.0
-
-    def result(converged: bool, stalled: bool = False) -> FollowerResult:
-        return FollowerResult(
-            u2_star=u2, trajectory=traj, J2_value=j2,
-            inner_iterations=it, grad_norm=gnorm, converged=converged,
-            stalled=stalled, gamma_last=gamma_last)
 
     def trial(step: float):
         candidate = update_control(u2, direction, step)
@@ -96,14 +89,14 @@ def solve_follower(prob: FollowerProblem, start: ControlSignal,
 
     for it in range(1, config.max_inner + 1):
         grad = follower_gradient_arrays(prob, u2, follower_backward(prob, traj))
-        gnorm = grad.norm_inf
-        if grad.update_norm <= config.inner_tol:
-            return result(True)
-        if it == config.max_inner:
-            return result(False)
-
+        converged = grad.update_norm <= config.inner_tol
+        if converged or it == config.max_inner:
+            break
         direction = msa_direction(u2, grad, prob.beta)
         accepted = backtrack(trial, 1.0, j2)
         if accepted is None:
-            return result(False, stalled=True)
+            break
         gamma_last, (u2, traj), j2 = accepted
+    return FollowerResult(u2_star=u2, trajectory=traj, J2_value=j2,
+                          inner_iterations=it, grad_norm=grad.norm_inf,
+                          converged=converged, gamma_last=gamma_last)

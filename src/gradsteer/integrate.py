@@ -125,8 +125,10 @@ def integrate_backward(hessian, traj: Trajectory, p_T,
     terminal term of gradient p_T), w the trapezoid weights. Runs lambda_j =
     dL/dtheta_j through the transposed RK4 steps from lambda_N = p_T + w_N *
     forcing * theta_N, HESSIAN_BLOCK steps at a time: one `hessian.entries`
-    call per block, on its points in visiting order (step by step from the
-    last, y4, y3, y2, then node j), then `hessian.apply` at each stage."""
+    call per block, on its points in stored order (node j, y2, y3, y4 of
+    each step), whose Hessians the walk uses last to first, with
+    `hessian.apply` at each stage. `entries` works point by point, so each
+    Hessian does not depend on the order of the points."""
     grid = traj.grid
     n, h = grid.steps, grid.dt
     half, sixth = 0.5 * h, h / 6.0
@@ -139,9 +141,9 @@ def integrate_backward(hessian, traj: Trajectory, p_T,
     after = [0.0] * p
     for stop in range(n, 0, -HESSIAN_BLOCK):
         start = max(stop - HESSIAN_BLOCK, 0)
-        points = np.concatenate((traj.stages[start:stop, ::-1],
-                                 traj.states[start:stop, None]), axis=1)
-        hess = iter(hessian.entries(points[::-1].reshape(-1, p)))
+        points = np.concatenate((traj.states[start:stop, None],
+                                 traj.stages[start:stop]), axis=1)
+        hess = reversed(hessian.entries(points.reshape(-1, p)))
         for j in range(stop - 1, start - 1, -1):
             # the stage slopes are u - grad J, so each H g enters with a minus
             g4 = [sixth * a for a in lam]

@@ -23,7 +23,6 @@ class LeaderStepResult:
     j1: float
     phi: float
     gamma_used: float           # accepted step size, 0 when no step was taken
-    stalled: bool
     converged: bool             # update_norm at or below eps_tol: no step tried
 
 
@@ -34,8 +33,8 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
     of step config.gamma1; the result's `trajectory` is the accepted trial's
     sweep, or `traj` when no step is taken. When the gradient's update_norm
     is already at or below config.eps_tol, the result is `converged` and no
-    step is attempted; a step that the shared `backtrack` cannot make
-    decrease the merit reports a stall.
+    step is attempted; when the shared `backtrack` cannot make a step
+    decrease the merit, none is taken. Either way `gamma_used` is 0.0.
     """
     grad = leader_gradient_arrays(prob, u1, leader_backward(prob, traj))
     gnorm = grad.norm_inf
@@ -52,7 +51,6 @@ def leader_step(prob: LeaderProblem, u1: ControlSignal, traj: Trajectory,
     step, (u1_out, traj_out), _ = accepted or (0.0, (u1, traj), merit)
     return LeaderStepResult(u1=u1_out, trajectory=traj_out, grad_norm=gnorm,
                             j1=j1, phi=phi, gamma_used=step,
-                            stalled=not converged and accepted is None,
                             converged=converged)
 
 
@@ -62,10 +60,11 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Objecti
     """Starting both agents from `start`, on its grid, alternate follower
     response solves (warm-started) with leader steps until the leader step is
     `converged` (the run is converged when that iteration's follower solve is
-    too), config.max_outer is reached, or the leader stalls in an outer
-    iteration where the follower took no step; every setting comes from
-    `config`. A stalled follower solve is not an error: its last iterate,
-    which is also its best, is the response the leader steps against. Each
+    too), config.max_outer is reached, or neither agent took a step in an
+    outer iteration (`gamma_used` and `gamma_last` both 0.0), so the next
+    would repeat it; every setting comes from `config`. A follower solve
+    that finds no descent is not an error: its last iterate, which is also
+    its best, is the response the leader steps against. Each
     agent hands on the forward sweep of the pair it returns, so each pair is
     integrated once; the report's values and `trajectory` come from the
     final pair's sweep.
@@ -92,7 +91,7 @@ def solve_nested(config: SolverConfig, objective: Objective, validation: Objecti
         if lres.converged:
             converged = fres.converged
             break
-        if lres.stalled and fres.gamma_last == 0.0:
+        if lres.gamma_used == 0.0 and fres.gamma_last == 0.0:
             break
 
     _, j1, phi = leader_merit(lprob, traj.state_sq, traj.terminal_state)

@@ -162,9 +162,9 @@ def objective_value(obj: Objective, theta) -> float:
 
 class Hessian(NamedTuple):
     """The Hessian of a training objective J. `entries(points)` takes an
-    (M, p) array of points and returns their M Hessians, computed in one
-    numpy pass; `apply(H, v)` returns H @ v for one of them and p floats v,
-    as p floats."""
+    (M, p) array of points and returns the list of their M Hessians,
+    computed in one numpy pass, each from its own point alone; `apply(H, v)`
+    returns H @ v for one of them and p floats v, as p floats."""
 
     entries: Callable
     apply: Callable

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsteer import LossScale, SolverConfig, TimeGrid
+from gradsteer import (BasisControl, GridControl, LossScale, SolverConfig,
+                       TimeGrid)
 from gradsteer.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED,
                            EXIT_GRADCHECK, EXIT_OK, ingest_csv, main,
                            parse_config, run_fit, run_gradcheck, run_simulate)
@@ -52,6 +53,23 @@ def write_config(path: Path, **overrides) -> Path:
     cfg = path / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return cfg
+
+
+def assert_zero_start(parsed, size: int) -> None:
+    """The parsed config's start is the zero control of `size` basis
+    functions, or a grid control for size 0, on its grid and with its u_max."""
+    start = parsed.start
+    p = parsed.partition.dimension
+    if size:
+        assert type(start) is BasisControl
+        assert start.coefficients.shape == (size, p)
+        assert not start.coefficients.any()
+    else:
+        assert type(start) is GridControl
+        assert start.values.shape == (parsed.grid.steps + 1, p)
+        assert not start.values.any()
+    assert start.grid == parsed.grid
+    assert start.u_max == parsed.solver.u_max
 
 
 def shipped_config(tmp_path: Path, name: str, **overrides) -> Path:
@@ -218,7 +236,7 @@ class TestParseConfig:
     ])
     def test_control_values(self, tmp_path, control, size):
         cfg = write_config(tmp_path, control=control)
-        assert parse_config(cfg).basis_size == size
+        assert_zero_start(parse_config(cfg), size)
 
     @pytest.mark.parametrize("size", [12, 10])
     def test_dependent_basis_rejected(self, tmp_path, capsys, size):
@@ -239,7 +257,7 @@ class TestParseConfig:
         assert np.linalg.matrix_rank(basis_gram_matrix(TimeGrid(1.5, 8), 9)) == 9
         cfg = shipped_config(tmp_path, "michaelis_menten_basis.cfg", N_t=8,
                              control="basis 9")
-        assert parse_config(cfg).basis_size == 9
+        assert_zero_start(parse_config(cfg), 9)
 
     def test_numerically_dependent_basis_rejected(self, tmp_path, capsys):
         # 38 functions at the 41 nodes of N_t = 40 pass the K <= N_t + 1
@@ -259,7 +277,7 @@ class TestParseConfig:
         assert np.linalg.matrix_rank(basis_gram_matrix(TimeGrid(1.5, 40), 37)) == 37
         cfg = shipped_config(tmp_path, "michaelis_menten_basis.cfg", N_t=40,
                              control="basis 37")
-        assert parse_config(cfg).basis_size == 37
+        assert_zero_start(parse_config(cfg), 37)
 
     def test_grid_rule_names_its_key(self, tmp_path):
         cfg = write_config(tmp_path, N_t="1")
@@ -287,7 +305,7 @@ class TestParseConfig:
         parsed = parse_config(cfg)
         assert parsed.solver == SolverConfig()
         assert parsed.loss_scale is LossScale.HALF
-        assert parsed.basis_size == 0  # a grid control
+        assert_zero_start(parsed, 0)  # a grid control
         assert (parsed.out_dir, parsed.seed) == (Path("out"), 0)
 
 
@@ -438,6 +456,18 @@ class TestRunSimulate:
         run_simulate(cfg, out2)
         assert (out1 / "trajectory.csv").read_bytes() == \
             (out2 / "trajectory.csv").read_bytes()
+
+    def test_basis_start_simulates_as_grid(self, tmp_path):
+        # the shipped configs differ in their control (and out_dir); both
+        # start from the zero control, so both integrate the uncontrolled
+        # flow, byte for byte
+        grid_cfg = shipped_config(tmp_path, "michaelis_menten.cfg")
+        basis_cfg = shipped_config(tmp_path, "michaelis_menten_basis.cfg")
+        grid_out, basis_out = tmp_path / "sg", tmp_path / "sb"
+        assert run_simulate(grid_cfg, grid_out) == EXIT_OK
+        assert run_simulate(basis_cfg, basis_out) == EXIT_OK
+        assert (grid_out / "trajectory.csv").read_bytes() == \
+            (basis_out / "trajectory.csv").read_bytes()
 
     def test_matches_degenerate_fit_bitwise(self, tmp_path):
         cfg = write_config(tmp_path, **FROZEN)

@@ -8,7 +8,7 @@ from gradsteer.adjoint import (FollowerProblem, follower_backward,
                                follower_cost, follower_forward,
                                follower_gradient_arrays, require_finite)
 from gradsteer import follower
-from gradsteer.cli import _initial_control, parse_config
+from gradsteer.cli import parse_config
 from gradsteer.core import (basis_gram_matrix, node_costates,
                             sampled_basis_matrix, trapezoid_weights)
 from gradsteer.follower import backtrack, msa_direction, solve_follower
@@ -139,9 +139,8 @@ class TestSolveFollower:
         prob, init = clamped_follower_problem()
         res = solve(prob, init, SolverConfig(inner_tol=1e-10,
                                              max_inner=20))
-        assert res.stalled
         assert not res.converged
-        assert res.gamma_last == 0.0
+        assert res.gamma_last == 0.0  # no step taken
         assert res.u2_star is init
         assert res.inner_iterations == 1
         assert res.J2_value > 0.0
@@ -204,7 +203,7 @@ class TestShippedFirstSolve:
     def test_iterations_and_cost(self, name, max_iterations, j2_max,
                                  residual_max):
         cfg = parse_config(REPO / "configs" / name)
-        zero = _initial_control(cfg)  # both agents' start
+        zero = cfg.start  # both agents' start
         s = cfg.solver
         prob = FollowerProblem(Objective(cfg.model, cfg.split.train(cfg.data),
                                          cfg.loss_scale),

@@ -173,9 +173,9 @@ def test_stage_indices_visited():
     # zero gradient and stage s's control equal to s, each step's states
     # give its slopes: node j feeds k1, the midpoint k2 and k3, node j + 1
     # k4. The stored stage states are the ones the forward step evaluated,
-    # and the backward step differentiates at them in reverse, ending at the
-    # node state
-    grid = TimeGrid(1.0, 3)
+    # and the backward step applies the Hessians at them in reverse, ending
+    # at the node state, over more than one block of steps
+    grid = TimeGrid(1.0, HESSIAN_BLOCK + 2)
     h = grid.dt
     states = []
 
@@ -195,17 +195,17 @@ def test_stage_indices_visited():
         assert np.array_equal(states[4 * j], traj.states[j])
         assert np.array_equal(np.array(states[4 * j + 1:4 * j + 4]),
                               traj.stages[j])
-    visited = []
+    # each point's "Hessian" is the point itself, recorded where it is used
+    used = []
 
-    def entries(points):
-        visited.extend(points.copy())
-        return [None] * len(points)
+    def apply(hess, v):
+        used.append(hess)
+        return [0.0]
 
-    integrate_backward(Hessian(entries, lambda hess, v: [0.0]), traj,
-                       np.zeros(1), 1.0)
+    integrate_backward(Hessian(list, apply), traj, np.zeros(1), 1.0)
     expected = [row for j in range(grid.steps - 1, -1, -1)
                 for row in (*traj.stages[j][::-1], traj.states[j])]
-    assert np.array_equal(np.array(visited), np.array(expected))
+    assert np.array_equal(np.array(used), np.array(expected))
 
 
 def per_point_backward(hvp, traj, p_T, forcing):

@@ -56,7 +56,8 @@ class TestLeaderStep:
         res = step(prob, u1, SolverConfig(gamma1=0.5))
         assert res.grad_norm == 0.0
         assert res.u1 is u1
-        assert not res.stalled
+        assert res.converged  # no step tried, rather than none found
+        assert res.gamma_used == 0.0
 
     def test_single_step_decreases_merit(self, small_setup):
         objective, validation, grid, partition, theta0 = small_setup
@@ -93,7 +94,7 @@ class TestLeaderStep:
         u1 = GridControl(grid, np.full((51, 1), -0.01), u_max=0.01)
         res = step(prob, u1, SolverConfig(gamma1=0.5))
         assert res.grad_norm > 0.5
-        assert res.stalled
+        assert not res.converged  # a step was tried, and none found
         assert res.u1 is u1
         assert res.gamma_used == 0.0
         fresh = leader_forward(prob, u1)
@@ -140,6 +141,30 @@ class TestSolveNested:
         assert report.history[0].gamma1_used == 0.0
         assert report.history[0].gamma2_used == 0.0
         assert report.u1 is start and report.u2 is start
+
+    def test_leader_stall_alone_does_not_stop_the_run(self):
+        # the leader starts pinned at -u_max with its costate pushing it
+        # further out (zero training gradient, theta_1 > 0, mu = 0), so it
+        # never takes a step; the follower starts inside the bound and takes
+        # one step per solve (max_inner = 2) without converging, so the run
+        # goes on to max_outer
+        objective = linear_objective(np.zeros((1, 2)), [0.0])
+        grid = TimeGrid(1.0, 50)
+        partition = ControlPartition(np.array([1.0, 0.0]))
+        start = GridControl(grid, np.column_stack([np.full(51, -1.0),
+                                                   np.zeros(51)]), u_max=1.0)
+        config = SolverConfig(alpha=0.5, beta=1.0, mu=0.0, z=0.0,
+                              inner_tol=1e-10, max_inner=2, max_outer=3)
+        report = solve_nested(config, objective, objective, partition,
+                              np.array([10.0, 1.0]), start)
+        assert report.outer_iterations == config.max_outer
+        assert not report.converged
+        for record in report.history:
+            assert record.leader_grad_norm > config.eps_tol
+            assert record.gamma1_used == 0.0
+            assert record.gamma2_used > 0.0
+        assert report.u1 is start
+        assert report.u2.values[:, 1].any()
 
     def test_reduction_to_uncontrolled_flow(self, small_setup):
         # both agents frozen at zero: the follower's cap of one iteration
