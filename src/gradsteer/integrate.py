@@ -10,8 +10,12 @@ floats, one array row in or out at a time: with a few parameters, numpy's
 per-call overhead would cost more than the arithmetic. The forward sweep's
 `grad` takes and returns p floats. The backward sweep fetches the Hessians
 of a block of steps' stage points in one numpy pass (`models.Hessian`), then
-walks the block on floats. The forward step, `rk4_steps`, also runs K sweeps
-at once on lane arrays (`integrate_lanes`).
+walks the block on floats. With p = 2, as in every Michaelis-Menten problem,
+both sweeps run pair bodies, `rk4_pair_steps` and `_walk_pair_block`: the
+generic `rk4_steps` and `_walk_block` with the coordinates unrolled, the same
+float operations in the same order and the same `grad` and `hessian.apply`
+calls, so the same bits. `rk4_steps` also runs K sweeps at once on lane
+arrays (`integrate_lanes`), for every p.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ def rk4_steps(grad: Callable, stage_u, y, h: float):
     yields each step's (y2, y3, y4, next y). y, each control and grad's
     argument and value are sequences of the same length: p floats, or one
     (p, K) array of K lanes, each of which runs the float arithmetic in its
-    order, bit for bit."""
+    order, bit for bit. The float sweep of any p but 2 and every lane sweep
+    step here; `rk4_pair_steps` is this body unrolled for 2 floats."""
     half, sixth = 0.5 * h, h / 6.0
     stage_u = iter(stage_u)
     u_node = next(stage_u)
@@ -65,6 +70,33 @@ def rk4_steps(grad: Callable, stage_u, y, h: float):
         yield y2, y3, y4, y
 
 
+def rk4_pair_steps(grad: Callable, stage_u, y, h: float):
+    """`rk4_steps` on p = 2 floats, its coordinates unrolled: the same float
+    operations in the same order, so the same bits."""
+    half, sixth = 0.5 * h, h / 6.0
+    stage_u = iter(stage_u)
+    u_node = next(stage_u)
+    a0, a1 = y
+    for m0, m1 in stage_u:
+        (f0, f1), u_node = u_node, next(stage_u)
+        g0, g1 = grad(y)
+        k10, k11 = f0 - g0, f1 - g1
+        y2 = [a0 + half * k10, a1 + half * k11]
+        g0, g1 = grad(y2)
+        k20, k21 = m0 - g0, m1 - g1
+        y3 = [a0 + half * k20, a1 + half * k21]
+        g0, g1 = grad(y3)
+        k30, k31 = m0 - g0, m1 - g1
+        y4 = [a0 + h * k30, a1 + h * k31]
+        g0, g1 = grad(y4)
+        n0, n1 = u_node
+        k40, k41 = n0 - g0, n1 - g1
+        a0 = a0 + sixth * (k10 + 2.0 * (k20 + k30) + k40)
+        a1 = a1 + sixth * (k11 + 2.0 * (k21 + k31) + k41)
+        y = [a0, a1]
+        yield y2, y3, y4, y
+
+
 def integrate_forward(grad: Callable, stage_u, theta0,
                       grid: TimeGrid) -> Trajectory:
     """RK4 of theta' = stage_u[s] - grad(theta) from theta0 over `grid`, with
@@ -77,7 +109,8 @@ def integrate_forward(grad: Callable, stage_u, theta0,
     stages = np.empty((grid.steps, 3, len(y)))
     states[0] = y
     rows = (row.tolist() for row in stage_u)
-    for j, (y2, y3, y4, y) in enumerate(rk4_steps(grad, rows, y, grid.dt)):
+    steps = rk4_pair_steps if len(y) == 2 else rk4_steps
+    for j, (y2, y3, y4, y) in enumerate(steps(grad, rows, y, grid.dt)):
         stages[j] = y2, y3, y4
         if not all(map(math.isfinite, y)):
             raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
@@ -130,39 +163,82 @@ def integrate_backward(hessian, traj: Trajectory, p_T,
     `hessian.apply` at each stage. `entries` works point by point, so each
     Hessian does not depend on the order of the points."""
     grid = traj.grid
-    n, h = grid.steps, grid.dt
-    half, sixth = 0.5 * h, h / 6.0
-    apply = hessian.apply
+    n = grid.steps
     running = (forcing * trapezoid_weights(grid))[:, None] * traj.states
     lam = (p_T + running[n]).tolist()
     p = len(lam)
     sens = np.empty((2 * n + 1, p))
-    # g1 of the step after j, whose stage 2j + 2 it shares with step j's g4
+    walk = _walk_pair_block if p == 2 else _walk_block
+    # g1 of the step after the block, whose stage it shares with a g4
     after = [0.0] * p
     for stop in range(n, 0, -HESSIAN_BLOCK):
         start = max(stop - HESSIAN_BLOCK, 0)
         points = np.concatenate((traj.states[start:stop, None],
                                  traj.stages[start:stop]), axis=1)
-        hess = reversed(hessian.entries(points.reshape(-1, p)))
-        for j in range(stop - 1, start - 1, -1):
-            # the stage slopes are u - grad J, so each H g enters with a minus
-            g4 = [sixth * a for a in lam]
-            hg4 = apply(next(hess), g4)
-            g3 = [2.0 * g - h * a for g, a in zip(g4, hg4)]
-            hg3 = apply(next(hess), g3)
-            g2 = [2.0 * g - half * a for g, a in zip(g4, hg3)]
-            hg2 = apply(next(hess), g2)
-            g1 = [g - half * a for g, a in zip(g4, hg2)]
-            hg1 = apply(next(hess), g1)
-            sens[2 * j + 2] = [a + g for a, g in zip(after, g4)]
-            sens[2 * j + 1] = [a + b for a, b in zip(g2, g3)]
-            after = g1
-            lam = [a - b1 - b2 - b3 - b4 + r for a, b1, b2, b3, b4, r
-                   in zip(lam, hg1, hg2, hg3, hg4, running[j].tolist())]
-            if not all(map(math.isfinite, lam)):
-                raise DivergenceError(grid.nodes[j], j, "costate")
-        # free this block's Hessians before the next block's are built
-        del hess
+        # the block's Hessians are freed when its walk returns
+        lam, after = walk(hessian.apply,
+                          reversed(hessian.entries(points.reshape(-1, p))),
+                          start, running[start:stop].tolist(), lam, after,
+                          sens, grid)
     sens[0] = after
     sens.flags.writeable = False
     return sens
+
+
+def _walk_block(apply, hess, start, running, lam, after, sens,
+                grid: TimeGrid):
+    """The transposed RK4 steps start + len(running) - 1 down to start, on p
+    floats: from lam, the costate after the block, and `after`, the g1 of
+    the step after it. `hess` iterates over the block's Hessians last to
+    first and `running` holds its steps' running-cost gradients. Writes
+    each step j's stage 2j + 1 and 2j + 2 sensitivities into `sens`;
+    returns lambda_start and step start's g1."""
+    h = grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    for j, r in zip(range(start + len(running) - 1, start - 1, -1),
+                    reversed(running)):
+        # the stage slopes are u - grad J, so each H g enters with a minus
+        g4 = [sixth * a for a in lam]
+        hg4 = apply(next(hess), g4)
+        g3 = [2.0 * g - h * a for g, a in zip(g4, hg4)]
+        hg3 = apply(next(hess), g3)
+        g2 = [2.0 * g - half * a for g, a in zip(g4, hg3)]
+        hg2 = apply(next(hess), g2)
+        g1 = [g - half * a for g, a in zip(g4, hg2)]
+        hg1 = apply(next(hess), g1)
+        sens[2 * j + 2] = [a + g for a, g in zip(after, g4)]
+        sens[2 * j + 1] = [a + b for a, b in zip(g2, g3)]
+        after = g1
+        lam = [a - b1 - b2 - b3 - b4 + c for a, b1, b2, b3, b4, c
+               in zip(lam, hg1, hg2, hg3, hg4, r)]
+        if not all(map(math.isfinite, lam)):
+            raise DivergenceError(grid.nodes[j], j, "costate")
+    return lam, after
+
+
+def _walk_pair_block(apply, hess, start, running, lam, after, sens,
+                     grid: TimeGrid):
+    """`_walk_block` on p = 2 floats, its coordinates unrolled: the same
+    float operations in the same order, so the same bits."""
+    h = grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    l0, l1 = lam
+    a0, a1 = after
+    for j, (r0, r1) in zip(range(start + len(running) - 1, start - 1, -1),
+                           reversed(running)):
+        g40, g41 = sixth * l0, sixth * l1
+        b40, b41 = apply(next(hess), [g40, g41])
+        g30, g31 = 2.0 * g40 - h * b40, 2.0 * g41 - h * b41
+        b30, b31 = apply(next(hess), [g30, g31])
+        g20, g21 = 2.0 * g40 - half * b30, 2.0 * g41 - half * b31
+        b20, b21 = apply(next(hess), [g20, g21])
+        g10, g11 = g40 - half * b20, g41 - half * b21
+        b10, b11 = apply(next(hess), [g10, g11])
+        sens[2 * j + 2] = a0 + g40, a1 + g41
+        sens[2 * j + 1] = g20 + g30, g21 + g31
+        a0, a1 = g10, g11
+        l0 = l0 - b10 - b20 - b30 - b40 + r0
+        l1 = l1 - b11 - b21 - b31 - b41 + r1
+        if not (math.isfinite(l0) and math.isfinite(l1)):
+            raise DivergenceError(grid.nodes[j], j, "costate")
+    return [l0, l1], [a0, a1]

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 from gradsteer import (Dataset, DivergenceError, LossScale, ModelKind,
                        Objective, SingularityError, TimeGrid,
                        integrate_backward, integrate_forward)
+from gradsteer import integrate
 from gradsteer.core import node_costates, trapezoid_weights
 from gradsteer.integrate import (HESSIAN_BLOCK, integrate_lanes,
                                  squared_norms)
@@ -19,6 +21,16 @@ from conftest import float_hvp, linear_objective, zero_stages
 def decay(y):
     # the gradient of J(y) = |y|^2 / 2, so the uncontrolled flow is y' = -y
     return y
+
+
+@contextlib.contextmanager
+def generic_bodies():
+    """Sweeps of two parameters run the generic bodies, `rk4_steps` and
+    `_walk_block`, in place of the pair bodies: the reference for them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrate, "rk4_pair_steps", integrate.rk4_steps)
+        patch.setattr(integrate, "_walk_pair_block", integrate._walk_block)
+        yield
 
 
 def constant_hessian(apply):
@@ -208,6 +220,97 @@ def test_stage_indices_visited():
     assert np.array_equal(np.array(used), np.array(expected))
 
 
+def test_divergence_detected_with_two_parameters():
+    # either coordinate blowing up stops the pair body's sweep at the step
+    # and time where the generic body stops
+    grid = TimeGrid(1.0, 10)
+    blow_up = lambda y: [-a * a for a in y]
+    for theta0 in ([5.0, 0.1], [0.1, 5.0]):
+        with pytest.raises(DivergenceError) as err:
+            integrate_forward(blow_up, zero_stages(grid, 2), np.array(theta0),
+                              grid)
+        with generic_bodies(), pytest.raises(DivergenceError) as want:
+            integrate_forward(blow_up, zero_stages(grid, 2), np.array(theta0),
+                              grid)
+        assert err.value.what == want.value.what == "state"
+        assert err.value.step == want.value.step > 1
+        assert err.value.t == want.value.t == grid.nodes[err.value.step]
+
+
+@pytest.mark.parametrize("coordinate", [0, 1])
+def test_backward_divergence_in_a_later_block_with_two_parameters(
+        coordinate):
+    # test_backward_divergence_in_a_later_block for the pair walk: the
+    # infinite Hessian reaches one coordinate of the costate, and the error
+    # names step j and its time, as the generic walk's does
+    grid = TimeGrid(1.0, 2 * HESSIAN_BLOCK + 40)
+    traj = integrate_forward(decay, zero_stages(grid, 2),
+                             np.array([1.0, -2.0]), grid)
+    j = 17
+    bad = traj.stages[j, 2, 0]
+    hessian = Hessian(
+        lambda points: [math.inf if x == bad else 1.0 for x in points[:, 0]],
+        lambda hess, v: [hess * a if k == coordinate else a
+                         for k, a in enumerate(v)])
+    with pytest.raises(DivergenceError) as err:
+        integrate_backward(hessian, traj, np.array([1.0, 1.0]), 0.0)
+    with generic_bodies(), pytest.raises(DivergenceError) as want:
+        integrate_backward(hessian, traj, np.array([1.0, 1.0]), 0.0)
+    for e in (err, want):
+        assert (e.value.what, e.value.step, e.value.t) == (
+            "costate", j, grid.nodes[j])
+
+
+def test_stage_indices_visited_with_two_parameters():
+    # test_stage_indices_visited for the pair bodies, with stage s's control
+    # (s, -s/2): the stored stage states are the ones the forward step
+    # evaluated, and the backward walk applies the Hessians at them in
+    # reverse, to the generic walk's vectors, over more than one block
+    grid = TimeGrid(1.0, HESSIAN_BLOCK + 2)
+    h = grid.dt
+    states = []
+
+    def grad(y):
+        states.append(list(y))
+        return [0.0, 0.0]
+
+    stage_u = np.arange(2.0 * grid.steps + 1)[:, None] * [1.0, -0.5]
+    traj = integrate_forward(grad, stage_u, np.array([0.9, 0.4]), grid)
+    for j in range(grid.steps):
+        y, y_next = traj.states[j], traj.states[j + 1]
+        y2, y3, y4 = traj.stages[j]
+        k1, k2, k3 = (y2 - y) / (h / 2), (y3 - y) / (h / 2), (y4 - y) / h
+        k4 = 6.0 * (y_next - y) / h - k1 - 2.0 * (k2 + k3)
+        for k, s in zip((k1, k2, k3, k4), (2 * j, 2 * j + 1, 2 * j + 1,
+                                           2 * j + 2)):
+            assert k.tolist() == pytest.approx([s, -0.5 * s])
+        assert np.array_equal(states[4 * j], traj.states[j])
+        assert np.array_equal(np.array(states[4 * j + 1:4 * j + 4]),
+                              traj.stages[j])
+
+    # each point's "Hessian" is the point itself, recorded where it is used
+    def walk():
+        used = []
+
+        def apply(hess, v):
+            used.append((hess.tolist(), list(v)))
+            return [hess[0] * v[0] - hess[1] * v[1], hess[1] * v[0]]
+
+        sens = integrate_backward(Hessian(list, apply), traj,
+                                  np.array([1.0, -1.0]), 1.0)
+        return used, sens
+
+    used, sens = walk()
+    with generic_bodies():
+        want, want_sens = walk()
+    assert used == want
+    assert sens.tobytes() == want_sens.tobytes()
+    expected = [row for j in range(grid.steps - 1, -1, -1)
+                for row in (*traj.stages[j][::-1], traj.states[j])]
+    assert np.array_equal(np.array([hess for hess, _ in used]),
+                          np.array(expected))
+
+
 def per_point_backward(hvp, traj, p_T, forcing):
     """The backward sweep that the block sweep replaced: one hvp(theta, v)
     call at each stage point, kept as its reference."""
@@ -248,7 +351,8 @@ class TestBlockSweep:
                                        2 * HESSIAN_BLOCK + 37])
     @pytest.mark.parametrize("model,p", [(ModelKind.MICHAELIS_MENTEN, 2),
                                          (ModelKind.LINEAR, 1),
-                                         (ModelKind.LINEAR, 3)])
+                                         (ModelKind.LINEAR, 3),
+                                         (ModelKind.LINEAR, 2)])
     def test_matches_the_per_point_sweep_bitwise(self, model, p, steps):
         obj, theta0, stage_u, grid = TestLaneSweep.lane_problem(
             model, p, steps, k=1, steps=steps)
@@ -286,7 +390,7 @@ class TestLaneSweep:
                 for k in range(theta0.shape[1])]
 
     CASES = [(ModelKind.MICHAELIS_MENTEN, 2), (ModelKind.LINEAR, 1),
-             (ModelKind.LINEAR, 3)]
+             (ModelKind.LINEAR, 3), (ModelKind.LINEAR, 2)]
 
     def test_cases_cover_every_model_kind(self):
         assert {model for model, _ in self.CASES} == set(ModelKind)
@@ -326,3 +430,42 @@ class TestLaneSweep:
                               grid)
         assert lane_err.value.what == "state"
         assert lane_err.value.step == float_err.value.step
+
+
+class TestPairSweep:
+    # integrate_forward and integrate_backward run the pair bodies on two
+    # parameters; their floats must be the generic bodies', bit for bit
+
+    def test_two_parameters_take_the_pair_bodies(self, monkeypatch):
+        def generic(*args):
+            raise AssertionError("a generic body ran on two parameters")
+
+        monkeypatch.setattr(integrate, "rk4_steps", generic)
+        monkeypatch.setattr(integrate, "_walk_block", generic)
+        grid = TimeGrid(1.0, 10)
+        traj = integrate_forward(decay, zero_stages(grid, 2),
+                                 np.array([1.0, 2.0]), grid)
+        integrate_backward(constant_hessian(lambda hess, v: v), traj,
+                           np.ones(2), 1.0)
+
+    @staticmethod
+    def nonlinear_grad(y):
+        # not a model's gradient, and its values are numpy scalars
+        return np.sin(y[0]) * y[1], np.tanh(y[1]) - 0.5 * y[0]
+
+    @pytest.mark.parametrize("model", [ModelKind.MICHAELIS_MENTEN,
+                                       ModelKind.LINEAR, None])
+    def test_forward_matches_the_generic_step_bitwise(self, model):
+        # random stage controls over more than one HESSIAN_BLOCK of steps
+        steps = HESSIAN_BLOCK + 37
+        obj, theta0, stage_u, grid = TestLaneSweep.lane_problem(
+            model or ModelKind.MICHAELIS_MENTEN, 2, steps, k=1, steps=steps)
+        grad = self.nonlinear_grad if model is None else gradient_function(obj)
+        assert np.abs(stage_u).min() > 0.0
+        got = integrate_forward(grad, stage_u[:, :, 0], theta0[:, 0], grid)
+        with generic_bodies():
+            want = integrate_forward(grad, stage_u[:, :, 0], theta0[:, 0],
+                                     grid)
+        for a, b in ((got.states, want.states), (got.stages, want.stages),
+                     (got.state_sq, want.state_sq)):
+            assert a.tobytes() == b.tobytes()
