@@ -293,8 +293,7 @@ def _write_svg(path, title: str, xlab: str, ylab: str,
         f'font-size="14" transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">'
         f'{ylab}</text>',
     ]
-    Path(path).write_text("\n".join(frame + body + ["</svg>"]) + "\n",
-                          encoding="utf-8")
+    _write_text(path, "\n".join(frame + body + ["</svg>"]) + "\n")
 
 
 def write_fit_plot(path, data: Dataset, model: ModelKind, theta) -> None:
@@ -337,15 +336,24 @@ def write_residuals_plot(path, residuals) -> None:
 # ---------------------------------------------------------------------------
 # output files
 
+def _write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8. A failed write, such as on a full
+    disk, raises an OSError that names `path`."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
 def _write_node_table(path, grid: TimeGrid, **tables: np.ndarray) -> None:
     """One CSV row per grid node: the time, then each (nodes, p) table's
     columns, headed <name>_1 .. <name>_p in keyword order."""
     header = ["t"] + [f"{name}_{j + 1}" for name, table in tables.items()
                       for j in range(table.shape[1])]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(grid.nodes, np.hstack(list(tables.values()))):
-            fh.write(",".join(repr(float(x)) for x in (t, *row)) + "\n")
+    lines = [",".join(header)] + [
+        ",".join(repr(float(x)) for x in (t, *row))
+        for t, row in zip(grid.nodes, np.hstack(list(tables.values())))]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +389,8 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
         "residuals": {"mean": mean, "std": std, "values": eps.tolist()},
         "history": [asdict(h) for h in report.history],
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(out / "report.json",
+                json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_node_table(out / "trajectory.csv", cfg.grid,
                       theta=report.trajectory.states)
     _write_node_table(out / "controls.csv", cfg.grid,
@@ -422,11 +429,10 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     records = gradient_check(objective, validation, cfg.partition, cfg.theta0,
                              cfg.grid, cfg.solver, seed=cfg.seed,
                              n_directions=20, corruption=corruption)
-    with open(out / "gradcheck.csv", "w", encoding="utf-8") as fh:
-        fh.write("functional,direction,fd,adjoint,rel_error\n")
-        for r in records:
-            fh.write(f"{r['functional']},{r['direction']},{r['fd']!r},"
-                     f"{r['adjoint']!r},{r['rel_error']!r}\n")
+    _write_text(out / "gradcheck.csv", "".join(
+        ["functional,direction,fd,adjoint,rel_error\n"]
+        + [f"{r['functional']},{r['direction']},{r['fd']!r},"
+           f"{r['adjoint']!r},{r['rel_error']!r}\n" for r in records]))
     # a NaN comparison passes no `<=` test, and is the worst one
     tol = {"follower": FOLLOWER_CHECK_TOL, "leader": LEADER_CHECK_TOL}
     bad = [r for r in records if not r["rel_error"] <= tol[r["functional"]]]

@@ -8,19 +8,20 @@ runs the transposed step along them (Hager 2000, Numer. Math. 87), exact for
 the forward sweep's numbers at any step size. Both sweeps step on Python
 floats, one array row in or out at a time: with a few parameters, numpy's
 per-call overhead would cost more than the arithmetic. The forward sweep's
-`grad` takes and returns p floats. The backward sweep fetches the Hessians
-of a block of steps' stage points in one numpy pass (`models.Hessian`), then
-walks the block on floats. With p = 2, as in every Michaelis-Menten problem,
-both sweeps run pair bodies, `rk4_pair_steps` and `_walk_pair_block`: the
-generic `rk4_steps` and `_walk_block` with the coordinates unrolled, the same
-float operations in the same order and the same `grad` and `hessian.apply`
-calls, so the same bits. `rk4_steps` also runs K sweeps at once on lane
-arrays (`integrate_lanes`), for every p.
+`grad` takes and returns p floats. The backward sweep is one walk over all
+steps, fed stage Hessians a block of steps at a time (`models.Hessian`).
+Each sweep is one pass of a body chosen by p: with p = 2, as in every
+Michaelis-Menten problem, the pair bodies `rk4_pair_steps` and
+`_walk_pair`, the generic `rk4_steps` and `_walk` with the coordinates
+unrolled: the same float operations in the same order and the same `grad`
+and `hessian.apply` calls, so the same bits. `integrate_lanes` runs K
+sweeps at once through the same forward body, on p rows of K lanes each.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -49,10 +50,9 @@ def rk4_steps(grad: Callable, stage_u, y, h: float):
     """RK4 steps of theta' = u - grad(theta) from y with step h, along
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order:
     yields each step's (y2, y3, y4, next y). y, each control and grad's
-    argument and value are sequences of the same length: p floats, or one
-    (p, K) array of K lanes, each of which runs the float arithmetic in its
-    order, bit for bit. The float sweep of any p but 2 and every lane sweep
-    step here; `rk4_pair_steps` is this body unrolled for 2 floats."""
+    argument and value are p coordinates, each a float or a (K,) array of
+    K lanes; each lane runs the float arithmetic in its order, bit for bit.
+    Every sweep of p other than 2 steps here."""
     half, sixth = 0.5 * h, h / 6.0
     stage_u = iter(stage_u)
     u_node = next(stage_u)
@@ -71,8 +71,8 @@ def rk4_steps(grad: Callable, stage_u, y, h: float):
 
 
 def rk4_pair_steps(grad: Callable, stage_u, y, h: float):
-    """`rk4_steps` on p = 2 floats, its coordinates unrolled: the same float
-    operations in the same order, so the same bits."""
+    """`rk4_steps` on p = 2 coordinates, floats or lane arrays, unrolled:
+    the same float operations in the same order, so the same bits."""
     half, sixth = 0.5 * h, h / 6.0
     stage_u = iter(stage_u)
     u_node = next(stage_u)
@@ -133,21 +133,23 @@ def integrate_lanes(grad: Callable, stage_u, theta0,
     """`integrate_forward` on K lanes at once: theta0 and each entry of
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order, are
     (p, K) arrays, and `grad` takes and returns p arrays of shape (K,)
-    (`models.lane_gradient_function`). The (p, K) state is `rk4_steps`' one
-    entry, so each lane's floats are its own float sweep's, bit for bit.
-    Returns what a `Trajectory` gives the costs, for every lane: the
-    (K, N + 1) array of |theta_j|^2 at the nodes, and the (K, p) terminal
-    states theta(T); an overflowing |theta|^2 is inf here, as there."""
+    (`models.lane_gradient_function`). Their p rows go to the body that
+    `integrate_forward` runs for p, so each lane's floats are its own float
+    sweep's, bit for bit. Returns what a `Trajectory` gives the costs, for
+    every lane: the (K, N + 1) array of |theta_j|^2 at the nodes, and the
+    (K, p) terminal states theta(T); an overflowing |theta|^2 is inf here,
+    as there."""
     y = np.array(theta0, dtype=float)
     sq = np.empty((grid.steps + 1, y.shape[1]))
+    # each |theta|^2 sums a C-ordered (K, p) row, in its lane's float order
     sq[0] = squared_norms(y.T.copy())
-    steps = rk4_steps(lambda ys: [np.array(grad(ys[0]))],
-                      ([u] for u in stage_u), [y], grid.dt)
-    for j, (*_, (y,)) in enumerate(steps):
-        if not np.isfinite(y).all():
+    steps = rk4_pair_steps if len(y) == 2 else rk4_steps
+    for j, (*_, y) in enumerate(steps(grad, stage_u, y, grid.dt)):
+        rows = np.array(y).T.copy()
+        if not np.isfinite(rows).all():
             raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
-        sq[j + 1] = squared_norms(y.T.copy())
-    return sq.T, y.T.copy()
+        sq[j + 1] = squared_norms(rows)
+    return sq.T, rows
 
 
 def integrate_backward(hessian, traj: Trajectory, p_T,
@@ -155,48 +157,44 @@ def integrate_backward(hessian, traj: Trajectory, p_T,
     """dL/du at all 2N + 1 stages of `traj`, a read-only (2N + 1, p) array;
     `traj` is a forward sweep of theta' = u - grad J(theta) with `hessian`
     the `models.Hessian` of J, and L = sum_j w_j forcing/2 |theta_j|^2 + (a
-    terminal term of gradient p_T), w the trapezoid weights. Runs lambda_j =
-    dL/dtheta_j through the transposed RK4 steps from lambda_N = p_T + w_N *
-    forcing * theta_N, HESSIAN_BLOCK steps at a time: one `hessian.entries`
-    call per block, on its points in stored order (node j, y2, y3, y4 of
-    each step), whose Hessians the walk uses last to first, with
-    `hessian.apply` at each stage. `entries` works point by point, so each
-    Hessian does not depend on the order of the points."""
+    terminal term of gradient p_T), w the trapezoid weights. One walk runs
+    lambda_j = dL/dtheta_j through the transposed RK4 steps N - 1 ... 0 from
+    lambda_N = p_T + w_N * forcing * theta_N, with `hessian.apply` at each
+    stage, drawing Hessians and running-cost rows from two lazy streams
+    that fetch HESSIAN_BLOCK steps at a time, last block first: one
+    `hessian.entries` call per block, on its points in stored order (node
+    j, y2, y3, y4 of each step), so one block's Hessians are held at a time.
+    `entries` works point by point: a Hessian does not depend on the order."""
     grid = traj.grid
     n = grid.steps
     running = (forcing * trapezoid_weights(grid))[:, None] * traj.states
     lam = (p_T + running[n]).tolist()
     p = len(lam)
+    blocks = [(max(stop - HESSIAN_BLOCK, 0), stop)
+              for stop in range(n, 0, -HESSIAN_BLOCK)]
+    hess = chain.from_iterable(reversed(hessian.entries(np.concatenate(
+        (traj.states[a:b, None], traj.stages[a:b]), axis=1).reshape(-1, p)))
+        for a, b in blocks)
+    rows = chain.from_iterable(reversed(running[a:b].tolist())
+                               for a, b in blocks)
     sens = np.empty((2 * n + 1, p))
-    walk = _walk_pair_block if p == 2 else _walk_block
-    # g1 of the step after the block, whose stage it shares with a g4
-    after = [0.0] * p
-    for stop in range(n, 0, -HESSIAN_BLOCK):
-        start = max(stop - HESSIAN_BLOCK, 0)
-        points = np.concatenate((traj.states[start:stop, None],
-                                 traj.stages[start:stop]), axis=1)
-        # the block's Hessians are freed when its walk returns
-        lam, after = walk(hessian.apply,
-                          reversed(hessian.entries(points.reshape(-1, p))),
-                          start, running[start:stop].tolist(), lam, after,
-                          sens, grid)
-    sens[0] = after
+    walk = _walk_pair if p == 2 else _walk
+    sens[0] = walk(hessian.apply, hess, rows, lam, sens, grid)
     sens.flags.writeable = False
     return sens
 
 
-def _walk_block(apply, hess, start, running, lam, after, sens,
-                grid: TimeGrid):
-    """The transposed RK4 steps start + len(running) - 1 down to start, on p
-    floats: from lam, the costate after the block, and `after`, the g1 of
-    the step after it. `hess` iterates over the block's Hessians last to
-    first and `running` holds its steps' running-cost gradients. Writes
-    each step j's stage 2j + 1 and 2j + 2 sensitivities into `sens`;
-    returns lambda_start and step start's g1."""
+def _walk(apply, hess, running, lam, sens, grid: TimeGrid):
+    """The transposed RK4 steps N - 1 down to 0 on p floats, from lam =
+    lambda_N: `hess` yields each step's Hessians at y4, y3, y2 and its node,
+    and `running` its running-cost gradient, last step first. Writes each
+    step j's stage 2j + 1 and 2j + 2 sensitivities into `sens`; returns
+    stage 0's, which is step 0's g1."""
     h = grid.dt
     half, sixth = 0.5 * h, h / 6.0
-    for j, r in zip(range(start + len(running) - 1, start - 1, -1),
-                    reversed(running)):
+    # g1 of the step after, whose stage it shares with a g4
+    after = [0.0] * len(lam)
+    for j, r in zip(range(grid.steps - 1, -1, -1), running):
         # the stage slopes are u - grad J, so each H g enters with a minus
         g4 = [sixth * a for a in lam]
         hg4 = apply(next(hess), g4)
@@ -213,19 +211,17 @@ def _walk_block(apply, hess, start, running, lam, after, sens,
                in zip(lam, hg1, hg2, hg3, hg4, r)]
         if not all(map(math.isfinite, lam)):
             raise DivergenceError(grid.nodes[j], j, "costate")
-    return lam, after
+    return after
 
 
-def _walk_pair_block(apply, hess, start, running, lam, after, sens,
-                     grid: TimeGrid):
-    """`_walk_block` on p = 2 floats, its coordinates unrolled: the same
-    float operations in the same order, so the same bits."""
+def _walk_pair(apply, hess, running, lam, sens, grid: TimeGrid):
+    """`_walk` on p = 2 floats, its coordinates unrolled: the same float
+    operations in the same order, so the same bits."""
     h = grid.dt
     half, sixth = 0.5 * h, h / 6.0
     l0, l1 = lam
-    a0, a1 = after
-    for j, (r0, r1) in zip(range(start + len(running) - 1, start - 1, -1),
-                           reversed(running)):
+    a0 = a1 = 0.0
+    for j, (r0, r1) in zip(range(grid.steps - 1, -1, -1), running):
         g40, g41 = sixth * l0, sixth * l1
         b40, b41 = apply(next(hess), [g40, g41])
         g30, g31 = 2.0 * g40 - h * b40, 2.0 * g41 - h * b41
@@ -241,4 +237,4 @@ def _walk_pair_block(apply, hess, start, running, lam, after, sens,
         l1 = l1 - b11 - b21 - b31 - b41 + r1
         if not (math.isfinite(l0) and math.isfinite(l1)):
             raise DivergenceError(grid.nodes[j], j, "costate")
-    return [l0, l1], [a0, a1]
+    return [a0, a1]

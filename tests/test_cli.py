@@ -667,6 +667,25 @@ class TestMain:
         assert main(["--out", str(out), command, str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {target}: ")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs the /dev/full device")
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "trajectory.csv"), ("gradcheck", "gradcheck.csv"),
+        ("fit", "report.json"), ("fit", "trajectory.csv"),
+        ("fit", "controls.csv"), ("fit", "fit_plot.svg"),
+        ("fit", "residuals_plot.svg")])
+    def test_failed_write_names_its_file(self, tmp_path, capsys, command,
+                                         name):
+        # an output file on a full disk: the write fails at the file's end,
+        # not at its opening, and the message still names the file
+        cfg = write_config(tmp_path, N_t="50", **FROZEN)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert main(["--out", str(out), command, str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: {out / name}: no space left on device\n"
+
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path, N_t="200", T="0.5", max_outer="1")
         target = tmp_path / "elsewhere"

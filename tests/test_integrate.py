@@ -26,10 +26,10 @@ def decay(y):
 @contextlib.contextmanager
 def generic_bodies():
     """Sweeps of two parameters run the generic bodies, `rk4_steps` and
-    `_walk_block`, in place of the pair bodies: the reference for them."""
+    `_walk`, in place of the pair bodies: the reference for them."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrate, "rk4_pair_steps", integrate.rk4_steps)
-        patch.setattr(integrate, "_walk_pair_block", integrate._walk_block)
+        patch.setattr(integrate, "_walk_pair", integrate._walk)
         yield
 
 
@@ -218,6 +218,31 @@ def test_stage_indices_visited():
     expected = [row for j in range(grid.steps - 1, -1, -1)
                 for row in (*traj.stages[j][::-1], traj.states[j])]
     assert np.array_equal(np.array(used), np.array(expected))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_hessians_are_fetched_one_block_at_a_time(p):
+    # the walk fetches the Hessians of HESSIAN_BLOCK steps, last block
+    # first, and each block only once it has applied every Hessian of the
+    # block after it, so it holds one block's Hessians at a time
+    grid = TimeGrid(1.0, 2 * HESSIAN_BLOCK + 37)
+    traj = integrate_forward(decay, zero_stages(grid, p), np.ones(p), grid)
+    calls = []
+    applied = 0
+
+    def entries(points):
+        calls.append((len(points), applied))
+        return [None] * len(points)
+
+    def apply(hess, v):
+        nonlocal applied
+        applied += 1
+        return v
+
+    integrate_backward(Hessian(entries, apply), traj, np.ones(p), 1.0)
+    block = 4 * HESSIAN_BLOCK
+    assert calls == [(block, 0), (block, block), (4 * 37, 2 * block)]
+    assert applied == 4 * grid.steps
 
 
 def test_divergence_detected_with_two_parameters():
@@ -431,22 +456,42 @@ class TestLaneSweep:
         assert lane_err.value.what == "state"
         assert lane_err.value.step == float_err.value.step
 
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    def test_diverging_pair_lane_stops_the_sweep_where_its_own_would(
+            self, coordinate):
+        # on two parameters the lanes run the pair body: lane 1 blows up in
+        # one coordinate, and the sweep stops at its float sweep's step
+        grid = TimeGrid(1.0, 10)
+        blow_up = lambda y: [-a * a for a in y]
+        theta0 = np.full((2, 3), 0.1)
+        theta0[coordinate, 1] = 5.0
+        with pytest.raises(DivergenceError) as lane_err:
+            integrate_lanes(blow_up, np.zeros((21, 2, 3)), theta0, grid)
+        with pytest.raises(DivergenceError) as float_err:
+            integrate_forward(blow_up, zero_stages(grid, 2), theta0[:, 1],
+                              grid)
+        assert lane_err.value.what == float_err.value.what == "state"
+        assert lane_err.value.step == float_err.value.step > 1
+        assert lane_err.value.t == float_err.value.t
+
 
 class TestPairSweep:
-    # integrate_forward and integrate_backward run the pair bodies on two
-    # parameters; their floats must be the generic bodies', bit for bit
+    # integrate_forward, integrate_backward and integrate_lanes run the pair
+    # bodies on two parameters; their floats must be the generic bodies',
+    # bit for bit
 
     def test_two_parameters_take_the_pair_bodies(self, monkeypatch):
         def generic(*args):
             raise AssertionError("a generic body ran on two parameters")
 
         monkeypatch.setattr(integrate, "rk4_steps", generic)
-        monkeypatch.setattr(integrate, "_walk_block", generic)
+        monkeypatch.setattr(integrate, "_walk", generic)
         grid = TimeGrid(1.0, 10)
         traj = integrate_forward(decay, zero_stages(grid, 2),
                                  np.array([1.0, 2.0]), grid)
         integrate_backward(constant_hessian(lambda hess, v: v), traj,
                            np.ones(2), 1.0)
+        integrate_lanes(decay, np.zeros((21, 2, 3)), np.ones((2, 3)), grid)
 
     @staticmethod
     def nonlinear_grad(y):
