@@ -274,10 +274,9 @@ def _scaler(lo: float, hi: float, out_lo: float, out_hi: float):
     return lambda v: out_lo + (v - lo) / span * (out_hi - out_lo)
 
 
-def _write_svg(path, title: str, xlab: str, ylab: str,
-               body: List[str]) -> None:
-    """An SVG page at `path`: the title, a white page, both axes with their
-    labels, then the plot's own marks `body`, one element per line."""
+def _svg(title: str, xlab: str, ylab: str, body: List[str]) -> str:
+    """An SVG page: the title, a white page, both axes with their labels,
+    then the plot's own marks `body`, one element per line."""
     x0, y0 = _MARGIN, _SVG_H - _MARGIN
     x1, y1 = _SVG_W - _MARGIN, _MARGIN
     frame = [
@@ -293,10 +292,10 @@ def _write_svg(path, title: str, xlab: str, ylab: str,
         f'font-size="14" transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">'
         f'{ylab}</text>',
     ]
-    _write_text(path, "\n".join(frame + body + ["</svg>"]) + "\n")
+    return "\n".join(frame + body + ["</svg>"]) + "\n"
 
 
-def write_fit_plot(path, data: Dataset, model: ModelKind, theta) -> None:
+def fit_plot_svg(data: Dataset, model: ModelKind, theta) -> str:
     """Scatter of the data with the fitted curve sampled at 200 points."""
     w = data.inputs[:, 0]
     v = data.outputs
@@ -312,10 +311,10 @@ def write_fit_plot(path, data: Dataset, model: ModelKind, theta) -> None:
     for a, b in zip(w, v):
         body.append(f'<circle cx="{to_x(a):.2f}" cy="{to_y(b):.2f}" r="4" '
                     f'fill="#c23b22"/>')
-    _write_svg(path, "data and fitted curve", "input", "output", body)
+    return _svg("data and fitted curve", "input", "output", body)
 
 
-def write_residuals_plot(path, residuals) -> None:
+def residuals_plot_svg(residuals) -> str:
     """Residual per sample index, with a zero reference line."""
     eps = np.asarray(residuals, dtype=float)
     lim = max(float(np.abs(eps).max()), 1e-12) * 1.15
@@ -330,30 +329,33 @@ def write_residuals_plot(path, residuals) -> None:
         body.append(f'<line x1="{x:.2f}" y1="{zero_y:.2f}" x2="{x:.2f}" '
                     f'y2="{y:.2f}" stroke="#1f6fb2"/>')
         body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#c23b22"/>')
-    _write_svg(path, "residuals per sample", "sample index", "residual", body)
+    return _svg("residuals per sample", "sample index", "residual", body)
 
 
 # ---------------------------------------------------------------------------
 # output files
 
-def _write_text(path, text: str) -> None:
-    """Write `text` to `path` as UTF-8. A failed write, such as on a full
-    disk, raises an OSError that names `path`."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-
-
-def _write_node_table(path, grid: TimeGrid, **tables: np.ndarray) -> None:
+def _node_table(grid: TimeGrid, **tables: np.ndarray) -> str:
     """One CSV row per grid node: the time, then each (nodes, p) table's
     columns, headed <name>_1 .. <name>_p in keyword order."""
     header = ["t"] + [f"{name}_{j + 1}" for name, table in tables.items()
                       for j in range(table.shape[1])]
     lines = [",".join(header)] + [
-        ",".join(repr(float(x)) for x in (t, *row))
-        for t, row in zip(grid.nodes, np.hstack(list(tables.values())))]
-    _write_text(path, "\n".join(lines) + "\n")
+        ",".join(map(repr, row.tolist()))
+        for row in np.column_stack([grid.nodes, *tables.values()])]
+    return "\n".join(lines) + "\n"
+
+
+def _write_outputs(out: Path, files: Dict[str, str]) -> None:
+    """Write each text in `files` to its name under `out`, in order, as UTF-8;
+    a failed write unlinks those before it and re-raises, naming its file."""
+    for i, (name, text) in enumerate(files.items()):
+        try:
+            (out / name).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            for done in list(files)[:i]:
+                (out / done).unlink(missing_ok=True)
+            raise OSError(exc.errno, exc.strerror, str(out / name)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +391,14 @@ def run_fit(config_path, out_dir: Optional[Path] = None) -> int:
         "residuals": {"mean": mean, "std": std, "values": eps.tolist()},
         "history": [asdict(h) for h in report.history],
     }
-    _write_text(out / "report.json",
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_node_table(out / "trajectory.csv", cfg.grid,
-                      theta=report.trajectory.states)
-    _write_node_table(out / "controls.csv", cfg.grid,
-                      u1=report.u1.node_values(), u2=report.u2.node_values())
-    write_fit_plot(out / "fit_plot.svg", cfg.data, cfg.model, report.theta_final)
-    write_residuals_plot(out / "residuals_plot.svg", eps)
+    _write_outputs(out, {
+        "report.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "trajectory.csv": _node_table(cfg.grid, theta=report.trajectory.states),
+        "controls.csv": _node_table(cfg.grid, u1=report.u1.node_values(),
+                                    u2=report.u2.node_values()),
+        "fit_plot.svg": fit_plot_svg(cfg.data, cfg.model, report.theta_final),
+        "residuals_plot.svg": residuals_plot_svg(eps),
+    })
     print(f"theta = {[float(x) for x in report.theta_final]}, "
           f"Phi = {report.Phi_value:.6g}, converged = {report.converged}")
     return EXIT_OK
@@ -407,7 +409,8 @@ def run_simulate(config_path, out_dir: Optional[Path] = None) -> int:
     cfg, out, objective, _ = _prepare(config_path, out_dir)
     traj = integrate_forward(gradient_function(objective),
                              cfg.start.stage_values(), cfg.theta0, cfg.grid)
-    _write_node_table(out / "trajectory.csv", cfg.grid, theta=traj.states)
+    _write_outputs(out, {"trajectory.csv": _node_table(cfg.grid,
+                                                       theta=traj.states)})
     endpoint = [float(x) for x in traj.terminal_state]
     print(f"uncontrolled endpoint theta(T) = {endpoint}")
     return EXIT_OK
@@ -429,10 +432,10 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     records = gradient_check(objective, validation, cfg.partition, cfg.theta0,
                              cfg.grid, cfg.solver, seed=cfg.seed,
                              n_directions=20, corruption=corruption)
-    _write_text(out / "gradcheck.csv", "".join(
+    _write_outputs(out, {"gradcheck.csv": "".join(
         ["functional,direction,fd,adjoint,rel_error\n"]
         + [f"{r['functional']},{r['direction']},{r['fd']!r},"
-           f"{r['adjoint']!r},{r['rel_error']!r}\n" for r in records]))
+           f"{r['adjoint']!r},{r['rel_error']!r}\n" for r in records])})
     # a NaN comparison passes no `<=` test, and is the worst one
     tol = {"follower": FOLLOWER_CHECK_TOL, "leader": LEADER_CHECK_TOL}
     bad = [r for r in records if not r["rel_error"] <= tol[r["functional"]]]

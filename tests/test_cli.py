@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from gradsteer import (BasisControl, GridControl, LossScale, SolverConfig,
-                       TimeGrid)
+                       TimeGrid, cli)
 from gradsteer.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED,
                            EXIT_GRADCHECK, EXIT_OK, ingest_csv, main,
                            parse_config, run_fit, run_gradcheck, run_simulate)
 from gradsteer.core import basis_gram_matrix
+from gradsteer.models import SingularityError
 
 from conftest import REPO, TABLE_V, TABLE_W
 
@@ -25,6 +26,14 @@ SEED_3_TABLE_SHA256 = \
 # returns it, and an eps_tol above the leader's first residual (2.68 for this
 # problem) leaves the leader converged without a step
 FROZEN = {"max_inner": "1", "eps_tol": "10.0"}
+
+# each command's output files, in the order it writes them
+OUTPUTS = {
+    "simulate": ["trajectory.csv"],
+    "gradcheck": ["gradcheck.csv"],
+    "fit": ["report.json", "trajectory.csv", "controls.csv", "fit_plot.svg",
+            "residuals_plot.svg"],
+}
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -362,6 +371,43 @@ class TestRunFit:
         assert "non-finite state at t=0.36 (step 18)" in capsys.readouterr().err
 
 
+def per_cell_node_table(grid: TimeGrid, **tables: np.ndarray) -> str:
+    """The node table as each cell's repr(float(x)), numpy scalar by numpy
+    scalar."""
+    header = ["t"] + [f"{name}_{j + 1}" for name, table in tables.items()
+                      for j in range(table.shape[1])]
+    lines = [",".join(header)] + [
+        ",".join(repr(float(x)) for x in (t, *row))
+        for t, row in zip(grid.nodes, np.hstack(list(tables.values())))]
+    return "\n".join(lines) + "\n"
+
+
+class TestNodeTable:
+    # signed zeros, subnormals, the largest magnitudes and integral floats,
+    # each of which a rendering could lose or reformat
+    SPECIAL = [-0.0, 0.0, 5e-324, -1e-310, 1e308, -1e308, 1.0, -3.0, 2.0**53,
+               0.1, 1 / 3]
+
+    @pytest.mark.parametrize("widths", [(1,), (2,), (3,), (1, 2), (2, 3),
+                                        (3, 1)])
+    def test_matches_per_cell_repr(self, widths):
+        grid = TimeGrid(0.7, 15)
+        rng = np.random.default_rng(sum(widths))
+        tables = {}
+        for k, p in enumerate(widths):
+            table = rng.standard_normal((grid.steps + 1, p))
+            table.flat[k:k + len(self.SPECIAL)] = self.SPECIAL
+            tables[f"x{k}"] = table
+        text = cli._node_table(grid, **tables)
+        assert text == per_cell_node_table(grid, **tables)
+        assert text.splitlines()[0] == ",".join(
+            ["t"] + [f"x{k}_{j + 1}" for k, p in enumerate(widths)
+                     for j in range(p)])
+        cells = ",".join(text.splitlines()[1:]).split(",")
+        for value in self.SPECIAL:
+            assert repr(value) in cells
+
+
 class TestReportResiduals:
     def test_outputs_minus_fit(self, tmp_path):
         # report.json's residuals are y - h(x) at the reported theta over the
@@ -677,7 +723,9 @@ class TestMain:
     def test_failed_write_names_its_file(self, tmp_path, capsys, command,
                                          name):
         # an output file on a full disk: the write fails at the file's end,
-        # not at its opening, and the message still names the file
+        # not at its opening, and the message still names the file. The
+        # files of the set written before it are removed, so no report of
+        # this run is left to read as a finished one
         cfg = write_config(tmp_path, N_t="50", **FROZEN)
         out = tmp_path / "o"
         out.mkdir()
@@ -685,6 +733,36 @@ class TestMain:
         assert main(["--out", str(out), command, str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == \
             f"error: {out / name}: no space left on device\n"
+        names = OUTPUTS[command]
+        for before in names[:names.index(name)]:
+            assert not (out / before).exists(), before
+
+    def test_failed_rendering_writes_no_file(self, tmp_path, monkeypatch):
+        # every text is rendered before the first file is opened, so a
+        # renderer that fails leaves no part of the set behind
+        def singular(data, model, theta):
+            raise SingularityError(theta, 0.0)
+
+        monkeypatch.setattr(cli, "fit_plot_svg", singular)
+        cfg = write_config(tmp_path, N_t="50", **FROZEN)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "fit", str(cfg)]) == EXIT_DIVERGED
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_outputs_go_under_the_working_directory(self, tmp_path,
+                                                    monkeypatch):
+        # `data` is resolved against the config's directory, `out_dir`
+        # against the working directory
+        config_dir, work = tmp_path / "configs", tmp_path / "work"
+        config_dir.mkdir()
+        work.mkdir()
+        (config_dir / "samples.csv").write_bytes(DATA_CSV.read_bytes())
+        cfg = write_config(config_dir, data="samples.csv", out_dir="results",
+                           N_t="50")
+        monkeypatch.chdir(work)
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        assert (work / "results" / "trajectory.csv").is_file()
+        assert not (config_dir / "results").exists()
 
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path, N_t="200", T="0.5", max_outer="1")
