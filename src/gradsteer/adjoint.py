@@ -40,6 +40,7 @@ from .models import (Objective, gradient_function, hessian_function,
 
 FD_STEP = 1e-5  # central-difference step of gradient_check
 SIGNAL_MODES = 4  # cosine modes of gradient_check's random signals
+N_DIRECTIONS = 20  # random directions of gradient_check, per functional
 # nodes whose lane controls are built at once: 16 makes the numpy calls per
 # node few and keeps the block's arrays small against the sweep's memory
 LANE_BLOCK = 16
@@ -54,11 +55,14 @@ class FollowerProblem:
     beta: float
     partition: ControlPartition
     u1: ControlSignal
-    grid: TimeGrid
+    grid: TimeGrid  # must be u1.grid
     theta0: Array
 
     def __post_init__(self):
         object.__setattr__(self, "theta0", _frozen_array(self.theta0, "theta0"))
+        if self.grid != self.u1.grid:
+            raise ValueError(f"the problem's grid {self.grid} is not its leader "
+                             f"control's {self.u1.grid}")
 
 
 @dataclass(frozen=True)
@@ -83,19 +87,17 @@ class LeaderProblem:
 # the agents' combined controls, and the node pairing
 
 def combined_stage_controls(u1: ControlSignal, u2: ControlSignal,
-                            partition: ControlPartition, grid: TimeGrid) -> Array:
+                            partition: ControlPartition) -> Array:
     """Leader and follower coordinates of u1 and u2 at every RK4 stage of
-    `grid`, which must be both controls' own grid; any other raises
-    ValueError."""
+    their grid; controls on two grids, or of a dimension other than the
+    partition's, raise ValueError."""
     if not u1.dimension == u2.dimension == partition.dimension:
         raise ValueError(f"control dimensions {u1.dimension} and {u2.dimension} "
                          f"do not match the partition's {partition.dimension}")
-    for u in (u1, u2):
-        if u.grid != grid:
-            raise ValueError(
-                f"control sampled off its own grid: it has {u.grid.steps} "
-                f"steps over [0, {u.grid.horizon}], the problem's grid "
-                f"{grid.steps} steps over [0, {grid.horizon}]")
+    if u1.grid != u2.grid:
+        raise ValueError(f"controls on two grids: {u1.grid.steps} steps over "
+                         f"[0, {u1.grid.horizon}] and {u2.grid.steps} steps "
+                         f"over [0, {u2.grid.horizon}]")
     return (u1.stage_values() * partition.leader_mask
             + u2.stage_values() * partition.follower_mask)
 
@@ -109,7 +111,7 @@ def grid_inner_product(grid: TimeGrid, a: Array, b: Array) -> float:
 # follower functional: J2, sweeps, gradient
 
 def follower_forward(prob: FollowerProblem, u2: ControlSignal) -> Trajectory:
-    stage = combined_stage_controls(prob.u1, u2, prob.partition, prob.grid)
+    stage = combined_stage_controls(prob.u1, u2, prob.partition)
     return integrate_forward(gradient_function(prob.objective), stage,
                              prob.theta0, prob.grid)
 
@@ -150,7 +152,7 @@ def follower_gradient_arrays(prob: FollowerProblem, u2: ControlSignal,
 # leader functional: merit, sweeps, gradient
 
 def leader_forward(prob: LeaderProblem, u1: ControlSignal) -> Trajectory:
-    stage = combined_stage_controls(u1, prob.u2, prob.partition, prob.u2.grid)
+    stage = combined_stage_controls(u1, prob.u2, prob.partition)
     return integrate_forward(gradient_function(prob.objective), stage,
                              prob.theta0, prob.u2.grid)
 
@@ -227,48 +229,47 @@ def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
     as (p, K) arrays in stage order. Lane 4i + 2f + s perturbs u2 (f = 0)
     or u1 (f = 1) by +FD_STEP (s = 0) or -FD_STEP (s = 1) times direction i
     on its agent's coordinates. Each block of nodes goes through
-    `cosine_signal`, `core.stage_samples` and the masks of
+    `cosine_signal`, `core.stage_samples` and the expression of
     `combined_stage_controls`, so each lane's stage controls are those of
     its candidate's unbounded `GridControl`, bit for bit."""
     n = len(directions)
     leader = np.tile([False, False, True, True], n)
-    sign = np.tile([1.0, -1.0], 2 * n)
+    step = np.tile([FD_STEP, -FD_STEP], 2 * n)
     coeffs = np.repeat(np.reshape(directions, (n, SIGNAL_MODES,
                                                partition.dimension)),
                        4, axis=0).transpose(1, 2, 0)
     lm = partition.leader_mask[:, None]
     fm = partition.follower_mask[:, None]
-    own_mask, other_mask = np.where(leader, lm, fm), np.where(leader, fm, lm)
 
     # nodes in blocks, each block from the last node of the one before
     for start in range(0, modes.shape[1], LANE_BLOCK):
         rows = slice(max(start - 1, 0), start + LANE_BLOCK)
         a, b = u1.values[rows][:, :, None], u2.values[rows][:, :, None]
-        d = cosine_signal(coeffs, modes[:, rows])
-        own = np.where(leader, a, b) + sign * (FD_STEP * (d * own_mask))
-        other = np.where(leader, b, a)
-        yield from (stage_samples(own) * own_mask
-                    + stage_samples(other) * other_mask)[1 if start else 0:]
+        d = step * cosine_signal(coeffs, modes[:, rows])
+        U1 = np.where(leader, a + d * lm, a)
+        U2 = np.where(leader, b, b + d * fm)
+        yield from (stage_samples(U1) * lm
+                    + stage_samples(U2) * fm)[1 if start else 0:]
 
 
 def gradient_check(objective: Objective, validation: Objective,
                    partition: ControlPartition, theta0, grid: TimeGrid,
-                   config: SolverConfig, seed: int = 0, n_directions: int = 20,
+                   config: SolverConfig, seed: int = 0,
                    corruption: float = 0.0) -> List[dict]:
     """Compare adjoint gradients against central finite differences of the
     associated functionals, for random smooth base controls and directions.
 
-    Returns one record per (functional, direction). `corruption` is a fault
-    injection hook: it is added to every adjoint gradient before comparison,
-    so any nonzero value must make the check fail. The adjoint gradients
-    are exact for the discrete functionals, so one difference step serves
-    both, on `grid` itself. One forward sweep of the base pair feeds both
-    backward sweeps; the 4 * n_directions candidate pairs run as the lanes
-    of one `integrate_lanes` sweep, whose floats are those of one
-    `integrate_forward` sweep per candidate. The gradient is that of the
+    Returns one record per (functional, direction), N_DIRECTIONS directions
+    each. `corruption` is a fault injection hook: it is added to every adjoint
+    gradient before comparison, so any nonzero value must make the check fail.
+    The adjoint gradients are exact for the discrete functionals, so one
+    difference step serves both, on `grid` itself. One forward sweep of the
+    base pair feeds both backward sweeps; the 4 * N_DIRECTIONS candidate pairs
+    run as the lanes of one `integrate_lanes` sweep, whose floats are those of
+    one `integrate_forward` sweep per candidate. The gradient is that of the
     unclamped functional (`ControlSignal.gradient` ignores the amplitude
-    bound), so the controls are unbounded and `config.u_max` is not read:
-    the check certifies the same gradient at any bound.
+    bound), so the controls are unbounded and `config.u_max` is not read: the
+    check certifies the same gradient at any bound.
     """
     rng = np.random.default_rng(seed)
     p = partition.dimension
@@ -278,7 +279,7 @@ def gradient_check(objective: Objective, validation: Objective,
     u1, u2 = (GridControl(grid, smooth_random_signal(rng, grid, p, 0.1),
                           math.inf) for _ in range(2))
     directions = [rng.normal(size=(SIGNAL_MODES, p))
-                  for _ in range(n_directions)]
+                  for _ in range(N_DIRECTIONS)]
 
     fprob = FollowerProblem(objective, config.alpha, config.beta, partition,
                             u1, grid, theta0)
@@ -295,7 +296,7 @@ def gradient_check(objective: Objective, validation: Objective,
     sq, theta_T = integrate_lanes(
         lane_gradient_function(objective),
         _lane_stage_controls(u1, u2, directions, modes, partition),
-        np.repeat(fprob.theta0[:, None], 4 * n_directions, axis=1), grid)
+        np.repeat(fprob.theta0[:, None], 4 * N_DIRECTIONS, axis=1), grid)
 
     # a functional's value on lane k, priced by the functions the line
     # searches use; v, the perturbed control's node values, is read by J2 only

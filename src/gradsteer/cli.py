@@ -424,14 +424,14 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     It perturbs grid controls even on a `basis K` config, where it certifies
     the grid-control gradient of the same problem: the basis coefficient
     gradient is checked only by the test TestControlGradients::
-    test_basis_coefficient_gradient. The 80 perturbed pairs run as the
-    lanes of one sweep (`adjoint.gradient_check`). It certifies the
+    test_basis_coefficient_gradient. The perturbed pairs, four per direction,
+    run as the lanes of one sweep (`adjoint.gradient_check`). It certifies the
     unclamped gradient, so its table does not depend on `u_max`.
     """
     cfg, out, objective, validation = _prepare(config_path, out_dir)
     records = gradient_check(objective, validation, cfg.partition, cfg.theta0,
                              cfg.grid, cfg.solver, seed=cfg.seed,
-                             n_directions=20, corruption=corruption)
+                             corruption=corruption)
     _write_outputs(out, {"gradcheck.csv": "".join(
         ["functional,direction,fd,adjoint,rel_error\n"]
         + [f"{r['functional']},{r['direction']},{r['fd']!r},"

@@ -180,9 +180,9 @@ class ControlGradient:
 
 
 class ControlSignal:
-    """A control on its own TimeGrid `grid`, bounded by `u_max`. GridControl
-    and BasisControl supply `_samples` and `_own_gradient`, `update` (a step
-    in own coordinates) and `solve_metric` (of the control cost)."""
+    """A control on its own TimeGrid `grid`, bounded by `u_max`. Subclasses
+    supply `_samples`, `update` (a step in own coordinates) and `solve_metric`
+    (of the control cost); BasisControl also overrides `gradient`."""
 
     def node_values(self) -> Array:
         """Control at the grid's nodes, (steps + 1, p), clamped to +-u_max."""
@@ -195,10 +195,9 @@ class ControlSignal:
     def gradient(self, sens: Array, mask: Array, cost_grad) -> ControlGradient:
         """Gradient on the `mask` coordinates of a functional whose running
         control cost has node gradient `cost_grad` and whose state part has
-        stage sensitivities `sens`."""
+        stage sensitivities `sens`; its own coordinates are its node values."""
         pointwise = (cost_grad + node_costates(self.grid, sens)) * mask
-        return ControlGradient(pointwise, self._own_gradient(
-            pointwise, sens * mask, cost_grad * mask))
+        return ControlGradient(pointwise, pointwise)
 
 
 @dataclass(frozen=True)
@@ -223,9 +222,6 @@ class GridControl(ControlSignal):
 
     def _samples(self, stages: bool) -> Array:
         return stage_samples(self.values) if stages else self.values
-
-    def _own_gradient(self, pointwise: Array, sens: Array, cost_grad) -> Array:
-        return pointwise  # node values are this control's own coordinates
 
     def update(self, direction: Array, step: float) -> "GridControl":
         """u - step * direction, clamped to the amplitude bound."""
@@ -265,11 +261,14 @@ class BasisControl(ControlSignal):
         return sampled_basis_matrix(self.grid, self.n_functions, stages) \
             @ self.coefficients
 
-    def _own_gradient(self, pointwise: Array, sens: Array, cost_grad) -> Array:
-        """Transposed (trapezoid-weighted) node and stage sampling."""
-        cost = trapezoid_weights(self.grid)[:, None] * cost_grad
-        return (sampled_basis_matrix(self.grid, self.n_functions, False).T @ cost
-                + sampled_basis_matrix(self.grid, self.n_functions, True).T @ sens)
+    def gradient(self, sens: Array, mask: Array, cost_grad) -> ControlGradient:
+        """The node gradient; in coefficients, its transposed
+        (trapezoid-weighted) node and stage sampling."""
+        cost = trapezoid_weights(self.grid)[:, None] * (cost_grad * mask)
+        nodes, stages = (sampled_basis_matrix(self.grid, self.n_functions, s)
+                         for s in (False, True))
+        return ControlGradient(super().gradient(sens, mask, cost_grad).pointwise,
+                               nodes.T @ cost + stages.T @ (sens * mask))
 
     def update(self, direction: Array, step: float) -> "BasisControl":
         """Coefficients a - step * direction; sampling applies the bound."""

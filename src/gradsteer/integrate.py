@@ -105,6 +105,9 @@ def integrate_forward(grad: Callable, stage_u, theta0,
     step j's stage 2-4 states, all read-only. `grad` takes and returns p
     floats; the stage rows become floats one at a time."""
     y = np.array(theta0, dtype=float).tolist()
+    if stage_u.shape[1] != len(y):
+        raise ValueError(f"stage controls of {stage_u.shape[1]} coordinates "
+                         f"for the {len(y)} of theta0")
     states = np.empty((grid.steps + 1, len(y)))
     stages = np.empty((grid.steps, 3, len(y)))
     states[0] = y

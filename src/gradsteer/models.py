@@ -102,7 +102,7 @@ def gradient_function(obj: Objective) -> Callable:
         x = obj.dataset.inputs.tolist()
 
         def grad(theta):
-            r = [_fold_sum(a * b for a, b in zip(xi, theta)) - yi
+            r = [_fold_sum(a * b for a, b in zip(xi, theta, strict=True)) - yi
                  for xi, yi in zip(x, y)]
             return tuple(c * _fold_sum(ri * xi[k] for ri, xi in zip(r, x))
                          for k in range(len(theta)))
@@ -182,8 +182,8 @@ def hessian_function(obj: Objective) -> Hessian:
         rows = (scale * (obj.dataset.inputs.T @ obj.dataset.inputs)).tolist()
         return Hessian(
             lambda points: [rows] * len(points),
-            lambda hess, v: tuple(_fold_sum(a * b for a, b in zip(row, v))
-                                  for row in hess))
+            lambda hess, v: tuple(_fold_sum(
+                a * b for a, b in zip(row, v, strict=True)) for row in hess))
 
     # (H00, H01, H11) / scale = sum_i g_i g_i^T + r_i Hess(prediction_i)
     w = obj.dataset.inputs[:, 0]

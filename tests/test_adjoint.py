@@ -5,8 +5,9 @@ from gradsteer import (BasisControl, ControlPartition, GridControl,
                        LossScale, Objective, SolverConfig, gradient_check,
                        TimeGrid, zero_grid_control)
 from gradsteer import adjoint
-from gradsteer.adjoint import (FD_STEP, FollowerProblem, LeaderProblem,
-                               combined_stage_controls, follower_backward,
+from gradsteer.adjoint import (FD_STEP, N_DIRECTIONS, FollowerProblem,
+                               LeaderProblem, combined_stage_controls,
+                               follower_backward,
                                follower_cost, follower_forward,
                                grid_inner_product, leader_backward, leader_forward,
                                leader_merit, leader_terminal_costate,
@@ -82,7 +83,7 @@ def two_step_problems(objective, validation, seed):
     lprob = LeaderProblem(objective, Objective(objective.model, validation,
                                                objective.loss_scale),
                           0.005, 50.0, partition, u2, theta0)
-    return fprob, lprob, u2, combined_stage_controls(u1, u2, partition, grid)
+    return fprob, lprob, u2, combined_stage_controls(u1, u2, partition)
 
 
 def terminal_lambda(grid, p_T, forcing, theta_T):
@@ -146,6 +147,17 @@ class TestCostateRates:
         cs = follower_backward(prob, follower_forward(prob, prob.u1))
         assert np.array_equal(cs, np.zeros((5, 2)))
         assert np.array_equal(node_costates(grid, cs), np.zeros((3, 2)))
+
+    def test_control_width_must_match_theta0(self, partition_10):
+        # 2-coordinate controls on a 1-parameter model are refused, not
+        # integrated on their first coordinate alone
+        rng = np.random.default_rng(3)
+        obj = linear_objective(rng.normal(size=(5, 1)), rng.normal(size=5))
+        grid = TimeGrid(1.0, 20)
+        u = zero_grid_control(grid, 2)
+        prob = FollowerProblem(obj, ALPHA, BETA, partition_10, u, grid, [0.2])
+        with pytest.raises(ValueError, match="2 coordinates for the 1"):
+            follower_forward(prob, u)
 
     def test_linear_constant_hessian(self, partition_10):
         # quadratic functional: the central difference itself is exact
@@ -370,16 +382,14 @@ class TestCheckProtocol:
         cfg = SolverConfig(alpha=0.5, beta=0.5, mu=10.0, z=0.0)
         for n in (40, 160, 640):
             records = gradient_check(obj, validation, partition, np.zeros(2),
-                                     TimeGrid(1.0, n), cfg, seed=1,
-                                     n_directions=4)
+                                     TimeGrid(1.0, n), cfg, seed=1)
             assert max(r["rel_error"] for r in records) <= 1e-8, n
 
     def test_fault_injection_fails(self, small_mm):
         objective, validation, grid, partition, theta0 = small_mm
         cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0)
         records = gradient_check(objective, validation, partition, theta0,
-                                 grid, cfg, seed=2, n_directions=2,
-                                 corruption=1e-2)
+                                 grid, cfg, seed=2, corruption=1e-2)
         assert any(r["rel_error"] > 1e-3 for r in records)
 
     def test_one_sweep_pair_for_the_base_controls(self, small_mm,
@@ -403,7 +413,7 @@ class TestCheckProtocol:
             count(name)
         cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0)
         gradient_check(objective, validation, partition, theta0, grid, cfg,
-                       seed=0, n_directions=3)
+                       seed=0)
         assert calls == {"integrate_forward": 1, "integrate_backward": 2,
                          "integrate_lanes": 1}
 
@@ -412,9 +422,8 @@ class TestCheckProtocol:
         # reference: every difference quotient must be its float for float
         objective, validation, grid, partition, theta0 = small_mm
         cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0)
-        k = 3
         records = gradient_check(objective, validation, partition, theta0,
-                                 grid, cfg, seed=4, n_directions=k)
+                                 grid, cfg, seed=4)
         rng = np.random.default_rng(4)
         u1, u2 = (GridControl(grid, smooth_random_signal(rng, grid, 2, 0.1))
                   for _ in range(2))
@@ -433,7 +442,7 @@ class TestCheckProtocol:
             return leader_merit(lprob, traj.state_sq, traj.terminal_state)[0]
 
         want = []
-        for _ in range(k):
+        for _ in range(N_DIRECTIONS):
             d = smooth_random_signal(rng, grid, 2, 1.0)
             for value_at, u, mask in ((j2_at, u2, partition.follower_mask),
                                       (merit_at, u1, partition.leader_mask)):

@@ -20,6 +20,9 @@ DATA_CSV = REPO / "data" / "michaelis_menten.csv"
 GOLDEN_CFG = REPO / "configs" / "michaelis_menten.cfg"
 SEED_3_TABLE_SHA256 = \
     "8cb5b1bb1f5120018656a4f7c8d3259f4a7dd02359ae32fb14fc5d43adee1cc2"
+# seed 0 of the linear copy of the reference config that CI checks
+LINEAR_SEED_0_TABLE_SHA256 = \
+    "33c667acaf66a807c1a4c8fa48db13e1f9d5464c277f8a662ecdd4aee378eba0"
 
 
 # both agents frozen at their zero start: the follower's cap of one iteration
@@ -560,6 +563,16 @@ class TestRunGradcheck:
             == EXIT_OK
         table = (tmp_path / "gc" / "gradcheck.csv").read_bytes()
         assert hashlib.sha256(table).hexdigest() == SEED_3_TABLE_SHA256
+
+    def test_linear_copy_seed_0(self, tmp_path):
+        # the one-parameter linear copy runs the generic lane body (p = 1),
+        # which the Michaelis-Menten tables do not reach; pinned like seed 3
+        cfg = shipped_config(tmp_path, GOLDEN_CFG.name, model="linear",
+                             theta0="1.0", leader_mask="1", seed=0)
+        assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
+            == EXIT_OK
+        table = (tmp_path / "gc" / "gradcheck.csv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == LINEAR_SEED_0_TABLE_SHA256
 
     def test_table_does_not_depend_on_u_max(self, tmp_path):
         # the check certifies the unclamped gradient, so it runs, holds and

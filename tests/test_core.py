@@ -73,8 +73,19 @@ class TestControlEvaluation:
         for u in (zero_grid_control(own, 2), BasisControl(own, np.ones((3, 2)))):
             for pair in ((u, zero_grid_control(other, 2)),
                          (zero_grid_control(other, 2), u)):
-                with pytest.raises(ValueError, match="8 steps.*16 steps"):
-                    combined_stage_controls(*pair, part, other)
+                with pytest.raises(ValueError,
+                                   match="8 steps.*16 steps|16 steps.*8 steps"):
+                    combined_stage_controls(*pair, part)
+
+    def test_follower_problem_off_its_control_grid_rejected(self,
+                                                            mm_train_half):
+        # the problem's grid restates u1's: another is refused where the
+        # problem is built, not at its first sweep
+        own, other = TimeGrid(1.0, 8), TimeGrid(1.0, 16)
+        with pytest.raises(ValueError, match="steps=16.*steps=8"):
+            FollowerProblem(mm_train_half, 0.01, 0.1,
+                            ControlPartition([1.0, 0.0]),
+                            zero_grid_control(own, 2), other, [3.9, 0.02])
 
     def test_node_count_validated(self):
         grid = TimeGrid(1.0, 4)
@@ -101,13 +112,13 @@ class TestPartition:
         part = ControlPartition(np.array([1.0, 0.0]))
         u1 = constant_control(grid, [3.0, 3.0])
         u2 = constant_control(grid, [5.0, 5.0])
-        assert np.allclose(combined_stage_controls(u1, u2, part, grid), [3.0, 5.0])
+        assert np.allclose(combined_stage_controls(u1, u2, part), [3.0, 5.0])
 
     def test_zero_controls(self):
         grid = TimeGrid(1.0, 4)
         part = ControlPartition([1.0, 0.0])
         z = zero_grid_control(grid, 2)
-        assert np.array_equal(combined_stage_controls(z, z, part, grid),
+        assert np.array_equal(combined_stage_controls(z, z, part),
                               np.zeros((2 * grid.steps + 1, 2)))
 
     def test_overlapping_masks_rejected(self):
@@ -135,7 +146,7 @@ class TestPartition:
             with pytest.raises(ValueError, match="dimension"):
                 combined_stage_controls(constant_control(grid, [3.0] * d1),
                                         constant_control(grid, [5.0] * d2),
-                                        part, grid)
+                                        part)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=6),
            st.lists(st.floats(-4, 4), min_size=6, max_size=6),
@@ -148,7 +159,7 @@ class TestPartition:
         a = np.array(a_vals[:p])
         b = np.array(b_vals[:p])
         out = combined_stage_controls(constant_control(grid, a),
-                                      constant_control(grid, b), part, grid)
+                                      constant_control(grid, b), part)
         for j in range(p):
             expected = a[j] if mask_bits[j] else b[j]
             assert out[:, j] == pytest.approx(expected)

@@ -320,6 +320,19 @@ class TestFloatKernels:
             named.append(err.value.x)
         assert named == [0.0052] * 3
 
+    def test_linear_kernels_refuse_a_theta_of_other_length(self):
+        # a 2-value theta on 3 inputs raises on every linear path, as in
+        # objective_value: no kernel drops an input or returns 3 values
+        rng = np.random.default_rng(8)
+        obj = linear_objective(rng.normal(size=(4, 3)), rng.normal(size=4))
+        hessian = hessian_function(obj)
+        for call in (lambda: objective_value(obj, [0.5, -0.25]),
+                     lambda: gradient_function(obj)((0.5, -0.25)),
+                     lambda: hessian.apply(hessian.entries(np.zeros((1, 2)))[0],
+                                           [1.0, 2.0])):
+            with pytest.raises(ValueError):
+                call()
+
     def test_float_sums_run_left_to_right(self):
         # sum() of floats is compensated from Python 3.12 on, and gives 1.0
         # on these terms; the lane kernels add arrays left to right from 0.0,
