@@ -41,9 +41,9 @@ from .models import (Objective, gradient_function, hessian_function,
 FD_STEP = 1e-5  # central-difference step of gradient_check
 SIGNAL_MODES = 4  # cosine modes of gradient_check's random signals
 N_DIRECTIONS = 20  # random directions of gradient_check, per functional
-# nodes whose lane controls are built at once: 16 makes the numpy calls per
-# node few and keeps the block's arrays small against the sweep's memory
-LANE_BLOCK = 16
+# nodes whose lane controls are built at once: 64 makes the numpy calls per
+# node few, and keeps the block's arrays small against the sweep's memory
+LANE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -224,32 +224,35 @@ def smooth_random_signal(rng: np.random.Generator, grid: TimeGrid, dim: int,
 
 
 def _lane_stage_controls(u1: GridControl, u2: GridControl, directions,
-                         modes: Array, partition: ControlPartition):
+                         modes: Array, partition: ControlPartition, leaders):
     """The combined stage controls of every candidate pair, one lane each,
-    as (p, K) arrays in stage order. Lane 4i + 2f + s perturbs u2 (f = 0)
-    or u1 (f = 1) by +FD_STEP (s = 0) or -FD_STEP (s = 1) times direction i
-    on its agent's coordinates. Each block of nodes goes through
-    `cosine_signal`, `core.stage_samples` and the expression of
-    `combined_stage_controls`, so each lane's stage controls are those of
-    its candidate's unbounded `GridControl`, bit for bit."""
-    n = len(directions)
-    leader = np.tile([False, False, True, True], n)
-    step = np.tile([FD_STEP, -FD_STEP], 2 * n)
-    coeffs = np.repeat(np.reshape(directions, (n, SIGNAL_MODES,
-                                               partition.dimension)),
-                       4, axis=0).transpose(1, 2, 0)
-    lm = partition.leader_mask[:, None]
-    fm = partition.follower_mask[:, None]
+    as (p, K) arrays in stage order. With F = len(leaders), lane
+    2 * (F * i + f) + s perturbs u1 (leaders[f] true) or u2 by +FD_STEP
+    (s = 0) or -FD_STEP (s = 1) times direction i on its agent's
+    coordinates. Each block of nodes goes through `cosine_signal`,
+    `core.stage_samples` and the expression of `combined_stage_controls`,
+    lane by lane on each agent's own columns, so each lane's stage controls
+    are those of its candidate's unbounded `GridControl`, bit for bit."""
+    coeffs = np.transpose(directions, (1, 2, 0))  # (SIGNAL_MODES, p, n)
+    step = np.array([FD_STEP, -FD_STEP])
+    lm, fm = partition.leader_mask, partition.follower_mask
+    # per lane kind: the perturbed control, its mask shaped for the block's
+    # (stage, p, n, 2) arrays, and the other agent's term at every stage
+    kinds = [(u1, lm[:, None, None], stage_samples(u2.values) * fm) if leader
+             else (u2, fm[:, None, None], stage_samples(u1.values) * lm)
+             for leader in leaders]
 
     # nodes in blocks, each block from the last node of the one before
     for start in range(0, modes.shape[1], LANE_BLOCK):
         rows = slice(max(start - 1, 0), start + LANE_BLOCK)
-        a, b = u1.values[rows][:, :, None], u2.values[rows][:, :, None]
-        d = step * cosine_signal(coeffs, modes[:, rows])
-        U1 = np.where(leader, a + d * lm, a)
-        U2 = np.where(leader, b, b + d * fm)
-        yield from (stage_samples(U1) * lm
-                    + stage_samples(U2) * fm)[1 if start else 0:]
+        d = cosine_signal(coeffs, modes[:, rows])[..., None] * step
+        out = np.empty((2 * len(d) - 1,) + d.shape[1:3] + (len(kinds), 2))
+        stages = slice(2 * rows.start, 2 * rows.start + len(out))
+        for f, (u, mask, other) in enumerate(kinds):
+            moved = stage_samples(u.values[rows][:, :, None, None] + d * mask)
+            np.add(moved * mask, other[stages, :, None, None],
+                   out=out[..., f, :])
+        yield from out.reshape(len(out), len(lm), -1)[1 if start else 0:]
 
 
 def gradient_check(objective: Objective, validation: Objective,
@@ -260,16 +263,17 @@ def gradient_check(objective: Objective, validation: Objective,
     associated functionals, for random smooth base controls and directions.
 
     Returns one record per (functional, direction), N_DIRECTIONS directions
-    each. `corruption` is a fault injection hook: it is added to every adjoint
-    gradient before comparison, so any nonzero value must make the check fail.
-    The adjoint gradients are exact for the discrete functionals, so one
-    difference step serves both, on `grid` itself. One forward sweep of the
-    base pair feeds both backward sweeps; the 4 * N_DIRECTIONS candidate pairs
-    run as the lanes of one `integrate_lanes` sweep, whose floats are those of
-    one `integrate_forward` sweep per candidate. The gradient is that of the
-    unclamped functional (`ControlSignal.gradient` ignores the amplitude
-    bound), so the controls are unbounded and `config.u_max` is not read: the
-    check certifies the same gradient at any bound.
+    each, for each functional whose agent owns a coordinate. `corruption` is
+    a fault injection hook: it is added to every adjoint gradient before
+    comparison, so any nonzero value must make the check fail. The adjoint
+    gradients are exact for the discrete functionals, so one difference step
+    serves both, on `grid` itself. One forward sweep of the base pair feeds
+    both backward sweeps; the two candidates of each checked functional and
+    direction run as lanes of one `integrate_lanes` sweep, whose floats are
+    those of one `integrate_forward` sweep per candidate. The gradient is that
+    of the unclamped functional (`ControlSignal.gradient` ignores the
+    amplitude bound), so the controls are unbounded and `config.u_max` is not
+    read: the check certifies the same gradient at any bound.
     """
     rng = np.random.default_rng(seed)
     p = partition.dimension
@@ -293,23 +297,26 @@ def gradient_check(objective: Objective, validation: Objective,
         follower_gradient_arrays(fprob, u2, follower_backward(fprob, traj)),
         leader_gradient_arrays(lprob, u1, leader_backward(lprob, traj))))
 
+    # a functional's value on lane k, priced by the functions the line
+    # searches use; v, the perturbed control's node values, is read by J2
+    # only. A functional whose agent owns no coordinate is not checked
+    checks = [c for c in (
+        ("follower", lambda k, v: follower_cost(fprob, sq[k], v),
+         u2, g2, partition.follower_mask),
+        ("leader", lambda k, v: leader_merit(lprob, sq[k], theta_T[k])[0],
+         u1, g1, partition.leader_mask)) if c[4].any()]
     sq, theta_T = integrate_lanes(
         lane_gradient_function(objective),
-        _lane_stage_controls(u1, u2, directions, modes, partition),
-        np.repeat(fprob.theta0[:, None], 4 * N_DIRECTIONS, axis=1), grid)
+        _lane_stage_controls(u1, u2, directions, modes, partition,
+                             [u is u1 for _, _, u, _, _ in checks]),
+        np.tile(fprob.theta0[:, None], 2 * len(checks) * N_DIRECTIONS), grid)
 
-    # a functional's value on lane k, priced by the functions the line
-    # searches use; v, the perturbed control's node values, is read by J2 only
-    checks = (("follower", lambda k, v: follower_cost(fprob, sq[k], v),
-               u2, g2, partition.follower_mask),
-              ("leader", lambda k, v: leader_merit(lprob, sq[k], theta_T[k])[0],
-               u1, g1, partition.leader_mask))
     records = []
     for i, coeffs in enumerate(directions):
         d = cosine_signal(coeffs, modes)
         for f, (functional, value_of, u, g, mask) in enumerate(checks):
             dm = d * mask
-            lane = 4 * i + 2 * f
+            lane = 2 * (len(checks) * i + f)
             fd = float(value_of(lane, u.values + FD_STEP * dm)
                        - value_of(lane + 1, u.values - FD_STEP * dm)) \
                 / (2 * FD_STEP)

@@ -424,8 +424,9 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     It perturbs grid controls even on a `basis K` config, where it certifies
     the grid-control gradient of the same problem: the basis coefficient
     gradient is checked only by the test TestControlGradients::
-    test_basis_coefficient_gradient. The perturbed pairs, four per direction,
-    run as the lanes of one sweep (`adjoint.gradient_check`). It certifies the
+    test_basis_coefficient_gradient. The perturbed pairs run as the lanes of
+    one sweep (`adjoint.gradient_check`); a line names a functional whose
+    agent owns no coordinate, which is not checked. It certifies the
     unclamped gradient, so its table does not depend on `u_max`.
     """
     cfg, out, objective, validation = _prepare(config_path, out_dir)
@@ -441,6 +442,8 @@ def run_gradcheck(config_path, out_dir: Optional[Path] = None,
     bad = [r for r in records if not r["rel_error"] <= tol[r["functional"]]]
     worst = max(records, key=lambda r: (np.isnan(r["rel_error"]),
                                         r["rel_error"]))
+    for name in sorted(tol.keys() - {r["functional"] for r in records}):
+        print(f"{name}: not checked, it owns no coordinate")
     print(f"gradcheck: {len(records)} comparisons, worst rel error "
           f"{worst['rel_error']:.3e} ({worst['functional']} "
           f"direction {worst['direction']})")

@@ -15,7 +15,7 @@ Michaelis-Menten problem, the pair bodies `rk4_pair_steps` and
 `_walk_pair`, the generic `rk4_steps` and `_walk` with the coordinates
 unrolled: the same float operations in the same order and the same `grad`
 and `hessian.apply` calls, so the same bits. `integrate_lanes` runs K
-sweeps at once through the same forward body, on p rows of K lanes each.
+sweeps at once, the float operations elementwise on (p, K) arrays.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ def rk4_steps(grad: Callable, stage_u, y, h: float):
     """RK4 steps of theta' = u - grad(theta) from y with step h, along
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order:
     yields each step's (y2, y3, y4, next y). y, each control and grad's
-    argument and value are p coordinates, each a float or a (K,) array of
-    K lanes; each lane runs the float arithmetic in its order, bit for bit.
-    Every sweep of p other than 2 steps here."""
+    argument and value are p floats. Every float sweep of p other than 2
+    steps here."""
     half, sixth = 0.5 * h, h / 6.0
     stage_u = iter(stage_u)
     u_node = next(stage_u)
@@ -71,8 +70,8 @@ def rk4_steps(grad: Callable, stage_u, y, h: float):
 
 
 def rk4_pair_steps(grad: Callable, stage_u, y, h: float):
-    """`rk4_steps` on p = 2 coordinates, floats or lane arrays, unrolled:
-    the same float operations in the same order, so the same bits."""
+    """`rk4_steps` on p = 2 floats, unrolled: the same float operations in
+    the same order, so the same bits."""
     half, sixth = 0.5 * h, h / 6.0
     stage_u = iter(stage_u)
     u_node = next(stage_u)
@@ -135,23 +134,32 @@ def integrate_lanes(grad: Callable, stage_u, theta0,
                     grid: TimeGrid) -> Tuple[Array, Array]:
     """`integrate_forward` on K lanes at once: theta0 and each entry of
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order, are
-    (p, K) arrays, and `grad` takes and returns p arrays of shape (K,)
-    (`models.lane_gradient_function`). Their p rows go to the body that
-    `integrate_forward` runs for p, so each lane's floats are its own float
-    sweep's, bit for bit. Returns what a `Trajectory` gives the costs, for
-    every lane: the (K, N + 1) array of |theta_j|^2 at the nodes, and the
-    (K, p) terminal states theta(T); an overflowing |theta|^2 is inf here,
-    as there."""
+    (p, K) arrays, and `grad` maps a (p, K) state to its gradient, a (p, K)
+    array or p (K,) arrays (`models.lane_gradient_function`). Each step runs
+    `rk4_steps`' operations in their order on whole arrays, so each lane's
+    floats are its own float sweep's, bit for bit. Returns what a
+    `Trajectory` gives the costs, for every lane: the (K, N + 1) array of
+    |theta_j|^2 at the nodes, and the (K, p) terminal states theta(T); an
+    overflowing |theta|^2 is inf here, as there."""
+    h = grid.dt
+    half, sixth = 0.5 * h, h / 6.0
     y = np.array(theta0, dtype=float)
     sq = np.empty((grid.steps + 1, y.shape[1]))
     # each |theta|^2 sums a C-ordered (K, p) row, in its lane's float order
     sq[0] = squared_norms(y.T.copy())
-    steps = rk4_pair_steps if len(y) == 2 else rk4_steps
-    for j, (*_, y) in enumerate(steps(grad, stage_u, y, grid.dt)):
-        rows = np.array(y).T.copy()
+    stage_u = iter(stage_u)
+    u_node = next(stage_u)
+    for j, u_mid in enumerate(stage_u, 1):
+        u_first, u_node = u_node, next(stage_u)
+        k1 = u_first - grad(y)
+        k2 = u_mid - grad(y + half * k1)
+        k3 = u_mid - grad(y + half * k2)
+        k4 = u_node - grad(y + h * k3)
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        rows = y.T.copy()
         if not np.isfinite(rows).all():
-            raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
-        sq[j + 1] = squared_norms(rows)
+            raise DivergenceError(grid.nodes[j], j, "state")
+        sq[j] = squared_norms(rows)
     return sq.T, rows
 
 

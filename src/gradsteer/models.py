@@ -128,12 +128,13 @@ def gradient_function(obj: Objective) -> Callable:
 
 
 def lane_gradient_function(obj: Objective) -> Callable:
-    """`gradient_function` on lanes: theta is p arrays of shape (K,), one
-    entry per lane, and so is the gradient; each lane's floats are the float
-    kernel's for its theta, bit for bit. The linear float kernel takes lanes
-    as they are; Michaelis-Menten's sums its samples, rows of (m, K) arrays,
-    in row order, and a lane near the pole raises SingularityError naming
-    its theta. Callers silence numpy's overflow and invalid warnings."""
+    """`gradient_function` on lanes: theta is a (p, K) array, one column per
+    lane, and so is the gradient; each lane's floats are the float kernel's
+    for its theta, bit for bit. The linear float kernel takes the p rows as
+    they are and returns p arrays. Michaelis-Menten's sums both terms of its
+    m samples, one (2, m, K) buffer, in sample order from 0.0; the first lane
+    near the pole raises SingularityError naming its theta. Callers silence
+    numpy's overflow and invalid warnings."""
     if obj.model is ModelKind.LINEAR:
         return gradient_function(obj)
     c = 2.0 * obj.loss_scale.factor / float(len(obj.dataset.outputs))
@@ -143,13 +144,21 @@ def lane_gradient_function(obj: Objective) -> Callable:
     def grad(theta):
         t0, t1 = theta[0], theta[1]
         d = t1 + w
-        near = np.abs(d) <= SINGULARITY_GUARD
-        if near.any():
-            lane = int(np.flatnonzero(near.any(axis=0))[0])
-            raise _mm_pole([float(t[lane]) for t in theta], w[:, 0].tolist())
-        q = w / d
-        r = t0 * q - y
-        return c * sum(r * q), c * (-t0 * sum(r * (q / d)))
+        # no |d| is within the guard unless min d is (or is NaN)
+        if not d.min() > SINGULARITY_GUARD:
+            near = (np.abs(d) <= SINGULARITY_GUARD).any(axis=0)
+            if near.any():
+                raise _mm_pole(theta[:, near.argmax()].tolist(), w[:, 0])
+        terms = np.empty((2,) + d.shape)
+        q = np.divide(w, d, out=terms[0])
+        np.divide(q, d, out=terms[1])
+        terms *= t0 * q - y
+        # numpy would sum the samples of one lane pairwise, not in order
+        s = (np.add.reduce(terms, axis=1, initial=0.0) if len(t0) > 1
+             else _fold_sum(terms.transpose(1, 0, 2)))
+        s[1] *= -t0
+        s *= c
+        return s
 
     return grad
 

@@ -417,10 +417,14 @@ class TestCheckProtocol:
         assert calls == {"integrate_forward": 1, "integrate_backward": 2,
                          "integrate_lanes": 1}
 
-    def test_lanes_are_one_sweep_per_candidate(self, small_mm):
+    @pytest.mark.parametrize("mask", ["1,0", "0,1", "1,1", "0,0"])
+    def test_lanes_are_one_sweep_per_candidate(self, small_mm, mask):
         # the protocol with one forward sweep per candidate pair, as the
-        # reference: every difference quotient must be its float for float
-        objective, validation, grid, partition, theta0 = small_mm
+        # reference: every difference quotient must be its float for float,
+        # whichever coordinates each agent owns. An agent that owns none has
+        # no gradient to check, and no records
+        objective, validation, grid, _, theta0 = small_mm
+        partition = ControlPartition(np.array(mask.split(","), dtype=float))
         cfg = SolverConfig(alpha=ALPHA, beta=BETA, mu=100.0)
         records = gradient_check(objective, validation, partition, theta0,
                                  grid, cfg, seed=4)
@@ -442,12 +446,19 @@ class TestCheckProtocol:
             return leader_merit(lprob, traj.state_sq, traj.terminal_state)[0]
 
         want = []
-        for _ in range(N_DIRECTIONS):
+        for i in range(N_DIRECTIONS):
             d = smooth_random_signal(rng, grid, 2, 1.0)
-            for value_at, u, mask in ((j2_at, u2, partition.follower_mask),
-                                      (merit_at, u1, partition.leader_mask)):
-                dm = d * mask
-                want.append(float(value_at(u.values + FD_STEP * dm)
-                                  - value_at(u.values - FD_STEP * dm))
-                            / (2 * FD_STEP))
-        assert [r["fd"] for r in records] == want
+            for functional, value_at, u, owned in (
+                    ("follower", j2_at, u2, partition.follower_mask),
+                    ("leader", merit_at, u1, partition.leader_mask)):
+                if not owned.any():
+                    continue
+                dm = d * owned
+                want.append((functional, i,
+                             float(value_at(u.values + FD_STEP * dm)
+                                   - value_at(u.values - FD_STEP * dm))
+                             / (2 * FD_STEP)))
+        assert len(want) == N_DIRECTIONS * (2 if mask in ("1,0", "0,1")
+                                            else 1)
+        assert [(r["functional"], r["direction"], r["fd"])
+                for r in records] == want

@@ -8,6 +8,7 @@ import pytest
 
 from gradsteer import (BasisControl, GridControl, LossScale, SolverConfig,
                        TimeGrid, cli)
+from gradsteer.adjoint import N_DIRECTIONS
 from gradsteer.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED,
                            EXIT_GRADCHECK, EXIT_OK, ingest_csv, main,
                            parse_config, run_fit, run_gradcheck, run_simulate)
@@ -20,8 +21,13 @@ DATA_CSV = REPO / "data" / "michaelis_menten.csv"
 GOLDEN_CFG = REPO / "configs" / "michaelis_menten.cfg"
 SEED_3_TABLE_SHA256 = \
     "8cb5b1bb1f5120018656a4f7c8d3259f4a7dd02359ae32fb14fc5d43adee1cc2"
-# seed 0 of the linear copy of the reference config that CI checks
+# seed 0 of the linear copy of the reference config that CI checks: its
+# table of leader rows, and that table with a 0 = 0 follower row before each
+# leader row, as it was written while a follower that owns no coordinate was
+# checked
 LINEAR_SEED_0_TABLE_SHA256 = \
+    "6846b075e26f60894dfe9e5f4e824d4faccba04b900c56231d99ac50c2db01df"
+LINEAR_SEED_0_WITH_FOLLOWER_SHA256 = \
     "33c667acaf66a807c1a4c8fa48db13e1f9d5464c277f8a662ecdd4aee378eba0"
 
 
@@ -565,7 +571,7 @@ class TestRunGradcheck:
         assert hashlib.sha256(table).hexdigest() == SEED_3_TABLE_SHA256
 
     def test_linear_copy_seed_0(self, tmp_path):
-        # the one-parameter linear copy runs the generic lane body (p = 1),
+        # the one-parameter linear copy runs the linear lane kernel on p = 1,
         # which the Michaelis-Menten tables do not reach; pinned like seed 3
         cfg = shipped_config(tmp_path, GOLDEN_CFG.name, model="linear",
                              theta0="1.0", leader_mask="1", seed=0)
@@ -573,6 +579,26 @@ class TestRunGradcheck:
             == EXIT_OK
         table = (tmp_path / "gc" / "gradcheck.csv").read_bytes()
         assert hashlib.sha256(table).hexdigest() == LINEAR_SEED_0_TABLE_SHA256
+
+    def test_linear_copy_checks_only_the_leader(self, tmp_path, capsys):
+        # the linear copy's follower owns no coordinate, so it is not
+        # checked, and a line says so. The table is the leader's rows of the
+        # table that also wrote a 0 = 0 follower row per direction, byte for
+        # byte
+        cfg = shipped_config(tmp_path, GOLDEN_CFG.name, model="linear",
+                             theta0="1.0", leader_mask="1", seed=0)
+        assert main(["--out", str(tmp_path / "gc"), "gradcheck", str(cfg)]) \
+            == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "follower: not checked, it owns no coordinate"
+        header, *rows = (tmp_path / "gc" / "gradcheck.csv").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        assert [r.split(",")[:2] for r in rows] == [
+            ["leader", str(i)] for i in range(N_DIRECTIONS)]
+        with_follower = header + "".join(
+            f"follower,{i},0.0,0.0,0.0\n" + row for i, row in enumerate(rows))
+        assert hashlib.sha256(with_follower.encode()).hexdigest() == \
+            LINEAR_SEED_0_WITH_FOLLOWER_SHA256
 
     def test_table_does_not_depend_on_u_max(self, tmp_path):
         # the check certifies the unclamped gradient, so it runs, holds and

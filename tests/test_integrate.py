@@ -460,11 +460,24 @@ class TestLaneSweep:
         assert lane_err.value.what == "state"
         assert lane_err.value.step == float_err.value.step
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_lanes_run_neither_float_body(self, monkeypatch, p):
+        # the lanes step their (p, K) arrays themselves, for every p
+        def float_body(*args):
+            raise AssertionError("a float body ran on lanes")
+
+        monkeypatch.setattr(integrate, "rk4_steps", float_body)
+        monkeypatch.setattr(integrate, "rk4_pair_steps", float_body)
+        grid = TimeGrid(1.0, 10)
+        sq, theta_T = integrate_lanes(decay, np.zeros((21, p, 3)),
+                                      np.ones((p, 3)), grid)
+        assert sq.shape == (3, 11) and theta_T.shape == (3, p)
+
     @pytest.mark.parametrize("coordinate", [0, 1])
     def test_diverging_pair_lane_stops_the_sweep_where_its_own_would(
             self, coordinate):
-        # on two parameters the lanes run the pair body: lane 1 blows up in
-        # one coordinate, and the sweep stops at its float sweep's step
+        # on two parameters, lane 1 blows up in one coordinate, and the
+        # sweep stops at its float sweep's step
         grid = TimeGrid(1.0, 10)
         blow_up = lambda y: [-a * a for a in y]
         theta0 = np.full((2, 3), 0.1)
@@ -480,9 +493,8 @@ class TestLaneSweep:
 
 
 class TestPairSweep:
-    # integrate_forward, integrate_backward and integrate_lanes run the pair
-    # bodies on two parameters; their floats must be the generic bodies',
-    # bit for bit
+    # integrate_forward and integrate_backward run the pair bodies on two
+    # parameters; their floats must be the generic bodies', bit for bit
 
     def test_two_parameters_take_the_pair_bodies(self, monkeypatch):
         def generic(*args):
@@ -495,7 +507,6 @@ class TestPairSweep:
                                  np.array([1.0, 2.0]), grid)
         integrate_backward(constant_hessian(lambda hess, v: v), traj,
                            np.ones(2), 1.0)
-        integrate_lanes(decay, np.zeros((21, 2, 3)), np.ones((2, 3)), grid)
 
     @staticmethod
     def nonlinear_grad(y):

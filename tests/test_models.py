@@ -8,7 +8,7 @@ from gradsteer import (DivergenceError, Dataset, LossScale, ModelKind,
                        objective_value, validation_phi)
 from gradsteer.models import (SINGULARITY_GUARD, _predict_batch,
                               gradient_function, hessian_function,
-                              hvp_function)
+                              hvp_function, lane_gradient_function)
 
 from conftest import (TABLE_V, TABLE_W, THETA_REPORTED, float_hvp,
                       linear_objective, zero_stages)
@@ -343,6 +343,53 @@ class TestFloatKernels:
         obj = linear_objective([[1.0, 1.0, 1.0]], [0.0])  # J = r^2 / 2
         assert gradient_function(obj)(terms) == (left_to_right,) * 3
         assert hvp_function(obj)([0.0] * 3, terms) == (left_to_right,) * 3
+
+
+class TestLaneKernel:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_each_lane_is_the_float_kernel_bitwise(self, model):
+        # random theta of either sign on 1 to 80 lanes and 1 to 20 samples,
+        # some at w = 0: one lane with 8 or more samples is where numpy
+        # would sum pairwise
+        rng = np.random.default_rng(11)
+        p = 3 if model is ModelKind.LINEAR else 2
+        for k, m in [(1, 4), (1, 9), (1, 20), (2, 9), (5, 1), (80, 4),
+                     (80, 20)]:
+            inputs = (rng.normal(size=(m, p)) if model is ModelKind.LINEAR
+                      else rng.uniform(0.01, 1.5, size=(m, 1)))
+            inputs[::3] = 0.0
+            obj = Objective(model, Dataset(inputs, rng.normal(size=m)),
+                            rng.choice([LossScale.HALF, LossScale.ONE]))
+            theta = rng.normal(scale=3.0, size=(p, k))
+            if model is ModelKind.MICHAELIS_MENTEN:
+                theta[1] = np.abs(theta[1]) + 0.01  # away from the pole
+            got = np.array(lane_gradient_function(obj)(theta))
+            assert got.shape == (p, k)
+            for lane in range(k):
+                want = gradient_function(obj)(theta[:, lane].tolist())
+                assert got[:, lane].tobytes() == np.array(want).tobytes()
+
+    def test_pole_guard_on_lanes(self, mm_model):
+        # lane 0 lies beyond the pole at every input (t1 + w < -G), as the
+        # float kernel lets it, and lane 2 clear of it; lanes 1 and 3 lie
+        # within the guard. The error names lane 1's theta and its nearest
+        # input, also on lanes 1 and 2 alone, whose smallest t1 + w is 0.5 G
+        w = np.array([0.3, 0.0052, 0.1])
+        obj = Objective(mm_model, Dataset(w[:, None], np.ones(3)))
+        theta = np.array([[2.0, 1.5, 1.0, 0.5],
+                          [-0.31, -0.0052 + 0.5 * SINGULARITY_GUARD, 0.2,
+                           -0.1]])
+        grad = lane_gradient_function(obj)
+        clear = theta[:, [0, 2]]
+        got = np.array(grad(clear))
+        for lane in range(2):
+            assert got[:, lane].tobytes() == np.array(gradient_function(obj)(
+                clear[:, lane].tolist())).tobytes()
+        for lanes in (theta, theta[:, 1:3]):
+            with pytest.raises(SingularityError) as err:
+                grad(lanes)
+            assert err.value.theta.tolist() == theta[:, 1].tolist()
+            assert err.value.x == 0.0052
 
 
 class TestHessianHook:
