@@ -5,23 +5,22 @@ The control u enters by stage: stage 2j is node j and stage 2j + 1 the
 midpoint of interval j. A forward step from node j reads u at stages 2j,
 2j+1, 2j+1 and 2j+2 and keeps the states of stages 2-4; `integrate_backward`
 runs the transposed step along them (Hager 2000, Numer. Math. 87), exact for
-the forward sweep's numbers at any step size. Both sweeps step on Python
-floats, one array row in or out at a time: with a few parameters, numpy's
-per-call overhead would cost more than the arithmetic. The forward sweep's
-`grad` takes and returns p floats. The backward sweep is one walk over all
-steps, fed stage Hessians a block of steps at a time (`models.Hessian`).
-Each sweep is one pass of a body chosen by p: with p = 2, as in every
-Michaelis-Menten problem, the pair bodies `rk4_pair_steps` and
-`_walk_pair`, the generic `rk4_steps` and `_walk` with the coordinates
-unrolled: the same float operations in the same order and the same `grad`
-and `hessian.apply` calls, so the same bits. `integrate_lanes` runs K
-sweeps at once, the float operations elementwise on (p, K) arrays.
+the forward sweep's numbers at any step size. The forward sweep's `grad`
+takes and returns p floats. The backward sweep is one walk over all steps,
+fed stage Hessians a block of steps at a time (`models.Hessian`). With
+p = 2, as in every Michaelis-Menten problem, both sweeps step on Python
+floats, one array row in or out at a time: numpy's per-call overhead would
+cost more than the arithmetic. Their pair bodies, `rk4_pair_steps` and
+`_walk_pair`, are `rk4_array_steps` and `_walk` with the coordinates
+unrolled: the same float operations in the same order, so the same bits.
+Any other p (only a linear model has one) steps in those two, and
+`integrate_lanes` runs `rk4_array_steps` on (p, K) arrays, K sweeps at once.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -46,32 +45,32 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite {what}{where}")
 
 
-def rk4_steps(grad: Callable, stage_u, y, h: float):
+def rk4_array_steps(grad: Callable, stage_u, y, h: float):
     """RK4 steps of theta' = u - grad(theta) from y with step h, along
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order:
     yields each step's (y2, y3, y4, next y). y, each control and grad's
-    argument and value are p floats. Every float sweep of p other than 2
-    steps here."""
+    argument are (p,) or (p, K) arrays, grad's value an array or rows of
+    that shape; each operation is elementwise. Callers check the stream's
+    length and silence numpy's overflow and invalid warnings."""
     half, sixth = 0.5 * h, h / 6.0
     stage_u = iter(stage_u)
-    u_node = next(stage_u)
-    for u_mid in stage_u:
-        u_first, u_node = u_node, next(stage_u)
-        k1 = [u - g for u, g in zip(u_first, grad(y))]
-        y2 = [a + half * k for a, k in zip(y, k1)]
-        k2 = [u - g for u, g in zip(u_mid, grad(y2))]
-        y3 = [a + half * k for a, k in zip(y, k2)]
-        k3 = [u - g for u, g in zip(u_mid, grad(y3))]
-        y4 = [a + h * k for a, k in zip(y, k3)]
-        k4 = [u - g for u, g in zip(u_node, grad(y4))]
-        y = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    u_node = next(stage_u, None)
+    for u_mid, u_next in zip(stage_u, stage_u):
+        k1 = u_node - grad(y)
+        y2 = y + half * k1
+        k2 = u_mid - grad(y2)
+        y3 = y + half * k2
+        k3 = u_mid - grad(y3)
+        y4 = y + h * k3
+        k4 = u_next - grad(y4)
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        u_node = u_next
         yield y2, y3, y4, y
 
 
 def rk4_pair_steps(grad: Callable, stage_u, y, h: float):
-    """`rk4_steps` on p = 2 floats, unrolled: the same float operations in
-    the same order, so the same bits."""
+    """`rk4_array_steps` on p = 2 floats, unrolled: the same float
+    operations in the same order, so the same bits."""
     half, sixth = 0.5 * h, h / 6.0
     stage_u = iter(stage_u)
     u_node = next(stage_u)
@@ -102,26 +101,34 @@ def integrate_forward(grad: Callable, stage_u, theta0,
     stage_u the (2N + 1, p) stage controls: node states, their |theta_j|^2
     (inf on overflow; `integrate_lanes` gives these and theta(T) per lane) and
     step j's stage 2-4 states, all read-only. `grad` takes and returns p
-    floats; the stage rows become floats one at a time."""
-    y = np.array(theta0, dtype=float).tolist()
+    floats. Stage controls of another width or count raise ValueError."""
+    y = np.array(theta0, dtype=float)
     if stage_u.shape[1] != len(y):
         raise ValueError(f"stage controls of {stage_u.shape[1]} coordinates "
                          f"for the {len(y)} of theta0")
+    _check_stage_count(len(stage_u), grid)
     states = np.empty((grid.steps + 1, len(y)))
     stages = np.empty((grid.steps, 3, len(y)))
     states[0] = y
-    rows = (row.tolist() for row in stage_u)
-    steps = rk4_pair_steps if len(y) == 2 else rk4_steps
-    for j, (y2, y3, y4, y) in enumerate(steps(grad, rows, y, grid.dt)):
-        stages[j] = y2, y3, y4
-        if not all(map(math.isfinite, y)):
-            raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
-        states[j + 1] = y
+    steps = (rk4_pair_steps(grad, map(np.ndarray.tolist, stage_u),
+                            y.tolist(), grid.dt) if len(y) == 2 else
+             rk4_array_steps(lambda v: grad(v.tolist()), stage_u, y, grid.dt))
     with np.errstate(over="ignore", invalid="ignore"):
+        for j, (y2, y3, y4, y) in enumerate(steps):
+            stages[j] = y2, y3, y4
+            if not all(map(math.isfinite, y)):
+                raise DivergenceError(grid.nodes[j + 1], j + 1, "state")
+            states[j + 1] = y
         state_sq = squared_norms(states)
     for a in (states, state_sq, stages):
         a.flags.writeable = False
     return Trajectory(grid, states, state_sq, stages)
+
+
+def _check_stage_count(got: int, grid: TimeGrid):
+    if got != 2 * grid.steps + 1:
+        raise ValueError(f"{got} stage controls for the {2 * grid.steps + 1} "
+                         f"stages of {grid.steps} steps")
 
 
 def squared_norms(states: Array) -> Array:
@@ -135,31 +142,28 @@ def integrate_lanes(grad: Callable, stage_u, theta0,
     """`integrate_forward` on K lanes at once: theta0 and each entry of
     `stage_u`, an iterable of the 2N + 1 stage controls in stage order, are
     (p, K) arrays, and `grad` maps a (p, K) state to its gradient, a (p, K)
-    array or p (K,) arrays (`models.lane_gradient_function`). Each step runs
-    `rk4_steps`' operations in their order on whole arrays, so each lane's
-    floats are its own float sweep's, bit for bit. Returns what a
-    `Trajectory` gives the costs, for every lane: the (K, N + 1) array of
-    |theta_j|^2 at the nodes, and the (K, p) terminal states theta(T); an
-    overflowing |theta|^2 is inf here, as there."""
-    h = grid.dt
-    half, sixth = 0.5 * h, h / 6.0
+    array or p (K,) arrays (`models.lane_gradient_function`). The steps are
+    `rk4_array_steps`' on whole arrays, so each lane's floats are its own
+    float sweep's, bit for bit; a stream of another length raises
+    ValueError. Returns what a `Trajectory` gives the costs, for every lane:
+    the (K, N + 1) array of |theta_j|^2 at the nodes, and the (K, p)
+    terminal states theta(T); an overflowing |theta|^2 is inf here, as
+    there."""
     y = np.array(theta0, dtype=float)
     sq = np.empty((grid.steps + 1, y.shape[1]))
     # each |theta|^2 sums a C-ordered (K, p) row, in its lane's float order
     sq[0] = squared_norms(y.T.copy())
-    stage_u = iter(stage_u)
-    u_node = next(stage_u)
-    for j, u_mid in enumerate(stage_u, 1):
-        u_first, u_node = u_node, next(stage_u)
-        k1 = u_first - grad(y)
-        k2 = u_mid - grad(y + half * k1)
-        k3 = u_mid - grad(y + half * k2)
-        k4 = u_node - grad(y + h * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    # each entry the stream yields pulls one count
+    read = count()
+    stage_u = (u for u, _ in zip(stage_u, read))
+    for j, (_, _, _, y) in zip(range(1, grid.steps + 1),
+                               rk4_array_steps(grad, stage_u, y, grid.dt)):
         rows = y.T.copy()
         if not np.isfinite(rows).all():
             raise DivergenceError(grid.nodes[j], j, "state")
         sq[j] = squared_norms(rows)
+    # the entries read, then those left after step N
+    _check_stage_count(next(read) + sum(1 for _ in stage_u), grid)
     return sq.T, rows
 
 

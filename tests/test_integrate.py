@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from gradsteer import (Dataset, DivergenceError, LossScale, ModelKind,
 from gradsteer import integrate
 from gradsteer.core import node_costates, trapezoid_weights
 from gradsteer.integrate import (HESSIAN_BLOCK, integrate_lanes,
-                                 squared_norms)
+                                 rk4_array_steps, squared_norms)
 from gradsteer.models import (Hessian, gradient_function, hessian_function,
                               lane_gradient_function)
 
@@ -24,10 +25,15 @@ def decay(y):
 
 @contextlib.contextmanager
 def generic_bodies():
-    """Sweeps of two parameters run the generic bodies, `rk4_steps` and
-    `_walk`, in place of the pair bodies: the reference for them."""
+    """Sweeps of two parameters run the generic bodies, `rk4_array_steps`
+    on (2,) arrays and `_walk`, in place of the pair bodies: the reference
+    for them. `grad` still takes p floats."""
+    def array_steps(grad, stage_u, y, h):
+        return integrate.rk4_array_steps(lambda v: grad(v.tolist()),
+                                         map(np.array, stage_u), np.array(y), h)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(integrate, "rk4_pair_steps", integrate.rk4_steps)
+        patch.setattr(integrate, "rk4_pair_steps", array_steps)
         patch.setattr(integrate, "_walk_pair", integrate._walk)
         yield
 
@@ -151,6 +157,18 @@ def test_divergence_detected():
                           np.array([50.0]), grid)
     assert err.value.t <= 1.0
     assert err.value.what == "state"
+
+
+@pytest.mark.parametrize("rows", [11, 41])
+@pytest.mark.parametrize("p", [1, 2])
+def test_forward_refuses_stage_controls_of_another_count(p, rows):
+    # a 10-step grid has 21 stages; a short sequence would leave nodes
+    # unwritten and a long one run past the last
+    grid = TimeGrid(1.0, 10)
+    with pytest.raises(ValueError,
+                       match=f"^{rows} stage controls for the 21 stages of 10 "
+                             f"steps$"):
+        integrate_forward(decay, np.zeros((rows, p)), np.ones(p), grid)
 
 
 def test_backward_divergence_detected():
@@ -461,17 +479,27 @@ class TestLaneSweep:
         assert lane_err.value.step == float_err.value.step
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_lanes_run_neither_float_body(self, monkeypatch, p):
-        # the lanes step their (p, K) arrays themselves, for every p
-        def float_body(*args):
-            raise AssertionError("a float body ran on lanes")
+    def test_lanes_never_run_the_pair_body(self, monkeypatch, p):
+        # the lanes step their (p, K) arrays in the array body, for every p
+        def pair_body(*args):
+            raise AssertionError("the pair body ran on lanes")
 
-        monkeypatch.setattr(integrate, "rk4_steps", float_body)
-        monkeypatch.setattr(integrate, "rk4_pair_steps", float_body)
+        monkeypatch.setattr(integrate, "rk4_pair_steps", pair_body)
         grid = TimeGrid(1.0, 10)
         sq, theta_T = integrate_lanes(decay, np.zeros((21, p, 3)),
                                       np.ones((p, 3)), grid)
         assert sq.shape == (3, 11) and theta_T.shape == (3, p)
+
+    @pytest.mark.parametrize("rows", [0, 11, 12, 22, 41])
+    def test_a_stream_of_another_length_is_refused(self, rows):
+        # short by an odd or an even count, long by one or more: the stream
+        # is counted as it is read, and the message names its length
+        grid = TimeGrid(1.0, 10)
+        stream = (u for u in np.zeros((rows, 2, 3)))
+        with pytest.raises(ValueError,
+                           match=f"^{rows} stage controls for the 21 stages "
+                                 f"of 10 steps$"):
+            integrate_lanes(decay, stream, np.ones((2, 3)), grid)
 
     @pytest.mark.parametrize("coordinate", [0, 1])
     def test_diverging_pair_lane_stops_the_sweep_where_its_own_would(
@@ -500,7 +528,7 @@ class TestPairSweep:
         def generic(*args):
             raise AssertionError("a generic body ran on two parameters")
 
-        monkeypatch.setattr(integrate, "rk4_steps", generic)
+        monkeypatch.setattr(integrate, "rk4_array_steps", generic)
         monkeypatch.setattr(integrate, "_walk", generic)
         grid = TimeGrid(1.0, 10)
         traj = integrate_forward(decay, zero_stages(grid, 2),
@@ -529,3 +557,57 @@ class TestPairSweep:
         for a, b in ((got.states, want.states), (got.stages, want.stages),
                      (got.state_sq, want.state_sq)):
             assert a.tobytes() == b.tobytes()
+
+
+class TestArraySweep:
+    # integrate_forward steps any p but 2 in rk4_array_steps, on a (p,) array
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_other_parameter_counts_take_the_array_body(self, monkeypatch, p):
+        # never the pair body, and grad still gets a list of p Python
+        # floats, the float kernels' fast path
+        def pair_body(*args):
+            raise AssertionError("the pair body ran on p != 2")
+
+        bodies, points = [], []
+
+        def array_body(*args):
+            bodies.append(args)
+            return rk4_array_steps(*args)
+
+        def grad(y):
+            points.append(y)
+            return decay(y)
+
+        monkeypatch.setattr(integrate, "rk4_pair_steps", pair_body)
+        monkeypatch.setattr(integrate, "rk4_array_steps", array_body)
+        grid = TimeGrid(1.0, 10)
+        integrate_forward(grad, zero_stages(grid, p), np.ones(p), grid)
+        assert len(bodies) == 1
+        assert len(points) == 4 * grid.steps
+        for y in points:
+            assert type(y) is list and len(y) == p
+            assert all(type(a) is float for a in y)
+
+    # sha256 of states, stages and state_sq of a linear sweep over random
+    # stage controls, recorded from the list-of-floats step that the array
+    # body replaced; the lanes' bitwise test compares the array body with
+    # itself at these p, so these digests are its independent reference
+    SWEEP_SHA256 = {
+        1: ("355bcd46fccf7d2701ad738c33cdef16df7abb84ce3cf61731cd624d60fecc10",
+            "cf64912a6916ee6a8025bc6988c206cec2433a9e6d768c2bee129f24d721a0e3",
+            "03aa3ce8020ad61dc9bc9b8ec8017f962d389ce7e92dec4d41145e81b12f0ba6"),
+        3: ("eca48abde6c2470e16be4d4c990e035f02c21fe9e2defc9acb96b0bf06bfee4c",
+            "c17614666ea7e6e7258ca7fc86e0bb53c87f0c712b646144aa2472e7f4e22341",
+            "0fdba4139591b7cfe073972a786c590e860aa19c0858f7b7b2f7cf3176281f1e"),
+    }
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_linear_sweep_keeps_its_pinned_bits(self, p):
+        steps = HESSIAN_BLOCK + 37
+        obj, theta0, stage_u, grid = TestLaneSweep.lane_problem(
+            ModelKind.LINEAR, p, steps, k=1, steps=steps)
+        traj = integrate_forward(gradient_function(obj), stage_u[:, :, 0],
+                                 theta0[:, 0], grid)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (
+            traj.states, traj.stages, traj.state_sq)) == self.SWEEP_SHA256[p]
